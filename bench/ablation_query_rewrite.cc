@@ -6,10 +6,13 @@
 //   flip      — every dimension MAX (full copy + negate, same skyline size)
 //   subspace  — half the dimensions projected away + a box constraint
 // The "flip" row is the honest overhead number: identical work for the
-// algorithm, plus one full view materialization.
+// algorithm, plus one full view materialization. The "flip mat" columns
+// time that materialization alone, serial and at the run's thread budget,
+// on a persistent executor the way the serving engine builds views.
 #include <cstdio>
 
 #include "bench_util.h"
+#include "parallel/executor.h"
 #include "query/engine.h"
 #include "query/view.h"
 
@@ -21,6 +24,15 @@ double MedianQuerySeconds(const Dataset& data, const QuerySpec& spec,
   std::vector<double> times;
   for (int rep = 0; rep < repeats; ++rep) {
     times.push_back(RunQuery(data, spec, opts).stats.total_seconds);
+  }
+  return Median(std::move(times));
+}
+
+double MedianViewSeconds(const Dataset& data, const QuerySpec& canon,
+                         const Options& opts, int repeats) {
+  std::vector<double> times;
+  for (int rep = 0; rep < repeats; ++rep) {
+    times.push_back(MaterializeView(data, canon, opts).materialize_seconds);
   }
   return Median(std::move(times));
 }
@@ -46,8 +58,15 @@ void Run(const BenchConfig& cfg) {
   for (int j = 0; j < d / 2; ++j) keep.push_back(j);
   subspace.Project(keep, d).Constrain(0, 0.1f, 0.9f);
 
+  Executor executor(t);
+  Options mat_serial;
+  mat_serial.threads = 1;
+  mat_serial.executor = &executor;
+  Options mat_wide = mat_serial;
+  mat_wide.threads = t;
+
   Table table({"distribution", "direct (s)", "identity (s)", "flip (s)",
-               "flip mat (s)", "subspace (s)"});
+               "flip mat (t=1) (s)", "flip mat (t) (s)", "subspace (s)"});
   for (const Distribution dist : AllDistributions()) {
     WorkloadSpec wspec{dist, n, d, cfg.seed};
     const Dataset& data = WorkloadCache::Instance().Get(wspec);
@@ -56,22 +75,29 @@ void Run(const BenchConfig& cfg) {
         RunTimed(data, opts, cfg.repeats, cfg.verify).stats.total_seconds;
     const double ident = MedianQuerySeconds(data, identity, opts, cfg.repeats);
     const double flipped = MedianQuerySeconds(data, flip, opts, cfg.repeats);
-    // Materialization alone, measured directly on the canonical flip spec.
-    const QueryView view =
-        MaterializeView(data, flip.Canonicalize(data.dims()));
+    const QuerySpec flip_canon = flip.Canonicalize(data.dims());
+    const double mat1 =
+        MedianViewSeconds(data, flip_canon, mat_serial, cfg.repeats);
+    const double matt =
+        MedianViewSeconds(data, flip_canon, mat_wide, cfg.repeats);
     const double sub = MedianQuerySeconds(data, subspace, opts, cfg.repeats);
 
     table.AddRow({DistributionName(dist), Table::Num(direct),
-                  Table::Num(ident), Table::Num(flipped),
-                  Table::Num(view.materialize_seconds), Table::Num(sub)});
+                  Table::Num(ident), Table::Num(flipped), Table::Num(mat1),
+                  Table::Num(matt), Table::Num(sub)});
     WorkloadCache::Instance().Clear();
   }
   Emit(table, cfg);
   std::printf(
       "\nExpected shape: identity tracks direct (the engine skips the view "
       "for the native question); flip pays one row copy over direct — small "
-      "next to the skyline computation itself on hard inputs; subspace is "
-      "dominated by the smaller projected problem, not the rewrite.\n");
+      "next to the skyline computation itself on hard inputs; flip mat (t) "
+      "stays at or below flip mat (t=1) once the view spans several "
+      "%zu-row chunks, but far short of t-fold: the full copy is "
+      "memory-bound (one thread can saturate the bandwidth) and the output "
+      "allocation stays serial; subspace is dominated by the smaller "
+      "projected problem, not the rewrite.\n",
+      kViewChunkRows);
 }
 
 }  // namespace

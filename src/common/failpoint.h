@@ -11,7 +11,8 @@
 // through splitmix64), so a failing injection run replays exactly.
 //
 // Site catalog (kept current in README.md "Robust serving"):
-//   view_build      materialising a constrained view (query/view.cc call)
+//   view_build      materialising any non-identity view: box filter,
+//                   projection or MAX flip (query/view.cc, once per build)
 //   zonemap_build   building the block zonemap index
 //   shard_execute   per-shard algorithm run inside the fan-out
 //   shard_repair    delta repair of one shard on insert/delete

@@ -213,11 +213,12 @@ struct ShardPartial {
 /// Source of per-shard materialized views: the engine passes a lambda
 /// backed by its view cache so a band_k / top-k sweep over one box pays
 /// each shard's materialization once; the one-shot RunShardedQuery path
-/// leaves it empty and the executor materializes locally. `built`
-/// (nullable) reports whether the call materialized (true) or reused a
-/// cached view — the trace's view=build|hit attribute.
+/// leaves it empty and the executor materializes locally. A build runs
+/// at the thread budget of the `opts` passed in — the shard's own.
+/// `built` (nullable) reports whether the call materialized (true) or
+/// reused a cached view — the trace's view=build|hit attribute.
 using ShardViewProvider = std::function<std::shared_ptr<const QueryView>(
-    uint32_t shard_index, bool* built)>;
+    uint32_t shard_index, const Options& opts, bool* built)>;
 
 /// Source of per-shard zonemap indexes for the direct path, backed by the
 /// engine's epoch-guarded zonemap cache. Returns nullptr when the caller
@@ -228,11 +229,11 @@ using ZonemapProvider =
 
 std::shared_ptr<const QueryView> ViewOfShard(
     const ShardMap& map, uint32_t shard_index, const QuerySpec& canon,
-    const ShardViewProvider& provider, bool* built) {
-  if (provider) return provider(shard_index, built);
+    const Options& opts, const ShardViewProvider& provider, bool* built) {
+  if (provider) return provider(shard_index, opts, built);
   if (built != nullptr) *built = true;
   return std::make_shared<const QueryView>(
-      MaterializeView(map.shard(shard_index).rows(), canon));
+      MaterializeView(map.shard(shard_index).rows(), canon, opts));
 }
 
 /// Merge + finish: the interpreter for a planner-produced ExecutionPlan.
@@ -311,8 +312,8 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
     } else if (identity) {
       one = RunOnTarget(shard.rows(), &shard.row_ids, canon, one_opts);
     } else {
-      const std::shared_ptr<const QueryView> view =
-          ViewOfShard(map, plan.shards[0], canon, provider, &view_built);
+      const std::shared_ptr<const QueryView> view = ViewOfShard(
+          map, plan.shards[0], canon, one_opts, provider, &view_built);
       std::vector<PointId> composed(view->row_ids.size());
       for (size_t i = 0; i < view->row_ids.size(); ++i) {
         composed[i] = shard.row_ids[view->row_ids[i]];
@@ -401,8 +402,8 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
       return;
     }
     if (!identity) {
-      p.view =
-          ViewOfShard(map, plan.shards[s], canon, provider, &p.view_built);
+      p.view = ViewOfShard(map, plan.shards[s], canon, shard_opts, provider,
+                           &p.view_built);
     }
     const Dataset& target = identity ? shard.rows() : p.view->data;
     if (target.count() == 0) {
@@ -673,7 +674,7 @@ QueryResult RunQuery(const Dataset& data, const QuerySpec& spec,
     if (canon.IsIdentityTransform()) {
       return RunOnTarget(data, nullptr, canon, opts);
     }
-    const QueryView view = MaterializeView(data, canon);
+    const QueryView view = MaterializeView(data, canon, opts);
     QueryResult r = RunOnTarget(view.data, &view.row_ids, canon, opts);
     r.stats.other_seconds += view.materialize_seconds;
     r.stats.total_seconds += view.materialize_seconds;
@@ -692,9 +693,10 @@ QueryResult RunQuery(const Dataset& data, const QuerySpec& spec,
     tb.AttrCount(ex, "rows", r.matched_rows);
   } else {
     const int vs = tb.Open("view.build", root);
-    const QueryView view = MaterializeView(data, canon);
+    const QueryView view = MaterializeView(data, canon, opts);
     tb.Close(vs);
     tb.AttrCount(vs, "rows", view.data.count());
+    tb.AttrCount(vs, "threads", static_cast<uint64_t>(view.build_threads));
     const int ex = tb.Open("execute", root);
     r = RunOnTarget(view.data, &view.row_ids, canon, opts);
     tb.Close(ex);
@@ -1428,6 +1430,7 @@ QueryResult SkylineEngine::Execute(const std::string& name,
       // reader rebuilds from its own snapshot instead (PutViewIfCurrent
       // keeps a stale rebuild out of the cache).
       const ShardViewProvider provider = [&](uint32_t shard_index,
+                                             const Options& shard_opts,
                                              bool* built_out) {
         const std::string view_key = prefix + "v|s" +
                                      std::to_string(shard_index) + "|" +
@@ -1436,8 +1439,8 @@ QueryResult SkylineEngine::Execute(const std::string& name,
         std::shared_ptr<const QueryView> view = view_cache_.Get(view_key);
         const bool rebuild = view == nullptr || view->source_epoch != epoch;
         if (rebuild) {
-          QueryView built =
-              MaterializeView(shards->shard(shard_index).rows(), canon);
+          QueryView built = MaterializeView(
+              shards->shard(shard_index).rows(), canon, shard_opts);
           built.constraints = canon.constraints;
           built.source_shard = static_cast<int>(shard_index);
           built.source_epoch = epoch;
@@ -1553,7 +1556,7 @@ QueryResult SkylineEngine::Execute(const std::string& name,
       double build_seconds = 0.0;
       const bool view_built = view == nullptr;
       if (view_built) {
-        QueryView built = MaterializeView(*data, canon);
+        QueryView built = MaterializeView(*data, canon, eff);
         built.constraints = canon.constraints;
         built.source_shard = -1;
         auto holder = std::make_shared<const QueryView>(std::move(built));
@@ -1566,6 +1569,10 @@ QueryResult SkylineEngine::Execute(const std::string& name,
         tb->Close(vs);
         tb->Attr(vs, "source", view_built ? "build" : "hit");
         tb->AttrCount(vs, "rows", view->data.count());
+        if (view_built) {
+          tb->AttrCount(vs, "threads",
+                        static_cast<uint64_t>(view->build_threads));
+        }
       }
       const int ex = tb != nullptr ? tb->Open("execute", root) : -1;
       fresh = RunOnTarget(view->data, &view->row_ids, canon, eff);

@@ -9,8 +9,10 @@
 #ifndef SKY_QUERY_VIEW_H_
 #define SKY_QUERY_VIEW_H_
 
+#include <cstddef>
 #include <vector>
 
+#include "core/options.h"
 #include "data/dataset.h"
 #include "query/query_spec.h"
 
@@ -28,6 +30,9 @@ struct QueryView {
   std::vector<int> kept_dims;
   /// Wall time spent building the view.
   double materialize_seconds = 0.0;
+  /// Parallelism the build ran at: the request's thread budget, clamped
+  /// to the executor's width and to the number of row chunks.
+  int build_threads = 1;
   /// Invalidation metadata, filled by the engine when it caches a view:
   /// the constraint box the view was filtered by (empty = unconstrained)
   /// and the shard the view was cut from (-1 = whole dataset). A
@@ -42,8 +47,20 @@ struct QueryView {
   uint64_t source_epoch = 0;
 };
 
+/// Rows per unit of work in MaterializeView: each chunk is box-tested,
+/// counted and scattered by one worker. A multiple of 64 so every word
+/// of the survivor bitmap belongs to exactly one chunk.
+inline constexpr size_t kViewChunkRows = 4096;
+
 /// Build the view of `data` under `spec`. `spec` must already be in
 /// canonical form for `data.dims()` (see QuerySpec::Canonicalize).
+/// Runs on `opts.executor` (or a private pool) at `opts.threads`
+/// parallelism and polls `opts.cancel` once per row chunk, throwing
+/// CancelledError when it trips. The result is identical at every width.
+QueryView MaterializeView(const Dataset& data, const QuerySpec& spec,
+                          const Options& opts);
+
+/// Serial build: MaterializeView(data, spec, opts) with threads = 1.
 QueryView MaterializeView(const Dataset& data, const QuerySpec& spec);
 
 /// Rank score of a view row under the top-k cap: the sum of its (already

@@ -5,6 +5,9 @@
 // of the "fair comparison" claim inherited from the paper's SkyBench.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "core/skyline.h"
 #include "data/generator.h"
 #include "test_util.h"
@@ -21,12 +24,22 @@ constexpr Algorithm kAll[] = {
     Algorithm::kBSkyTreeS, Algorithm::kOsp,       Algorithm::kPBSkyTree,
 };
 
+// gtest names each case after a raw byte dump of the parameter, so the
+// layout is spelled out with zeroed padding: implicit padding would hold
+// stack garbage and give the same case a different name on every run.
 struct Case {
+  Case(Distribution dist, size_t n, int d, uint64_t seed)
+      : dist(dist), n(n), d(d), seed(seed) {}
   Distribution dist;
+  uint8_t pad0[7] = {};
   size_t n;
   int d;
+  int32_t pad1 = 0;
   uint64_t seed;
 };
+static_assert(sizeof(Case) == 32 &&
+                  std::has_unique_object_representations_v<Case>,
+              "Case must have no implicit padding");
 
 class Agreement : public ::testing::TestWithParam<Case> {};
 

@@ -208,5 +208,39 @@ TEST(EngineTraceTest, UnshardedIdentityQueryTracesExecuteStage) {
   EXPECT_EQ(untraced.trace, nullptr);
 }
 
+TEST(EngineTraceTest, UnshardedViewSpanCarriesBuildWidth) {
+  // A view spanning several row chunks builds at the request's budget on
+  // the shared executor; the trace reports that width, and a repeat that
+  // reuses the cached view reports a hit with no build width.
+  SkylineEngine::Config config;
+  config.executor_threads = 4;
+  SkylineEngine engine(config);
+  engine.RegisterDataset(
+      "flat", GenerateSynthetic(Distribution::kIndependent, 20'000, 4,
+                                /*seed=*/5));
+  QuerySpec spec;
+  spec.SetPreference(1, Preference::kMax);
+  Options opts;
+  opts.trace = true;
+  opts.threads = 4;
+  const QueryResult r = engine.Execute("flat", spec, opts);
+  ASSERT_NE(r.trace, nullptr);
+  const int view = FindSpan(*r.trace, "view");
+  ASSERT_GE(view, 0);
+  EXPECT_EQ(r.trace->spans[static_cast<size_t>(view)].parent, 0);
+  EXPECT_EQ(AttrOf(*r.trace, view, "source"), "build");
+  EXPECT_EQ(AttrOf(*r.trace, view, "rows"), "20000");
+  EXPECT_EQ(AttrOf(*r.trace, view, "threads"), "4");
+
+  QuerySpec deeper = spec;
+  deeper.band_k = 2;  // same ViewKey: the cached view is reused
+  const QueryResult hit = engine.Execute("flat", deeper, opts);
+  ASSERT_NE(hit.trace, nullptr);
+  const int reused = FindSpan(*hit.trace, "view");
+  ASSERT_GE(reused, 0);
+  EXPECT_EQ(AttrOf(*hit.trace, reused, "source"), "hit");
+  EXPECT_EQ(AttrOf(*hit.trace, reused, "threads"), "");
+}
+
 }  // namespace
 }  // namespace sky

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "data/generator.h"
 #include "data/realistic.h"
 #include "gtest/gtest.h"
@@ -258,6 +259,43 @@ TEST(QueryShardPropertyTest, EnginePrunesAndStaysOracleIdentical) {
   EXPECT_EQ(one.shards_executed, 1u);
   EXPECT_EQ(one.shards_pruned, 0u);
   EXPECT_EQ(SortedEntries(one), ReferenceQuery(data, low));
+}
+
+TEST(QueryShardPropertyTest, LoneShardViewBuildsIdenticallyAtEveryWidth) {
+  // Two clusters, each several view chunks long, and a box inside the low
+  // one: the plan keeps a single shard (kNone), whose view builds on the
+  // caller's full budget. Four threads must answer exactly as one.
+  std::vector<float> flat;
+  Rng rng(17);
+  for (int i = 0; i < 24'000; ++i) {
+    const float base = i < 12'000 ? 0.0f : 0.8f;
+    for (int j = 0; j < 3; ++j) {
+      flat.push_back(base + 0.15f * static_cast<float>(rng.NextDouble()));
+    }
+  }
+  const Dataset data = Dataset::FromRowMajor(3, flat);
+  QuerySpec spec;
+  spec.SetPreference(1, Preference::kMax);
+  spec.Constrain(0, 0.0f, 0.04f);
+  spec.band_k = 2;
+
+  std::vector<QueryResult> results;
+  for (const int threads : {1, 4}) {
+    SkylineEngine::Config config;
+    config.shards = 2;
+    config.shard_policy = ShardPolicy::kMedianPivot;
+    config.executor_threads = 4;
+    SkylineEngine engine(config);
+    engine.RegisterDataset("clusters", data.Clone());
+    Options opts;
+    opts.threads = threads;
+    results.push_back(engine.Execute("clusters", spec, opts));
+    EXPECT_EQ(results.back().shards_executed, 1u) << "threads=" << threads;
+    EXPECT_EQ(results.back().shards_pruned, 1u) << "threads=" << threads;
+  }
+  EXPECT_EQ(results[1].matched_rows, results[0].matched_rows);
+  EXPECT_EQ(SortedEntries(results[1]), SortedEntries(results[0]));
+  EXPECT_EQ(SortedEntries(results[0]), ReferenceQuery(data, spec));
 }
 
 TEST(QueryShardPropertyTest, PerShardViewsReusedAcrossDepthSweep) {

@@ -137,6 +137,44 @@ TEST_F(RobustEngineTest, ExternalCancelTokenStopsTheQuery) {
   EXPECT_EQ(Sorted(ok.ids), OracleIds(data, QuerySpec{}));
 }
 
+TEST_F(RobustEngineTest, CancelledTokenStopsTheViewBuild) {
+  // The view build polls the query token once per row chunk, so a
+  // cancelled query stops before any view exists: nothing is built,
+  // counted or cached.
+  SkylineEngine engine;
+  const Dataset data =
+      GenerateSynthetic(Distribution::kIndependent, 80'000, 4, 21);
+  engine.RegisterDataset("ds", data.Clone());
+  QuerySpec spec;
+  spec.SetPreference(0, Preference::kMax);
+  spec.Constrain(1, 0.0f, 0.02f);
+  const auto view_builds = [&] {
+    return engine.Metrics().Snapshot().Value("sky_engine_view_builds_total");
+  };
+  const double builds_before = view_builds();
+  const auto views_before = engine.view_cache_counters();
+
+  CancelToken token;
+  token.Cancel();
+  Options opts;
+  opts.threads = 4;
+  opts.cancel = &token;
+  const QueryResult r = engine.Execute("ds", spec, opts);
+  EXPECT_EQ(r.status, Status::kCancelled);
+  EXPECT_TRUE(r.ids.empty());
+  EXPECT_EQ(view_builds(), builds_before);
+  const auto views_after = engine.view_cache_counters();
+  EXPECT_EQ(views_after.entries, views_before.entries);
+  EXPECT_EQ(views_after.bytes, views_before.bytes);
+
+  Options full;
+  full.threads = 4;
+  const QueryResult ok = engine.Execute("ds", spec, full);
+  EXPECT_EQ(ok.status, Status::kOk);
+  EXPECT_EQ(Sorted(ok.ids), OracleIds(data, spec));
+  EXPECT_EQ(view_builds(), builds_before + 1);
+}
+
 TEST_F(RobustEngineTest, ProgressiveDeadlineServesTruncatedPrefix) {
   // A progressive consumer that trips the budget mid-stream must get a
   // well-formed partial: status kDeadlineExceeded, truncated flag, and
