@@ -133,12 +133,12 @@ void BM_TileDominates(benchmark::State& state) {
   Dataset data = RandomData(d, 4096, 19);
   TileBlock tiles(d, 4096);
   tiles.AppendRows(data.Row(0), data.stride(), 4096);
-  DomCtx dom(d, data.stride(), simd);
+  const auto kernel =
+      simd && CpuHasAvx2() ? TileDominatesAvx2 : TileDominatesScalar;
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dom.TileDominates(data.Row(i & 4095), tiles.Tile(i & 511),
-                          kFullLaneMask));
+    benchmark::DoNotOptimize(kernel(data.Row(i & 4095), tiles.Tile(i & 511),
+                                    d, kFullLaneMask));
     ++i;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -195,6 +195,39 @@ void BM_WindowScanBatched(benchmark::State& state) {
 BENCHMARK(BM_WindowScanBatched)
     ->ArgsProduct({{4, 8, 12, 16}, {4096}})
     ->ArgNames({"d", "window"});
+
+// Hybrid's masked M(S) scan: one candidate against a window carrying
+// random 8-bit masks (about a third of the lanes pass the subset filter),
+// scanned until the first tile holding a
+// dominator. items_processed counts lanes examined (tested + skipped),
+// since the mask filter is most of the work.
+void BM_MaskedRangeScan(benchmark::State& state) {
+  const int d = static_cast<int>(state.range(0));
+  const bool simd = state.range(1) != 0;
+  const size_t window = 4096;
+  Dataset data = RandomData(d, window, 37);
+  Dataset cands = RandomData(d, window, 41);
+  TileBlock tiles(d, window);
+  tiles.AppendRows(data.Row(0), data.stride(), window);
+  Rng rng(43);
+  std::vector<Mask> masks(window);
+  for (Mask& m : masks) m = static_cast<Mask>(rng.NextBounded(1u << 8));
+  DomCtx dom(d, data.stride(), simd);
+  size_t i = 0;
+  uint64_t dts = 0, skips = 0;
+  for (auto _ : state) {
+    const Mask m = static_cast<Mask>(rng.NextBounded(1u << 8) |
+                                     rng.NextBounded(1u << 8));
+    benchmark::DoNotOptimize(dom.DominatedInMaskedRange(
+        cands.Row(i % window), tiles, masks.data(), m, 0, window, nullptr,
+        &dts, &skips));
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(dts + skips));
+}
+BENCHMARK(BM_MaskedRangeScan)
+    ->ArgsProduct({{4, 8, 12, 16}, {0, 1}})
+    ->ArgNames({"d", "simd"});
 
 // The many-vs-many entry point as the hot consumers use it: a block of
 // candidates filtered against the window with cache-blocked tile chunks.

@@ -58,10 +58,12 @@ SKY_ALWAYS_INLINE int KeyToLevel(uint32_t key, int d) {
 /// Total-order-preserving mapping from float to uint32: for any finite
 /// a, b, a < b iff ToOrderedBits(a) < ToOrderedBits(b). Negative floats
 /// have their bits flipped entirely (two's-complement-style reversal);
-/// non-negatives get the sign bit set. Used to pack (composite key, L1
-/// norm) into a single uint64 sort key — datasets may contain negative
-/// coordinates (e.g. "larger is better" attributes loaded negated).
+/// non-negatives get the sign bit set. -0 maps to +0's key, since the two
+/// compare equal. Used to pack (composite key, L1 norm) into a single
+/// uint64 sort key — datasets may contain negative coordinates (e.g.
+/// "larger is better" attributes loaded negated).
 SKY_ALWAYS_INLINE uint32_t ToOrderedBits(float f) {
+  if (f == 0.0f) f = 0.0f;  // fold -0 onto +0
   const uint32_t u = std::bit_cast<uint32_t>(f);
   return (u & 0x80000000u) ? ~u : (u | 0x80000000u);
 }

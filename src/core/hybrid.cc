@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 
 #include "common/bits.h"
 #include "common/cancel.h"
@@ -77,42 +76,18 @@ bool DominatedByPeerBatched(const WorkingSet& ws, size_t block_begin,
                             std::vector<uint8_t>& flags, uint64_t* dts,
                             uint64_t* skips) {
   const Value* q = ws.Row(block_begin + me);
-  const Mask my_mask = ws.masks[block_begin + me];
-  const size_t i1 = level_start[me];
-  const size_t i2 = mask_start[me];
+  const Mask* masks = ws.masks.data() + block_begin;
   // Run 1: strictly lower levels — pruned peers skipped (same benign
   // stale-flag race as the scalar path), survivors mask-filtered 8 at a
-  // time, comparable lanes tested with one tile kernel.
-  for (size_t g = 0; g * kSimdWidth < i1; ++g) {
-    const size_t row0 = g * kSimdWidth;
-    const size_t hi = std::min<size_t>(kSimdWidth, i1 - row0);
-    uint32_t unpruned = 0;
-    for (size_t l = 0; l < hi; ++l) {
-      if (std::atomic_ref<uint8_t>(flags[row0 + l])
-              .load(std::memory_order_relaxed) == 0) {
-        unpruned |= 1u << l;
-      }
-    }
-    if (ProbeMaskedTile(dom, q, tiles.Tile(g),
-                        ws.masks.data() + block_begin + row0,
-                        ws.masks.size() - (block_begin + row0), my_mask,
-                        unpruned, ws.Row(block_begin + row0),
-                        static_cast<size_t>(ws.stride), dts, skips)) {
-      return true;
-    }
+  // time.
+  if (dom.DominatedInMaskedRange(q, tiles, masks, masks[me], 0,
+                                 level_start[me], flags.data(), dts, skips)) {
+    return true;
   }
   // Run 2: same level, different mask — provably incomparable, skipped.
-  // Run 3: same partition — unconditional tests.
-  for (size_t g = i2 / kSimdWidth; g * kSimdWidth < me; ++g) {
-    const size_t row0 = g * kSimdWidth;
-    const size_t lo = row0 < i2 ? i2 - row0 : 0;
-    const size_t hi = std::min<size_t>(kSimdWidth, me - row0);
-    const uint32_t range = LaneMaskRange(lo, hi);
-    if (range == 0) continue;
-    *dts += std::popcount(range);
-    if (dom.TileDominates(q, tiles.Tile(g), range) != 0) return true;
-  }
-  return false;
+  // Run 3: same partition — unconditional tests (every mask passes ~0).
+  return dom.DominatedInMaskedRange(q, tiles, masks, ~Mask{0}, mask_start[me],
+                                    me, nullptr, dts, skips);
 }
 
 }  // namespace

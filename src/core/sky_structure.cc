@@ -2,7 +2,6 @@
 #include "core/sky_structure.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "common/bits.h"
@@ -52,12 +51,14 @@ void SkyStructure::Append(const WorkingSet& ws, size_t begin, size_t len,
       open_mask = level1;
       open_pivot = dst;
       masks_.push_back(level1);
-      partitions_.push_back({open_mask, open_pivot});
+      partitions_.push_back(
+          {open_mask, open_pivot, CompositeMaskKey(open_mask, dims_)});
     }
     ++count_;
   }
   // Re-push the sentinel (Algorithm 2 line 10).
-  partitions_.push_back({FullMask(dims_) + 1, static_cast<uint32_t>(count_)});
+  partitions_.push_back(
+      {FullMask(dims_) + 1, static_cast<uint32_t>(count_), ~uint32_t{0}});
 }
 
 size_t SkyStructure::Remove(std::span<const PointId> drop,
@@ -98,7 +99,8 @@ size_t SkyStructure::Remove(std::span<const PointId> drop,
         new_pivot = w;
         pivot_moved = (j != s);
         masks_[w] = pmask;  // the pivot stores the level-1 mask
-        kept_parts.push_back({pmask, static_cast<uint32_t>(w)});
+        kept_parts.push_back(
+            {pmask, static_cast<uint32_t>(w), partitions_[k].key});
       } else if (pivot_moved) {
         masks_[w] = dom.PartitionMask(rows_.data() + w * stride,
                                       rows_.data() + new_pivot * stride);
@@ -112,7 +114,7 @@ size_t SkyStructure::Remove(std::span<const PointId> drop,
   partitions_ = std::move(kept_parts);
   if (count_ > 0) {
     partitions_.push_back(
-        {FullMask(dims_) + 1, static_cast<uint32_t>(count_)});
+        {FullMask(dims_) + 1, static_cast<uint32_t>(count_), ~uint32_t{0}});
   }
   // The previous append span is meaningless after a repack.
   last_append_begin_ = count_;
@@ -134,7 +136,7 @@ bool SkyStructure::Dominated(const Value* q, Mask qmask, const DomCtx& dom,
     // Partitions are stored in increasing composite-key order; a subset
     // mask never has a larger key, so everything past q's key is
     // incomparable and the scan can stop.
-    if (CompositeMaskKey(pmask, dims_) > qkey) break;
+    if (partitions_[k].key > qkey) break;
     // Level-1 filter (Algorithm 3 line 3): skip the whole partition unless
     // its region may dominate q's region.
     if (MaskIncomparable(pmask, qmask)) {
@@ -153,22 +155,11 @@ bool SkyStructure::Dominated(const Value* q, Mask qmask, const DomCtx& dom,
     }
     if (dom.batch()) {
       // Batched member scan: the partition range [s+1, t) maps onto the
-      // global SoA tiles with lane masks at both ragged ends. The
-      // level-2 filter (line 8) runs 8 masks per compare, and surviving
-      // lanes share one tile dominance kernel (ProbeMaskedTile).
-      const size_t stride = static_cast<size_t>(stride_);
-      for (size_t g = (s + 1) / kSimdWidth;
-           g * kSimdWidth < t && !dominated; ++g) {
-        const size_t row0 = g * kSimdWidth;
-        const size_t lo = row0 < s + 1 ? (s + 1) - row0 : 0;
-        const size_t hi = std::min<size_t>(kSimdWidth, t - row0);
-        if (ProbeMaskedTile(dom, q, tiles_.Tile(g), masks_.data() + row0,
-                            count_ - row0, m2, LaneMaskRange(lo, hi),
-                            rows_.data() + row0 * stride, stride,
-                            &local_dts, &local_skips)) {
-          dominated = true;
-        }
-      }
+      // global SoA tiles; the level-2 filter (line 8) runs 8 masks per
+      // compare inside the same kernel that tests the surviving lanes.
+      dominated = dom.DominatedInMaskedRange(q, tiles_, masks_.data(), m2,
+                                             s + 1, t, nullptr, &local_dts,
+                                             &local_skips);
       continue;
     }
     for (uint32_t j = s + 1; j < t; ++j) {
@@ -203,7 +194,8 @@ void SkyStructure::CheckInvariants() const {
   for (size_t k = 0; k + 1 < partitions_.size(); ++k) {
     SKY_CHECK(partitions_[k].start < partitions_[k + 1].start);
     // Partitions appear in strictly increasing (level, mask) order.
-    const uint32_t key = CompositeMaskKey(partitions_[k].mask, dims_);
+    const uint32_t key = partitions_[k].key;
+    SKY_CHECK(key == CompositeMaskKey(partitions_[k].mask, dims_));
     if (k > 0) SKY_CHECK(prev_key < key);
     prev_key = key;
     // The pivot stores the partition's level-1 mask.

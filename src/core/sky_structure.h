@@ -81,6 +81,7 @@ class SkyStructure {
   struct PartEntry {
     Mask mask;       // level-1 mask of every member of this partition
     uint32_t start;  // index of the partition's first point (its pivot)
+    uint32_t key;    // CompositeMaskKey(mask): the scan's stop test
   };
 
   int dims_;
@@ -97,7 +98,8 @@ class SkyStructure {
   /// For a partition pivot: its level-1 mask. For any other point: its
   /// level-2 mask relative to the partition pivot.
   std::vector<Mask> masks_;
-  /// Non-empty partitions in append order + sentinel (FullMask+1, count).
+  /// Non-empty partitions in append order + sentinel (FullMask+1, count,
+  /// key ~0).
   std::vector<PartEntry> partitions_;
 };
 

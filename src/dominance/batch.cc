@@ -73,23 +73,34 @@ uint32_t TileDominatesScalar(const Value* q, const Value* tile, int dims,
   return out;
 }
 
-uint32_t MaskComparableLanesScalar(const Mask* masks8, Mask m) {
-  uint32_t out = 0;
-  for (size_t l = 0; l < kSimdWidth; ++l) {
-    if (MaskMayDominate(masks8[l], m)) out |= 1u << l;
+bool DominatedInMaskedRangeScalar(const Value* q, const TileBlock& tiles,
+                                  const Mask* masks, Mask m, size_t from,
+                                  size_t to, uint8_t* pruned, uint64_t* dts,
+                                  uint64_t* skips) {
+  SKY_DCHECK(to <= tiles.size());
+  uint64_t tested = 0, skipped = 0;
+  bool dominated = false;
+  for (size_t t = from / kSimdWidth; t * kSimdWidth < to && !dominated;
+       ++t) {
+    const size_t row0 = t * kSimdWidth;
+    uint32_t lanes = TileRangeLanes(row0, from, to);
+    if (pruned != nullptr) lanes = DropPrunedLanes(lanes, pruned + row0);
+    uint32_t elig = 0;
+    for (uint32_t rem = lanes; rem != 0; rem &= rem - 1) {
+      const int l = std::countr_zero(rem);
+      if (MaskMayDominate(masks[row0 + l], m)) {
+        elig |= 1u << l;
+      } else {
+        ++skipped;
+      }
+    }
+    if (elig == 0) continue;
+    tested += std::popcount(elig);
+    dominated = TileDominatesScalar(q, tiles.Tile(t), tiles.dims(), elig) != 0;
   }
-  return out;
-}
-
-uint32_t DomCtx::TileDominates(const Value* q, const Value* tile,
-                               uint32_t lane_mask) const {
-  return simd_ ? TileDominatesAvx2(q, tile, d_, lane_mask)
-               : TileDominatesScalar(q, tile, d_, lane_mask);
-}
-
-uint32_t DomCtx::MaskComparableLanes(const Mask* masks8, Mask m) const {
-  return simd_ ? MaskComparableLanesAvx2(masks8, m)
-               : MaskComparableLanesScalar(masks8, m);
+  *dts += tested;
+  *skips += skipped;
+  return dominated;
 }
 
 namespace {
@@ -198,6 +209,16 @@ bool DomCtx::DominatedInRange(const Value* q, const TileBlock& tiles,
   if (from == 0) return DominatedByAny(q, tiles, tiles.size(), dts);
   return simd_ ? DominatedInRangeAvx2(q, tiles, from, dts)
                : DominatedInRangeScalarImpl(q, tiles, d_, from, dts);
+}
+
+bool DomCtx::DominatedInMaskedRange(const Value* q, const TileBlock& tiles,
+                                    const Mask* masks, Mask m, size_t from,
+                                    size_t to, uint8_t* pruned, uint64_t* dts,
+                                    uint64_t* skips) const {
+  return simd_ ? DominatedInMaskedRangeAvx2(q, tiles, masks, m, from, to,
+                                            pruned, dts, skips)
+               : DominatedInMaskedRangeScalar(q, tiles, masks, m, from, to,
+                                              pruned, dts, skips);
 }
 
 uint32_t DomCtx::CountDominators(const Value* q, const TileBlock& tiles,

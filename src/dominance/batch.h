@@ -9,6 +9,7 @@
 #ifndef SKY_DOMINANCE_BATCH_H_
 #define SKY_DOMINANCE_BATCH_H_
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -52,6 +53,28 @@ SKY_ALWAYS_INLINE uint32_t LaneMaskFirst(size_t lanes) {
 /// Bits [lo, hi) of a tile's lane mask (0 <= lo <= hi <= kSimdWidth).
 SKY_ALWAYS_INLINE uint32_t LaneMaskRange(size_t lo, size_t hi) {
   return LaneMaskFirst(hi) & ~LaneMaskFirst(lo);
+}
+
+/// Lanes of the tile whose lane 0 is point `row0` that fall in the
+/// point range [from, to) (row0 < to).
+SKY_ALWAYS_INLINE uint32_t TileRangeLanes(size_t row0, size_t from,
+                                          size_t to) {
+  return LaneMaskRange(from > row0 ? from - row0 : 0,
+                       to - row0 < kSimdWidth ? to - row0 : kSimdWidth);
+}
+
+/// `lanes` minus those whose flag flags0[l] is set. Each flag is read
+/// with a relaxed atomic load: flags may be set concurrently, and a
+/// stale 0 only costs one extra dominance test.
+SKY_ALWAYS_INLINE uint32_t DropPrunedLanes(uint32_t lanes, uint8_t* flags0) {
+  for (uint32_t rem = lanes; rem != 0; rem &= rem - 1) {
+    const int l = std::countr_zero(rem);
+    if (std::atomic_ref<uint8_t>(flags0[l]).load(std::memory_order_relaxed) !=
+        0) {
+      lanes &= ~(1u << l);
+    }
+  }
+  return lanes;
 }
 
 /// An append-only array of SoA tiles: tile t holds points
@@ -131,12 +154,6 @@ uint32_t TileDominatesScalar(const Value* q, const Value* tile, int dims,
 uint32_t TileDominatesAvx2(const Value* q, const Value* tile, int dims,
                            uint32_t lane_mask);
 
-/// Lane mask over 8 consecutive partition masks: bit l set iff a point
-/// carrying masks8[l] may dominate a point carrying mask m (the subset
-/// test MaskMayDominate, vectorized). Loads 8 Mask values from masks8.
-uint32_t MaskComparableLanesScalar(const Mask* masks8, Mask m);
-uint32_t MaskComparableLanesAvx2(const Mask* masks8, Mask m);
-
 // ---- Whole-scan kernels ----------------------------------------------
 //
 // The hot window scans live in the AVX2 TU so the candidate's broadcast
@@ -175,49 +192,25 @@ size_t FilterTileAvx2(const Value* rows, int stride, size_t n,
 uint32_t CountDominatorsAvx2(const Value* q, const TileBlock& tiles,
                              size_t limit, uint32_t cap, uint64_t* dts);
 
-/// Tail-safe 8-mask load: when fewer than kSimdWidth masks remain
-/// readable at `src`, copies the `avail` real ones into `tmp` (filling
-/// the rest with all-ones) and returns `tmp`; otherwise returns `src`.
-/// The fill value is irrelevant — out-of-range lanes must already be
-/// excluded by the caller's lane mask — this only keeps loads legal.
-SKY_ALWAYS_INLINE const Mask* LoadMasks8(const Mask* src, size_t avail,
-                                         Mask* tmp) {
-  if (SKY_LIKELY(avail >= kSimdWidth)) return src;
-  for (size_t i = 0; i < kSimdWidth; ++i) {
-    tmp[i] = i < avail ? src[i] : ~Mask{0};
-  }
-  return tmp;
-}
-
-/// Mask-filtered batched probe of one tile (the shared inner step of
-/// SkyStructure::Dominated and Hybrid's peer scan): among `active`
-/// lanes, count the mask-incomparable ones (vs `m`) as skips, test the
-/// comparable ones against q, and return true iff one dominates.
-/// A single surviving lane routes through the one-vs-one kernel for its
-/// per-dimension early exit (which the 8-lane kernel cannot do).
-/// `masks` points at the lane-0 partition mask with `avail` readable
-/// entries (tail-safe); `rows0`/`stride` give lane 0's AoS row for the
-/// single-lane path. Inline: called once per tile in the hottest scans.
-SKY_ALWAYS_INLINE bool ProbeMaskedTile(const DomCtx& dom, const Value* q,
-                                       const Value* tile, const Mask* masks,
-                                       size_t avail, Mask m,
-                                       uint32_t active, const Value* rows0,
-                                       size_t stride, uint64_t* dts,
-                                       uint64_t* skips) {
-  if (active == 0) return false;
-  Mask tmp[kSimdWidth];
-  const Mask* m8 = LoadMasks8(masks, avail, tmp);
-  const uint32_t comparable = dom.MaskComparableLanes(m8, m);
-  *skips += std::popcount(active & ~comparable);
-  const uint32_t elig = active & comparable;
-  if (elig == 0) return false;
-  *dts += std::popcount(elig);
-  if ((elig & (elig - 1)) == 0) {
-    const size_t lane = static_cast<size_t>(std::countr_zero(elig));
-    return dom.Dominates(rows0 + lane * stride, q);
-  }
-  return dom.TileDominates(q, tile, elig) != 0;
-}
+/// True iff some tile point i in [from, to) strictly dominates q, among
+/// the points allowed to: MaskMayDominate(masks[i], m) holds and, when
+/// `pruned` is non-null, pruned[i] == 0 (read per lane, relaxed). This
+/// is Hybrid's masked M(S) scan (compareToSky's member run, compareToPeers'
+/// lower-level and same-partition runs) fused into one loop: per tile,
+/// the comparable lanes are computed and the survivors tested against a
+/// candidate broadcast once per call. `masks` holds tiles.size() entries
+/// (tail loads stay in bounds); to <= tiles.size(). The scan stops after
+/// the first tile holding a dominator. Adds the lanes tested to *dts and
+/// the lanes the mask filter rejected to *skips (pruned lanes count as
+/// neither); both flavours count identically, lane for lane.
+bool DominatedInMaskedRangeScalar(const Value* q, const TileBlock& tiles,
+                                  const Mask* masks, Mask m, size_t from,
+                                  size_t to, uint8_t* pruned, uint64_t* dts,
+                                  uint64_t* skips);
+bool DominatedInMaskedRangeAvx2(const Value* q, const TileBlock& tiles,
+                                const Mask* masks, Mask m, size_t from,
+                                size_t to, uint8_t* pruned, uint64_t* dts,
+                                uint64_t* skips);
 
 }  // namespace sky
 

@@ -128,15 +128,6 @@ class DomCtx {
   // any build: with SIMD they run the AVX2 tile kernels, without they run
   // the scalar tile kernels — verdicts are identical either way.
 
-  /// Lane mask of `tile` points (restricted to lane_mask) that strictly
-  /// dominate q. Per-lane verdicts match DominatesScalar exactly.
-  uint32_t TileDominates(const Value* q, const Value* tile,
-                         uint32_t lane_mask) const;
-
-  /// Lane mask over masks8[0..8) of points that may dominate a point
-  /// carrying partition mask m (vectorized MaskMayDominate).
-  uint32_t MaskComparableLanes(const Mask* masks8, Mask m) const;
-
   /// True iff some point among the first min(limit, tiles.size()) tile
   /// points strictly dominates q; early-outs per tile. Adds the number of
   /// per-lane tests performed to *dts when non-null.
@@ -149,6 +140,16 @@ class DomCtx {
   /// append-only window.
   bool DominatedInRange(const Value* q, const TileBlock& tiles, size_t from,
                         uint64_t* dts) const;
+
+  /// Masked range scan (batch.h DominatedInMaskedRange*): true iff some
+  /// tile point i in [from, to) with MaskMayDominate(masks[i], m), and
+  /// pruned[i] == 0 when `pruned` is non-null, strictly dominates q.
+  /// `masks` holds tiles.size() entries. Adds lanes tested to *dts and
+  /// mask-rejected lanes to *skips (both non-null).
+  bool DominatedInMaskedRange(const Value* q, const TileBlock& tiles,
+                              const Mask* masks, Mask m, size_t from,
+                              size_t to, uint8_t* pruned, uint64_t* dts,
+                              uint64_t* skips) const;
 
   /// Number of points among the first min(limit, tiles.size()) tile
   /// points that strictly dominate q, early-outing once the count reaches

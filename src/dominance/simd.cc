@@ -111,17 +111,6 @@ uint32_t TileDominatesAvx2(const Value* q, const Value* tile, int dims,
          lane_mask & kFullLaneMask;
 }
 
-uint32_t MaskComparableLanesAvx2(const Mask* masks8, Mask m) {
-  const __m256i mm =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(masks8));
-  const __m256i leak =
-      _mm256_and_si256(mm, _mm256_set1_epi32(static_cast<int>(~m)));
-  const __m256i comparable =
-      _mm256_cmpeq_epi32(leak, _mm256_setzero_si256());
-  return static_cast<uint32_t>(
-      _mm256_movemask_ps(_mm256_castsi256_ps(comparable)));
-}
-
 namespace {
 
 /// The candidate's coordinates broadcast once per window scan — a
@@ -232,6 +221,55 @@ uint32_t CountDominatorsAvx2(const Value* q, const TileBlock& tiles,
   return count;
 }
 
+bool DominatedInMaskedRangeAvx2(const Value* q, const TileBlock& tiles,
+                                const Mask* masks, Mask m, size_t from,
+                                size_t to, uint8_t* pruned, uint64_t* dts,
+                                uint64_t* skips) {
+  SKY_DCHECK(to <= tiles.size());
+  if (from >= to) return false;
+  const int dims = tiles.dims();
+  const size_t n = tiles.size();
+  const BroadcastQ qb(q, dims);
+  // A lane is comparable iff its mask has no bit outside m: (~m & mask)
+  // compares equal to zero.
+  const __m256i mv = _mm256_set1_epi32(static_cast<int>(m));
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i lane_idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  uint64_t tested = 0, skipped = 0;
+  bool dominated = false;
+  for (size_t t = from / kSimdWidth; t * kSimdWidth < to; ++t) {
+    const size_t row0 = t * kSimdWidth;
+    uint32_t lanes = TileRangeLanes(row0, from, to);
+    if (pruned != nullptr) lanes = DropPrunedLanes(lanes, pruned + row0);
+    if (lanes == 0) continue;
+    const Mask* src = masks + row0;
+    // The last tile may hold fewer than 8 masks: a masked load reads only
+    // the lanes below n and never touches memory past them.
+    const __m256i mm =
+        SKY_LIKELY(row0 + kSimdWidth <= n)
+            ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src))
+            : _mm256_maskload_epi32(
+                  reinterpret_cast<const int*>(src),
+                  _mm256_cmpgt_epi32(
+                      _mm256_set1_epi32(static_cast<int>(n - row0)),
+                      lane_idx));
+    const uint32_t comparable =
+        static_cast<uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(
+            _mm256_cmpeq_epi32(_mm256_andnot_si256(mv, mm), zero))));
+    skipped += std::popcount(lanes & ~comparable);
+    const uint32_t elig = lanes & comparable;
+    if (elig == 0) continue;
+    tested += std::popcount(elig);
+    if (TileVsBroadcast(qb, tiles.Tile(t), dims, elig) != 0) {
+      dominated = true;
+      break;
+    }
+  }
+  *dts += tested;
+  *skips += skipped;
+  return dominated;
+}
+
 size_t FilterTileAvx2(const Value* rows, int stride, size_t n,
                       const TileBlock& tiles, uint8_t* flags,
                       uint64_t* dts) {
@@ -287,8 +325,12 @@ uint32_t TileDominatesAvx2(const Value* q, const Value* tile, int dims,
                            uint32_t lane_mask) {
   return TileDominatesScalar(q, tile, dims, lane_mask);
 }
-uint32_t MaskComparableLanesAvx2(const Mask* masks8, Mask m) {
-  return MaskComparableLanesScalar(masks8, m);
+bool DominatedInMaskedRangeAvx2(const Value* q, const TileBlock& tiles,
+                                const Mask* masks, Mask m, size_t from,
+                                size_t to, uint8_t* pruned, uint64_t* dts,
+                                uint64_t* skips) {
+  return DominatedInMaskedRangeScalar(q, tiles, masks, m, from, to, pruned,
+                                      dts, skips);
 }
 bool DominatedByAnyAvx2(const Value* q, const TileBlock& tiles,
                         size_t limit, uint64_t* dts) {

@@ -112,6 +112,15 @@ TEST_P(SequentialAlgos, QuantisedDuplicateHeavyData) {
       << algo().name;
 }
 
+TEST_P(SequentialAlgos, SignedZerosCompareEqual) {
+  // Regression (found by the fuzz differential): -0 == +0, so (0, 0)
+  // dominates (1, -0). SaLSa's min-coordinate sort key once ordered -0
+  // strictly before +0, placed the dominated point first and kept it.
+  Dataset data = test::MakeDataset({{1.0f, -0.0f}, {0.0f, 0.0f}});
+  Result r = algo().fn(data, Options{});
+  EXPECT_EQ(r.skyline, (std::vector<PointId>{1})) << algo().name;
+}
+
 INSTANTIATE_TEST_SUITE_P(All, SequentialAlgos,
                          ::testing::Range<size_t>(0, std::size(kSequential)),
                          [](const auto& info) {

@@ -2,8 +2,10 @@
 // Differential and property tests for the batched dominance layer
 // (dominance/batch.h): tile layout, lane padding, and verdict
 // equivalence of every batch kernel against the DominatesScalar oracle —
-// across d in [1, 16], ragged tail tiles, NaN coordinates, duplicated
-// points, and both kernel flavours (scalar tiles and AVX2 tiles).
+// across d in [1, 16], ragged tail tiles, NaN and ±inf coordinates,
+// duplicated points, and both kernel flavours (scalar tiles and AVX2
+// tiles). The masked-range kernel must also match the oracle's dominance
+// test and mask-skip counts lane for lane.
 #include "dominance/batch.h"
 
 #include <gtest/gtest.h>
@@ -204,24 +206,129 @@ TEST_P(DomCtxBatchDifferential, FilterTileMatchesOracle) {
   }
 }
 
-TEST_P(DomCtxBatchDifferential, MaskComparableLanesMatchesSubsetTest) {
-  const bool use_simd = GetParam();
-  DomCtx dom(4, 8, use_simd);
-  Rng rng(9);
-  for (int iter = 0; iter < 500; ++iter) {
-    Mask masks8[kSimdWidth];
-    for (auto& m : masks8) m = rng.NextBounded(1u << 12);
-    const Mask q = rng.NextBounded(1u << 12);
-    uint32_t expect = 0;
-    for (size_t l = 0; l < kSimdWidth; ++l) {
-      if (MaskMayDominate(masks8[l], q)) expect |= 1u << l;
-    }
-    ASSERT_EQ(dom.MaskComparableLanes(masks8, q), expect);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Flavours, DomCtxBatchDifferential,
                          ::testing::Bool());
+
+/// GridData plus ±inf coordinates, the shapes the masked-range kernel
+/// must treat exactly like DominatesScalar.
+Dataset SpecialData(int d, size_t n, uint64_t seed) {
+  Dataset data = GridData(d, n, seed, /*with_nan=*/true);
+  Rng rng(seed ^ 0xabcdefULL);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.NextBounded(9) == 0) {
+      const int j = static_cast<int>(rng.NextBounded(static_cast<uint32_t>(d)));
+      data.MutableRow(i)[j] = rng.NextBounded(2) != 0 ? kInf : -kInf;
+    }
+  }
+  return data;
+}
+
+struct MaskedScan {
+  bool dominated = false;
+  uint64_t dts = 0;
+  uint64_t skips = 0;
+  bool operator==(const MaskedScan&) const = default;
+};
+
+/// One-vs-one oracle for DominatedInMaskedRange: walks [from, to) tile by
+/// tile, skips pruned lanes, counts mask-rejected lanes as skips, tests
+/// the rest with DominatesScalar, and stops after the first tile that
+/// holds a dominator (the kernels' counting granularity).
+MaskedScan MaskedOracle(const Dataset& window, const Value* q,
+                        const std::vector<Mask>& masks, Mask m, size_t from,
+                        size_t to, const uint8_t* pruned) {
+  MaskedScan out;
+  for (size_t i = from; i < to; ++i) {
+    if (pruned == nullptr || pruned[i] == 0) {
+      if (!MaskMayDominate(masks[i], m)) {
+        ++out.skips;
+      } else {
+        ++out.dts;
+        out.dominated |= DominatesScalar(window.Row(i), q, window.dims());
+      }
+    }
+    if (out.dominated && (i + 1) % kSimdWidth == 0) break;
+  }
+  return out;
+}
+
+TEST(MaskedRangeKernel, FlavoursMatchOneVsOneOracle) {
+  const size_t n = 203;  // 25 full tiles + a 3-lane tail
+  Rng rng(61);
+  for (int d = 1; d <= kMaxDims; ++d) {
+    const Dataset window = SpecialData(d, n, 300 + static_cast<uint64_t>(d));
+    Dataset probes = SpecialData(d, 48, 700 + static_cast<uint64_t>(d));
+    for (size_t i = 0; i < 8; ++i) {  // coincident with window points
+      for (int j = 0; j < d; ++j) {
+        probes.MutableRow(i)[j] = window.Row(i * 25)[j];
+      }
+    }
+    TileBlock tiles(d, n);
+    tiles.AppendRows(window.Row(0), window.stride(), n);
+    std::vector<uint8_t> flags(n);
+    for (uint8_t& f : flags) f = rng.NextBounded(3) == 0 ? 1 : 0;
+    // Empty ranges (at the end too), starts and ends mid-tile or
+    // tile-aligned, and ranges that reach the 3-lane tail.
+    std::vector<std::pair<size_t, size_t>> ranges;
+    for (const size_t from : {size_t{0}, size_t{3}, size_t{8}, n - 3, n}) {
+      for (const size_t len : {size_t{0}, size_t{5}, size_t{13}, n}) {
+        ranges.emplace_back(from, std::min(n, from + len));
+      }
+    }
+    for (int r = 0; r < 6; ++r) {
+      const size_t to = rng.NextBounded(n + 1);
+      ranges.emplace_back(rng.NextBounded(to + 1), to);
+    }
+    std::vector<Mask> masks(n);
+    for (int mode = 0; mode < 3; ++mode) {
+      Mask m;
+      if (mode == 0) {  // random subsets of 12 bits
+        for (Mask& k : masks) k = static_cast<Mask>(rng.NextBounded(1u << 12));
+        m = static_cast<Mask>(rng.NextBounded(1u << 12));
+      } else if (mode == 1) {  // m = ~0: every lane is comparable
+        m = ~Mask{0};
+      } else {  // every lane carries a bit outside m: all incomparable
+        for (Mask& k : masks) {
+          k = static_cast<Mask>(rng.NextBounded(1u << 12)) | 1u;
+        }
+        m = ~Mask{1};
+      }
+      for (size_t p = 0; p < probes.count(); ++p) {
+        const Value* q = probes.Row(p);
+        for (const auto& [from, to] : ranges) {
+          for (uint8_t* pruned : {static_cast<uint8_t*>(nullptr),
+                                  flags.data()}) {
+            const MaskedScan expect =
+                MaskedOracle(window, q, masks, m, from, to, pruned);
+            // Counters accumulate onto what the caller already holds.
+            MaskedScan got{false, 5, 7};
+            got.dominated = DominatedInMaskedRangeScalar(
+                q, tiles, masks.data(), m, from, to, pruned, &got.dts,
+                &got.skips);
+            got.dts -= 5;
+            got.skips -= 7;
+            ASSERT_EQ(got, expect)
+                << "scalar d=" << d << " probe=" << p << " [" << from << ", "
+                << to << ") mode=" << mode << " pruned=" << (pruned != nullptr)
+                << " got dts=" << got.dts << " skips=" << got.skips
+                << " expect dts=" << expect.dts << " skips=" << expect.skips;
+            if (CpuHasAvx2()) {
+              MaskedScan avx;
+              avx.dominated = DominatedInMaskedRangeAvx2(
+                  q, tiles, masks.data(), m, from, to, pruned, &avx.dts,
+                  &avx.skips);
+              ASSERT_EQ(avx, expect)
+                  << "avx2 d=" << d << " probe=" << p << " [" << from
+                  << ", " << to << ") mode=" << mode
+                  << " pruned=" << (pruned != nullptr);
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(EqualKernel, Avx2MatchesScalarIncludingNaN) {
   if (!CpuHasAvx2()) GTEST_SKIP() << "host lacks AVX2";

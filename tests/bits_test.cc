@@ -92,5 +92,13 @@ TEST(Bits, OrderedBitsMonotoneForAllFloats) {
   }
 }
 
+TEST(Bits, OrderedBitsMapsSignedZerosTogether) {
+  // -0 and +0 compare equal as floats, so their keys must tie; otherwise
+  // a sort on them can put a dominated point before its dominator.
+  EXPECT_EQ(ToOrderedBits(-0.0f), ToOrderedBits(0.0f));
+  EXPECT_LT(ToOrderedBits(-1e-30f), ToOrderedBits(-0.0f));
+  EXPECT_LT(ToOrderedBits(-0.0f), ToOrderedBits(1e-30f));
+}
+
 }  // namespace
 }  // namespace sky

@@ -22,7 +22,7 @@ constexpr Algorithm kAll[] = {
     Algorithm::kAPSkyline,
     Algorithm::kPsfs,      Algorithm::kQFlow,    Algorithm::kHybrid,
     Algorithm::kBSkyTree,  Algorithm::kBSkyTreeS, Algorithm::kOsp,
-    Algorithm::kPBSkyTree,
+    Algorithm::kPBSkyTree, Algorithm::kZonemap,
 };
 
 Dataset RandomConfigDataset(Rng& rng, std::string* description) {

@@ -73,26 +73,32 @@ class SkyStructureDominance
 TEST_P(SkyStructureDominance, MatchesBruteForceScan) {
   const auto [dist, d, batch] = GetParam();
   Fixture f(dist, 1500, d, 77);
-  DomCtx dom(f.ws.dims, f.ws.stride, /*use_simd=*/true, batch);
-  SkyStructure s(f.ws.dims, f.ws.stride, f.ws.count);
-  // Append the first half as "known skyline".
-  const size_t half = f.ws.count / 2;
-  s.Append(f.ws, 0, half, dom);
-
   // Probe points: random grid points (some dominated, some not).
   Dataset probes = GenerateSynthetic(dist, 500, d, 123);
   const auto pivot = SelectPivot(f.ws, PivotPolicy::kMedian, f.pool, 1);
-  for (size_t i = 0; i < probes.count(); ++i) {
-    const Value* q = probes.Row(i);
-    const Mask qmask = dom.PartitionMask(q, pivot.data());
-    bool expect = false;
-    for (size_t j = 0; j < half && !expect; ++j) {
-      expect = dom.Dominates(f.ws.Row(j), q);
+  const size_t half = f.ws.count / 2;
+  // Per-probe (dts, skips) of each kernel flavour: the scalar and AVX2
+  // scans must count identically, lane for lane.
+  std::vector<std::pair<uint64_t, uint64_t>> counts[2];
+  for (const bool use_simd : {false, true}) {
+    DomCtx dom(f.ws.dims, f.ws.stride, use_simd, batch);
+    SkyStructure s(f.ws.dims, f.ws.stride, f.ws.count);
+    // Append the first half as "known skyline".
+    s.Append(f.ws, 0, half, dom);
+    for (size_t i = 0; i < probes.count(); ++i) {
+      const Value* q = probes.Row(i);
+      const Mask qmask = dom.PartitionMask(q, pivot.data());
+      bool expect = false;
+      for (size_t j = 0; j < half && !expect; ++j) {
+        expect = DominatesScalar(f.ws.Row(j), q, d);
+      }
+      uint64_t dts = 0, skips = 0;
+      ASSERT_EQ(s.Dominated(q, qmask, dom, &dts, &skips), expect)
+          << "probe " << i << " simd=" << use_simd;
+      counts[use_simd].emplace_back(dts, skips);
     }
-    uint64_t dts = 0, skips = 0;
-    ASSERT_EQ(s.Dominated(q, qmask, dom, &dts, &skips), expect)
-        << "probe " << i;
   }
+  EXPECT_EQ(counts[0], counts[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -128,9 +134,11 @@ TEST(SkyStructure, RemoveSweepKeepsDominanceExactAndMirrorBitIdentical) {
   // every sweep the partition map must validate, the SoA tile mirror
   // must be bit-identical to the packed rows (CheckInvariants verifies
   // both), LastAppended must be empty, and Dominated must agree with an
-  // independent brute-force scan of the surviving rows.
+  // independent brute-force scan of the surviving rows, with identical
+  // counters from the scalar and AVX2 batched scans.
   Fixture f(Distribution::kAnticorrelated, 1200, 5, 41);
   DomCtx dom(f.ws.dims, f.ws.stride, true);
+  DomCtx scalar(f.ws.dims, f.ws.stride, /*use_simd=*/false);
   SkyStructure s(f.ws.dims, f.ws.stride, f.ws.count);
   s.Append(f.ws, 0, f.ws.count, dom);
   const auto pivot = SelectPivot(f.ws, PivotPolicy::kMedian, f.pool, 1);
@@ -168,7 +176,16 @@ TEST(SkyStructure, RemoveSweepKeepsDominanceExactAndMirrorBitIdentical) {
       for (size_t k = 0; k < survivors.size() && !expect; ++k) {
         expect = dom.Dominates(row_of[survivors[k]], q);
       }
-      ASSERT_EQ(s.Dominated(q, qmask, dom, nullptr, nullptr), expect)
+      uint64_t dts = 0, skips = 0;
+      ASSERT_EQ(s.Dominated(q, qmask, dom, &dts, &skips), expect)
+          << "probe " << i << " at size " << s.size();
+      // The repacked tile mirror feeds both kernel flavours the same
+      // lanes: their counters must agree exactly.
+      uint64_t scalar_dts = 0, scalar_skips = 0;
+      ASSERT_EQ(s.Dominated(q, qmask, scalar, &scalar_dts, &scalar_skips),
+                expect);
+      EXPECT_EQ(scalar_dts, dts) << "probe " << i << " at size " << s.size();
+      EXPECT_EQ(scalar_skips, skips)
           << "probe " << i << " at size " << s.size();
     }
   }
