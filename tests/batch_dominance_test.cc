@@ -206,6 +206,61 @@ TEST_P(DomCtxBatchDifferential, FilterTileMatchesOracle) {
   }
 }
 
+TEST_P(DomCtxBatchDifferential, MaskComparableLanesMatchesSubsetTest) {
+  // The masked-range scan must test exactly the lanes whose mask is a
+  // subset of the candidate's, checked one lane at a time: with a
+  // non-dominating window each comparable lane costs one dominance test
+  // and each other lane one skip; with a dominating window the verdict
+  // is the comparability itself.
+  const bool use_simd = GetParam();
+  constexpr int d = 4;
+  Dataset window = GridData(d, kSimdWidth, 9, false);
+  Dataset probe = GridData(d, 1, 10, false);
+  for (int j = 0; j < d; ++j) probe.MutableRow(0)[j] = 0.0f;
+  const Value* q = probe.Row(0);
+  DomCtx dom(d, window.stride(), use_simd);
+  Rng rng(9);
+  for (int iter = 0; iter < 500; ++iter) {
+    std::vector<Mask> masks8(kSimdWidth);
+    for (auto& k : masks8) k = static_cast<Mask>(rng.NextBounded(1u << 12));
+    const Mask m = static_cast<Mask>(rng.NextBounded(1u << 12));
+    for (const Value coord : {1.0f, -1.0f}) {  // dominates q iff negative
+      for (size_t l = 0; l < kSimdWidth; ++l) {
+        for (int j = 0; j < d; ++j) window.MutableRow(l)[j] = coord;
+      }
+      TileBlock tiles(d, kSimdWidth);
+      tiles.AppendRows(window.Row(0), window.stride(), kSimdWidth);
+      uint64_t tile_dts = 0;
+      uint64_t tile_skips = 0;
+      for (size_t l = 0; l < kSimdWidth; ++l) {
+        const bool comparable = MaskMayDominate(masks8[l], m);
+        uint64_t dts = 0;
+        uint64_t skips = 0;
+        const bool dominated = dom.DominatedInMaskedRange(
+            q, tiles, masks8.data(), m, l, l + 1, nullptr, &dts, &skips);
+        ASSERT_EQ(dts, comparable ? 1u : 0u)
+            << "lane=" << l << " iter=" << iter << " simd=" << use_simd;
+        ASSERT_EQ(skips, comparable ? 0u : 1u)
+            << "lane=" << l << " iter=" << iter << " simd=" << use_simd;
+        ASSERT_EQ(dominated, comparable && coord < 0)
+            << "lane=" << l << " iter=" << iter << " simd=" << use_simd;
+        tile_dts += dts;
+        tile_skips += skips;
+      }
+      if (coord > 0) {  // no dominator: the whole tile is scanned
+        uint64_t dts = 0;
+        uint64_t skips = 0;
+        ASSERT_FALSE(dom.DominatedInMaskedRange(q, tiles, masks8.data(), m, 0,
+                                                kSimdWidth, nullptr, &dts,
+                                                &skips));
+        ASSERT_EQ(dts, tile_dts) << "iter=" << iter << " simd=" << use_simd;
+        ASSERT_EQ(skips, tile_skips)
+            << "iter=" << iter << " simd=" << use_simd;
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Flavours, DomCtxBatchDifferential,
                          ::testing::Bool());
 
