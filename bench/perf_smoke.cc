@@ -2,7 +2,8 @@
 // Perf smoke: a fixed, small (distribution x n x d) grid plus dominance
 // kernel micro-measurements, emitted as machine-readable JSON so CI
 // finally records a perf trajectory (BENCH_perf_smoke.json). Each entry
-// carries {name, ns_per_op, dom_tests_per_s}. With --check the run also
+// carries {name, ns_per_op, dom_tests_per_s}; a second list, "ratios",
+// holds each pair's ratio as its gate reads it. With --check the run also
 // gates the batched-kernel win: at d <= 8 the one-vs-many tile scan must
 // deliver >= 2x the dominance-test throughput of the one-vs-one AVX2
 // kernel (skipped when the host lacks AVX2 — there is nothing to gate).
@@ -21,8 +22,11 @@
 //
 //   perf_smoke [--out=PATH] [--check]
 //
-// Wall-clock entries are medians of --repeats runs (default 3); kernel
-// entries auto-calibrate to ~0.2s of work. Numbers are only comparable
+// Wall-clock entries are medians of --repeats runs (default 3). Every
+// ratio pair except the mutation one (whose insert arm changes the
+// engine's state) alternates its two arms run by run, at least 5 runs
+// each, reports each arm's median and gates on the median per-round
+// ratio; kernel runs calibrate to ~0.05s of work. Numbers are only comparable
 // on the same host, which is exactly what a CI trajectory needs.
 #include <cinttypes>
 #include <cstdio>
@@ -31,6 +35,7 @@
 #include <vector>
 
 #include <algorithm>
+#include <memory>
 
 #include "bench_util.h"
 #include "common/random.h"
@@ -61,28 +66,73 @@ Dataset RandomData(int d, size_t n, uint64_t seed) {
   return data;
 }
 
-/// Time `body`, which performs one window-scan repetition and returns
-/// the number of dominance tests it executed; auto-calibrates the
-/// repetition count to ~0.2s and reports per-test throughput.
+/// The run of one arm with the median ns_per_op.
+Entry MedianEntry(std::vector<Entry> runs) {
+  std::sort(runs.begin(), runs.end(), [](const Entry& a, const Entry& b) {
+    return a.ns_per_op < b.ns_per_op;
+  });
+  return runs[runs.size() / 2];
+}
+
+/// The two arms of a ratio gate: each arm's median run, and the ratio
+/// the gate reads, first.ns_per_op / second.ns_per_op.
+struct ArmPair {
+  Entry first;
+  Entry second;
+  double ratio = 0.0;
+};
+
+/// Times the two arms of a ratio gate alternately, at least 5 runs each,
+/// in ABBA order, so a slow stretch on a shared host hits both arms
+/// alike. `arm(i)` performs and times one run of arm i. The ratio is the
+/// median over rounds of the two arms' adjacent runs: on a host whose
+/// speed flips between two levels, each arm's own median can land on
+/// either level, while the ratio of runs taken side by side cannot.
+template <typename Arm>
+ArmPair AlternatePair(int repeats, Arm&& arm) {
+  const int reps = std::max(repeats, 5);
+  std::vector<Entry> runs[2];
+  std::vector<double> ratios;
+  for (int r = 0; r < reps; ++r) {
+    for (const int i : {r % 2, 1 - r % 2}) runs[i].push_back(arm(i));
+    ratios.push_back(runs[0].back().ns_per_op / runs[1].back().ns_per_op);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return {MedianEntry(std::move(runs[0])), MedianEntry(std::move(runs[1])),
+          ratios[ratios.size() / 2]};
+}
+
+/// Runs per arm for the <= 1.03x overhead gates (metrics, cancel): a 3%
+/// bound needs a steadier median than the 5-run minimum gives.
+constexpr int kOverheadRuns = 15;
+
+/// Calibrates `body`, which performs one window-scan repetition and
+/// returns the number of dominance tests it executed, to ~0.05s of work.
+/// Returns a sampler that times one such batch and reports per-test
+/// throughput.
 template <typename Fn>
-Entry TimeScan(const std::string& name, Fn&& body) {
+auto ScanSampler(const std::string& name, Fn body) {
   body();  // warm up
   WallTimer cal;
   body();
   const double once = std::max(cal.Seconds(), 1e-9);
-  const int reps = std::max(1, static_cast<int>(0.2 / once));
-  WallTimer timer;
-  uint64_t dts = 0;
-  for (int r = 0; r < reps; ++r) dts += body();
-  const double elapsed = std::max(timer.Seconds(), 1e-12);
-  const double ops = static_cast<double>(std::max<uint64_t>(dts, 1));
-  return {name, elapsed / ops * 1e9, ops / elapsed};
+  const int reps = std::max(1, static_cast<int>(0.05 / once));
+  return [name, body, reps]() -> Entry {
+    WallTimer timer;
+    uint64_t dts = 0;
+    for (int r = 0; r < reps; ++r) dts += body();
+    const double elapsed = std::max(timer.Seconds(), 1e-12);
+    const double ops = static_cast<double>(std::max<uint64_t>(dts, 1));
+    return {name, elapsed / ops * 1e9, ops / elapsed};
+  };
 }
 
 /// One-vs-one vs batched window-scan throughput at dimensionality d:
 /// the exact Phase-I shape (each candidate scans the window until its
 /// first dominator), counting the dominance tests actually performed.
-std::pair<Entry, Entry> KernelPair(int d) {
+/// The arms alternate (AlternatePair). Returns {one_vs_one, batched,
+/// batched throughput over one-vs-one}.
+ArmPair KernelPair(int d, int repeats) {
   constexpr size_t kWindow = 4096;
   constexpr size_t kCands = 512;
   Dataset window = RandomData(d, kWindow, 7);
@@ -91,7 +141,7 @@ std::pair<Entry, Entry> KernelPair(int d) {
   tiles.AppendRows(window.Row(0), window.stride(), kWindow);
   DomCtx dom(d, window.stride(), /*use_simd=*/true);
   const std::string suffix = "/d=" + std::to_string(d);
-  Entry one = TimeScan("kernel/one_vs_one_avx2" + suffix, [&]() -> uint64_t {
+  const auto one = ScanSampler("kernel/one_vs_one_avx2" + suffix, [&] {
     uint64_t dts = 0;
     for (size_t c = 0; c < kCands; ++c) {
       const Value* q = cands.Row(c);
@@ -102,16 +152,16 @@ std::pair<Entry, Entry> KernelPair(int d) {
     }
     return dts;
   });
-  Entry batched = TimeScan("kernel/batched_tile" + suffix,
-                           [&]() -> uint64_t {
-                             uint64_t dts = 0;
-                             for (size_t c = 0; c < kCands; ++c) {
-                               dom.DominatedByAny(cands.Row(c), tiles,
-                                                  kWindow, &dts);
-                             }
-                             return dts;
-                           });
-  return {one, batched};
+  const auto batched = ScanSampler("kernel/batched_tile" + suffix, [&] {
+    uint64_t dts = 0;
+    for (size_t c = 0; c < kCands; ++c) {
+      dom.DominatedByAny(cands.Row(c), tiles, kWindow, &dts);
+    }
+    return dts;
+  });
+  return AlternatePair(repeats, [&](int arm) {
+    return arm == 0 ? one() : batched();
+  });
 }
 
 /// Median-of-repeats wall clock for one algorithm cell of the fixed
@@ -137,26 +187,13 @@ Entry AlgoCell(Algorithm algo, Distribution dist, const char* dist_name,
 }
 
 /// Batched Hybrid vs the same run with use_batch=false (anti n=20000
-/// d=8, t=1). The arms alternate run by run, so a slow stretch on a
-/// shared host hits both; each entry is the median of at least 5 runs.
-/// Returns {batched, nobatch}.
-std::pair<Entry, Entry> HybridBatchPair(int repeats) {
-  const int reps = std::max(repeats, 5);
-  std::vector<Entry> arms[2];  // [use_batch]
-  for (int r = 0; r < reps; ++r) {
-    for (const bool batch : {true, false}) {
-      arms[batch].push_back(AlgoCell(Algorithm::kHybrid,
-                                     Distribution::kAnticorrelated, "anti",
-                                     20000, 8, batch, /*repeats=*/1));
-    }
-  }
-  const auto median = [](std::vector<Entry> v) {
-    std::sort(v.begin(), v.end(), [](const Entry& a, const Entry& b) {
-      return a.ns_per_op < b.ns_per_op;
-    });
-    return v[v.size() / 2];
-  };
-  return {median(arms[1]), median(arms[0])};
+/// d=8, t=1); the arms alternate (AlternatePair). Returns {nobatch,
+/// batched, speedup}.
+ArmPair HybridBatchPair(int repeats) {
+  return AlternatePair(repeats, [](int arm) {
+    return AlgoCell(Algorithm::kHybrid, Distribution::kAnticorrelated, "anti",
+                    20000, 8, /*use_batch=*/arm == 1, /*repeats=*/1);
+  });
 }
 
 /// Incremental mutation vs full rebuild on the serving layer: a 64-row
@@ -223,47 +260,38 @@ std::pair<Entry, Entry> MutationPair(int repeats) {
 /// with Config::metrics on vs off (the off engine skips every registry
 /// update). The result cache is disabled so each Execute actually plans
 /// and computes — a cache-hit-only loop would understate the per-query
-/// instrument cost relative to real work. Returns {metrics_on,
-/// metrics_off}; ns_per_op is one Execute call (median of repeats).
-std::pair<Entry, Entry> MetricsOverheadPair(int repeats) {
+/// instrument cost relative to real work. The arms alternate
+/// (AlternatePair), at least kOverheadRuns runs each: the gate asserts a
+/// <= 3% delta, tighter than typical single-run noise at this problem
+/// size. Returns {metrics_on, metrics_off, overhead ratio}; ns_per_op is
+/// one Execute call (median of runs).
+ArmPair MetricsOverheadPair(int repeats) {
   constexpr size_t kN = 20'000;
   constexpr int kD = 8;
   WorkloadSpec spec{Distribution::kAnticorrelated, kN, kD, 42};
   const Dataset& data = WorkloadCache::Instance().Get(spec);
 
-  const auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  // Median of at least 5: the gate asserts a <= 3% delta, tighter than
-  // typical single-run CI noise at this problem size.
-  const int reps = std::max(repeats, 5);
-  const auto measure = [&](bool metrics) {
+  Options o;
+  o.algorithm = Algorithm::kHybrid;
+  o.threads = 1;
+  std::unique_ptr<SkylineEngine> engines[2];  // [metrics on, off]
+  for (int arm = 0; arm < 2; ++arm) {
     SkylineEngine::Config cfg;
     cfg.result_cache_capacity = 0;  // every Execute computes
-    cfg.metrics = metrics;
-    SkylineEngine engine(cfg);
-    engine.RegisterDataset("smoke", data.Clone());
-    Options o;
-    o.algorithm = Algorithm::kHybrid;
-    o.threads = 1;
-    engine.Execute("smoke", QuerySpec{}, o);  // warm up
-    std::vector<double> secs;
-    for (int r = 0; r < reps; ++r) {
-      WallTimer t;
-      engine.Execute("smoke", QuerySpec{}, o);
-      secs.push_back(std::max(t.Seconds(), 1e-12));
-    }
-    return median(secs);
-  };
-  char name[128];
-  std::snprintf(name, sizeof(name), "engine/metrics_on/anti/n=%zu/d=%d", kN,
-                kD);
-  Entry on{name, measure(true) * 1e9, 0.0};
-  std::snprintf(name, sizeof(name), "engine/metrics_off/anti/n=%zu/d=%d", kN,
-                kD);
-  Entry off{name, measure(false) * 1e9, 0.0};
-  return {on, off};
+    cfg.metrics = arm == 0;
+    engines[arm] = std::make_unique<SkylineEngine>(cfg);
+    engines[arm]->RegisterDataset("smoke", data.Clone());
+    engines[arm]->Execute("smoke", QuerySpec{}, o);  // warm up
+  }
+  const std::string cell =
+      "/anti/n=" + std::to_string(kN) + "/d=" + std::to_string(kD);
+  const std::string names[2] = {"engine/metrics_on" + cell,
+                                "engine/metrics_off" + cell};
+  return AlternatePair(std::max(repeats, kOverheadRuns), [&](int arm) {
+    WallTimer t;
+    engines[arm]->Execute("smoke", QuerySpec{}, o);
+    return Entry{names[arm], std::max(t.Seconds(), 1e-12) * 1e9, 0.0};
+  });
 }
 
 /// Cooperative-cancellation overhead: the same engine-served query once
@@ -271,46 +299,37 @@ std::pair<Entry, Entry> MetricsOverheadPair(int repeats) {
 /// branch) and once under a deadline far too generous to ever fire (a
 /// token is armed, so every checkpoint actually polls the steady
 /// clock). Q-Flow is the algorithm with the finest checkpoint cadence
-/// (every alpha-sized window pass), making this the worst-case arm.
-/// Returns {armed, off}; ns_per_op is one Execute call (median of
-/// repeats).
-std::pair<Entry, Entry> CancelOverheadPair(int repeats) {
+/// (every alpha-sized window pass), making this the worst-case arm. Both
+/// arms run on one engine and alternate (AlternatePair), at least
+/// kOverheadRuns runs each, like the metrics pair. Returns {armed, off,
+/// overhead ratio}; ns_per_op is one Execute call (median of runs).
+ArmPair CancelOverheadPair(int repeats) {
   constexpr size_t kN = 20'000;
   constexpr int kD = 8;
   WorkloadSpec spec{Distribution::kAnticorrelated, kN, kD, 42};
   const Dataset& data = WorkloadCache::Instance().Get(spec);
 
-  const auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  const int reps = std::max(repeats, 5);
-  const auto measure = [&](double deadline_ms) {
-    SkylineEngine::Config cfg;
-    cfg.result_cache_capacity = 0;  // every Execute computes
-    SkylineEngine engine(cfg);
-    engine.RegisterDataset("smoke", data.Clone());
-    Options o;
-    o.algorithm = Algorithm::kQFlow;
-    o.threads = 1;
-    o.deadline_ms = deadline_ms;
-    engine.Execute("smoke", QuerySpec{}, o);  // warm up
-    std::vector<double> secs;
-    for (int r = 0; r < reps; ++r) {
-      WallTimer t;
-      engine.Execute("smoke", QuerySpec{}, o);
-      secs.push_back(std::max(t.Seconds(), 1e-12));
-    }
-    return median(secs);
-  };
-  char name[128];
-  std::snprintf(name, sizeof(name), "engine/cancel_armed/anti/n=%zu/d=%d",
-                kN, kD);
-  Entry armed{name, measure(/*deadline_ms=*/1e9) * 1e9, 0.0};
-  std::snprintf(name, sizeof(name), "engine/cancel_off/anti/n=%zu/d=%d", kN,
-                kD);
-  Entry off{name, measure(/*deadline_ms=*/0.0) * 1e9, 0.0};
-  return {armed, off};
+  SkylineEngine::Config cfg;
+  cfg.result_cache_capacity = 0;  // every Execute computes
+  SkylineEngine engine(cfg);
+  engine.RegisterDataset("smoke", data.Clone());
+  Options o[2];  // [armed, off]
+  for (Options& opt : o) {
+    opt.algorithm = Algorithm::kQFlow;
+    opt.threads = 1;
+  }
+  o[0].deadline_ms = 1e9;
+  o[1].deadline_ms = 0.0;
+  for (const Options& opt : o) engine.Execute("smoke", QuerySpec{}, opt);
+  const std::string cell =
+      "/anti/n=" + std::to_string(kN) + "/d=" + std::to_string(kD);
+  const std::string names[2] = {"engine/cancel_armed" + cell,
+                                "engine/cancel_off" + cell};
+  return AlternatePair(std::max(repeats, kOverheadRuns), [&](int arm) {
+    WallTimer t;
+    engine.Execute("smoke", QuerySpec{}, o[arm]);
+    return Entry{names[arm], std::max(t.Seconds(), 1e-12) * 1e9, 0.0};
+  });
 }
 
 /// Index-accelerated constrained skyline vs the non-indexed scan path:
@@ -320,50 +339,42 @@ std::pair<Entry, Entry> CancelOverheadPair(int repeats) {
 /// + sequential-scan skyline (SSkyline). The result cache is off and the
 /// boxes differ per repeat, so every Execute plans and computes; the
 /// warm-up query pays the one-time index build, leaving the rows to
-/// measure steady-state serving. Returns {zonemap, scan}; ns_per_op is
-/// one Execute call (median of repeats).
-std::pair<Entry, Entry> ZonemapPair(int repeats) {
+/// measure steady-state serving. The arms alternate (AlternatePair), each
+/// on its own engine. Returns {scan, zonemap, speedup}; ns_per_op is one
+/// Execute call (median of runs).
+ArmPair ZonemapPair(int repeats) {
   constexpr size_t kN = 200'000;
   constexpr int kD = 8;
   WorkloadSpec spec{Distribution::kAnticorrelated, kN, kD, 42};
   const Dataset& data = WorkloadCache::Instance().Get(spec);
 
-  const auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  const int reps = std::max(repeats, 5);
-  const auto measure = [&](Algorithm algo) {
+  std::unique_ptr<SkylineEngine> engines[2];  // [scan, zonemap]
+  Options o[2];
+  o[0].algorithm = Algorithm::kSSkyline;
+  o[1].algorithm = Algorithm::kZonemap;
+  for (int arm = 0; arm < 2; ++arm) {
     SkylineEngine::Config cfg;
     cfg.result_cache_capacity = 0;  // every Execute computes
-    SkylineEngine engine(cfg);
-    engine.RegisterDataset("smoke", data.Clone());
-    Options o;
-    o.algorithm = algo;
-    o.threads = 1;
+    engines[arm] = std::make_unique<SkylineEngine>(cfg);
+    engines[arm]->RegisterDataset("smoke", data.Clone());
+    o[arm].threads = 1;
     QuerySpec warm;
     warm.Constrain(0, 0.05f, 0.06f);
-    engine.Execute("smoke", warm, o);  // builds and caches the index
-    std::vector<double> secs;
-    for (int r = 0; r < reps; ++r) {
-      QuerySpec q;
-      const float lo = 0.10f + 0.01f * static_cast<float>(r);
-      q.Constrain(0, lo, lo + 0.01f);
-      WallTimer t;
-      engine.Execute("smoke", q, o);
-      secs.push_back(std::max(t.Seconds(), 1e-12));
-    }
-    return median(secs);
-  };
-  char name[128];
-  std::snprintf(name, sizeof(name),
-                "engine/zonemap_constrained/anti/n=%zu/d=%d/box=1pct", kN,
-                kD);
-  Entry zm{name, measure(Algorithm::kZonemap) * 1e9, 0.0};
-  std::snprintf(name, sizeof(name),
-                "engine/scan_constrained/anti/n=%zu/d=%d/box=1pct", kN, kD);
-  Entry scan{name, measure(Algorithm::kSSkyline) * 1e9, 0.0};
-  return {zm, scan};
+    engines[arm]->Execute("smoke", warm, o[arm]);  // builds the index
+  }
+  const std::string cell = "/anti/n=" + std::to_string(kN) +
+                           "/d=" + std::to_string(kD) + "/box=1pct";
+  const std::string names[2] = {"engine/scan_constrained" + cell,
+                                "engine/zonemap_constrained" + cell};
+  int runs[2] = {0, 0};  // run r of either arm queries box r
+  return AlternatePair(repeats, [&](int arm) {
+    QuerySpec q;
+    const float lo = 0.10f + 0.01f * static_cast<float>(runs[arm]++);
+    q.Constrain(0, lo, lo + 0.01f);
+    WallTimer t;
+    engines[arm]->Execute("smoke", q, o[arm]);
+    return Entry{names[arm], std::max(t.Seconds(), 1e-12) * 1e9, 0.0};
+  });
 }
 
 /// Concurrent sharded serving: 8 client threads hammer one engine with
@@ -374,10 +385,11 @@ std::pair<Entry, Entry> ZonemapPair(int repeats) {
 /// task groups). Steady state: the result cache is off so every Execute
 /// plans, computes and merges, while the fixed box set keeps the shard
 /// view cache warm — the rows time the serving stack, not the one-time
-/// O(n) view filters, which are identical in both arms. Returns
-/// {pooled, executor}; ns_per_op is one served query (aggregate wall
-/// time / queries, median of repeats).
-std::pair<Entry, Entry> ConcurrentServingPair(int repeats) {
+/// O(n) view filters, which are identical in both arms. The arms
+/// alternate (AlternatePair), each on its own engine. Returns {pooled,
+/// executor, speedup}; ns_per_op is one served query (aggregate wall
+/// time / queries, median of runs).
+ArmPair ConcurrentServingPair(int repeats) {
   constexpr size_t kN = 200'000;
   constexpr int kD = 8;
   constexpr size_t kShards = 8;
@@ -397,57 +409,55 @@ std::pair<Entry, Entry> ConcurrentServingPair(int repeats) {
     boxes.push_back(q);
   }
 
-  const auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  const int reps = std::max(repeats, 3);
-  const auto measure = [&](bool shared) {
+  std::unique_ptr<SkylineEngine> engines[2];  // [shared_executor]
+  for (const bool shared : {false, true}) {
     SkylineEngine::Config cfg;
     cfg.result_cache_capacity = 0;  // every Execute computes and merges
     cfg.view_cache_capacity = 64;   // all shard x box views stay warm
     cfg.shards = kShards;
     cfg.shard_policy = ShardPolicy::kMedianPivot;
     cfg.shared_executor = shared;
-    SkylineEngine engine(cfg);
-    engine.RegisterDataset("smoke", data.Clone());
+    engines[shared] = std::make_unique<SkylineEngine>(cfg);
+    engines[shared]->RegisterDataset("smoke", data.Clone());
     Options warm;
     warm.threads = static_cast<int>(kShards);
     for (const QuerySpec& box : boxes) {
-      engine.Execute("smoke", box, warm);  // builds the per-shard views
+      engines[shared]->Execute("smoke", box, warm);  // per-shard views
     }
-    std::vector<double> per_query_s;
-    for (int rep = 0; rep < reps; ++rep) {
-      ThreadPool client_pool(kClients);
-      WallTimer t;
-      client_pool.RunOnAll([&](int client) {
-        Options o;
-        o.threads = static_cast<int>(kShards);  // the request's ask: a cap
-                                                // vs threads to spawn
-        for (int q = 0; q < kQueriesEach; ++q) {
-          engine.Execute("smoke", boxes[(client + q) % boxes.size()], o);
-        }
-      });
-      per_query_s.push_back(std::max(t.Seconds(), 1e-12) /
-                            (kClients * kQueriesEach));
-    }
-    return median(per_query_s);
-  };
-  char name[128];
-  std::snprintf(name, sizeof(name),
-                "engine/concurrent_serving_pooled/anti/n=%zu/d=%d/shards=%zu/"
-                "clients=%d",
-                kN, kD, kShards, kClients);
-  Entry pooled{name, measure(false) * 1e9, 0.0};
-  std::snprintf(name, sizeof(name),
-                "engine/concurrent_serving_executor/anti/n=%zu/d=%d/"
-                "shards=%zu/clients=%d",
-                kN, kD, kShards, kClients);
-  Entry shared{name, measure(true) * 1e9, 0.0};
-  return {pooled, shared};
+  }
+  const std::string cell = "/anti/n=" + std::to_string(kN) +
+                           "/d=" + std::to_string(kD) +
+                           "/shards=" + std::to_string(kShards) +
+                           "/clients=" + std::to_string(kClients);
+  const std::string names[2] = {"engine/concurrent_serving_pooled" + cell,
+                                "engine/concurrent_serving_executor" + cell};
+  return AlternatePair(repeats, [&](int arm) {
+    SkylineEngine& engine = *engines[arm];
+    ThreadPool client_pool(kClients);
+    WallTimer t;
+    client_pool.RunOnAll([&](int client) {
+      Options o;
+      o.threads = static_cast<int>(kShards);  // the request's ask: a cap
+                                              // vs threads to spawn
+      for (int q = 0; q < kQueriesEach; ++q) {
+        engine.Execute("smoke", boxes[(client + q) % boxes.size()], o);
+      }
+    });
+    const double per_query_s =
+        std::max(t.Seconds(), 1e-12) / (kClients * kQueriesEach);
+    return Entry{names[arm], per_query_s * 1e9, 0.0};
+  });
 }
 
-void WriteJson(const std::string& path, const std::vector<Entry>& entries) {
+/// A pair's ratio as its gate reads it, named after the entry whose
+/// printed line shows it.
+struct Ratio {
+  std::string name;
+  double value = 0.0;
+};
+
+void WriteJson(const std::string& path, const std::vector<Entry>& entries,
+               const std::vector<Ratio>& ratios) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "perf_smoke: cannot write %s\n", path.c_str());
@@ -463,6 +473,12 @@ void WriteJson(const std::string& path, const std::vector<Entry>& entries) {
                  entries[i].name.c_str(), entries[i].ns_per_op,
                  entries[i].dom_tests_per_s,
                  i + 1 < entries.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"ratios\": [\n");
+  for (size_t i = 0; i < ratios.size(); ++i) {
+    std::fprintf(f, "    {\"name\": \"%s\", \"value\": %.3f}%s\n",
+                 ratios[i].name.c_str(), ratios[i].value,
+                 i + 1 < ratios.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -488,14 +504,15 @@ int Main(int argc, char** argv) {
   }
 
   std::vector<Entry> entries;
+  std::vector<Ratio> ratios;
   bool gate_ok = true;
 
   // ---- Kernel micro: one-vs-one AVX2 vs batched tile scan.
   for (const int d : {4, 8, 16}) {
-    const auto [one, batched] = KernelPair(d);
+    const auto [one, batched, ratio] = KernelPair(d, repeats);
     entries.push_back(one);
     entries.push_back(batched);
-    const double ratio = batched.dom_tests_per_s / one.dom_tests_per_s;
+    ratios.push_back({batched.name, ratio});
     std::printf("%-32s %10.1f ns/op  %10.3e tests/s\n", one.name.c_str(),
                 one.ns_per_op, one.dom_tests_per_s);
     std::printf("%-32s %10.1f ns/op  %10.3e tests/s  (%.2fx)\n",
@@ -538,10 +555,10 @@ int Main(int argc, char** argv) {
   // scans) vs its own one-vs-one path. Skipped without AVX2, like the
   // kernel gate.
   {
-    const auto [batched, nobatch] = HybridBatchPair(repeats);
+    const auto [nobatch, batched, speedup] = HybridBatchPair(repeats);
     entries.push_back(batched);
     entries.push_back(nobatch);
-    const double speedup = nobatch.ns_per_op / batched.ns_per_op;
+    ratios.push_back({batched.name, speedup});
     std::printf("%-32s %10.0f ns/op  %10.3e tests/s\n", nobatch.name.c_str(),
                 nobatch.ns_per_op, nobatch.dom_tests_per_s);
     std::printf("%-32s %10.0f ns/op  %10.3e tests/s  (%.2fx)\n",
@@ -562,6 +579,7 @@ int Main(int argc, char** argv) {
     entries.push_back(inc);
     entries.push_back(reg);
     const double speedup = reg.ns_per_op / inc.ns_per_op;
+    ratios.push_back({reg.name, speedup});
     std::printf("%-48s %12.0f ns/op\n", inc.name.c_str(), inc.ns_per_op);
     std::printf("%-48s %12.0f ns/op  (insert %.0fx faster)\n",
                 reg.name.c_str(), reg.ns_per_op, speedup);
@@ -576,10 +594,10 @@ int Main(int argc, char** argv) {
 
   // ---- Zonemap index: constrained serving vs the non-indexed scan.
   {
-    const auto [zm, scan] = ZonemapPair(repeats);
+    const auto [scan, zm, speedup] = ZonemapPair(repeats);
     entries.push_back(zm);
     entries.push_back(scan);
-    const double speedup = scan.ns_per_op / zm.ns_per_op;
+    ratios.push_back({scan.name, speedup});
     std::printf("%-48s %12.0f ns/op\n", zm.name.c_str(), zm.ns_per_op);
     std::printf("%-48s %12.0f ns/op  (zonemap %.2fx faster)\n",
                 scan.name.c_str(), scan.ns_per_op, speedup);
@@ -594,10 +612,10 @@ int Main(int argc, char** argv) {
 
   // ---- Shared executor: concurrent sharded serving vs per-query pools.
   {
-    const auto [pooled, shared] = ConcurrentServingPair(repeats);
+    const auto [pooled, shared, speedup] = ConcurrentServingPair(repeats);
     entries.push_back(pooled);
     entries.push_back(shared);
-    const double speedup = pooled.ns_per_op / shared.ns_per_op;
+    ratios.push_back({shared.name, speedup});
     std::printf("%-48s %12.0f ns/op\n", pooled.name.c_str(),
                 pooled.ns_per_op);
     std::printf("%-48s %12.0f ns/op  (executor %.2fx faster)\n",
@@ -614,10 +632,10 @@ int Main(int argc, char** argv) {
 
   // ---- Observability overhead: metrics-on vs metrics-off serving.
   {
-    const auto [on, off] = MetricsOverheadPair(repeats);
+    const auto [on, off, ratio] = MetricsOverheadPair(repeats);
     entries.push_back(on);
     entries.push_back(off);
-    const double ratio = on.ns_per_op / off.ns_per_op;
+    ratios.push_back({on.name, ratio});
     std::printf("%-48s %12.0f ns/op\n", off.name.c_str(), off.ns_per_op);
     std::printf("%-48s %12.0f ns/op  (%.3fx baseline)\n", on.name.c_str(),
                 on.ns_per_op, ratio);
@@ -632,10 +650,10 @@ int Main(int argc, char** argv) {
 
   // ---- Cancellation overhead: armed deadline token vs no token.
   {
-    const auto [armed, off] = CancelOverheadPair(repeats);
+    const auto [armed, off, ratio] = CancelOverheadPair(repeats);
     entries.push_back(armed);
     entries.push_back(off);
-    const double ratio = armed.ns_per_op / off.ns_per_op;
+    ratios.push_back({armed.name, ratio});
     std::printf("%-48s %12.0f ns/op\n", off.name.c_str(), off.ns_per_op);
     std::printf("%-48s %12.0f ns/op  (%.3fx baseline)\n", armed.name.c_str(),
                 armed.ns_per_op, ratio);
@@ -648,7 +666,7 @@ int Main(int argc, char** argv) {
     }
   }
 
-  WriteJson(out, entries);
+  WriteJson(out, entries, ratios);
   std::printf("perf_smoke: wrote %zu entries to %s\n", entries.size(),
               out.c_str());
   if (!gate_ok) return 1;

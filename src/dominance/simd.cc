@@ -89,28 +89,6 @@ bool EqualAvx2(const Value* p, const Value* q, int dpad) {
   return true;
 }
 
-uint32_t TileDominatesAvx2(const Value* q, const Value* tile, int dims,
-                           uint32_t lane_mask) {
-  // One register row per dimension: 8 window points vs one broadcast
-  // candidate coordinate. A lane dominates iff it never compares greater
-  // (GT accumulates violations; false on NaN, like the scalar kernel)
-  // and compares strictly less somewhere.
-  __m256 gt = _mm256_setzero_ps();
-  __m256 lt = _mm256_setzero_ps();
-  int alive = static_cast<int>(lane_mask & kFullLaneMask);
-  for (int j = 0; j < dims; ++j) {
-    const __m256 w = _mm256_load_ps(tile + j * kSimdWidth);
-    const __m256 c = _mm256_set1_ps(q[j]);
-    gt = _mm256_or_ps(gt, _mm256_cmp_ps(w, c, _CMP_GT_OQ));
-    lt = _mm256_or_ps(lt, _mm256_cmp_ps(w, c, _CMP_LT_OQ));
-    alive &= ~_mm256_movemask_ps(gt);
-    if (alive == 0) return 0;  // no lane can still dominate: early out
-  }
-  return static_cast<uint32_t>(
-             _mm256_movemask_ps(_mm256_andnot_ps(gt, lt))) &
-         lane_mask & kFullLaneMask;
-}
-
 namespace {
 
 /// The candidate's coordinates broadcast once per window scan — a
@@ -127,27 +105,39 @@ struct BroadcastQ {
 /// could save; past it most random lanes are dead and the break pays.
 constexpr int kEarlyOutFromDim = 4;
 
+/// Lanes of `lane_mask` whose tile point strictly dominates q, in two
+/// passes. Pass 1 accumulates only the "greater" violations (GT is false
+/// on NaN, like the scalar kernel); its survivors weakly dominate q, and
+/// on most tiles there are none. Pass 2 runs only for survivors and asks
+/// each for a strictly smaller coordinate (LT, also false on NaN).
 SKY_ALWAYS_INLINE uint32_t TileVsBroadcast(const BroadcastQ& q,
                                            const Value* tile, int dims,
                                            uint32_t lane_mask) {
+  const int live = static_cast<int>(lane_mask & kFullLaneMask);
   __m256 gt = _mm256_setzero_ps();
-  __m256 lt = _mm256_setzero_ps();
   for (int j = 0; j < dims; ++j) {
     const __m256 w = _mm256_load_ps(tile + j * kSimdWidth);
     gt = _mm256_or_ps(gt, _mm256_cmp_ps(w, q.v[j], _CMP_GT_OQ));
-    lt = _mm256_or_ps(lt, _mm256_cmp_ps(w, q.v[j], _CMP_LT_OQ));
-    if (j >= kEarlyOutFromDim &&
-        (~_mm256_movemask_ps(gt) & static_cast<int>(lane_mask) & 0xFF) ==
-            0) {
+    if (j >= kEarlyOutFromDim && (~_mm256_movemask_ps(gt) & live) == 0) {
       return 0;
     }
   }
-  return static_cast<uint32_t>(
-             _mm256_movemask_ps(_mm256_andnot_ps(gt, lt))) &
-         lane_mask & kFullLaneMask;
+  const int weak = ~_mm256_movemask_ps(gt) & live;
+  if (weak == 0) return 0;
+  __m256 lt = _mm256_setzero_ps();
+  for (int j = 0; j < dims; ++j) {
+    const __m256 w = _mm256_load_ps(tile + j * kSimdWidth);
+    lt = _mm256_or_ps(lt, _mm256_cmp_ps(w, q.v[j], _CMP_LT_OQ));
+  }
+  return static_cast<uint32_t>(_mm256_movemask_ps(lt) & weak);
 }
 
 }  // namespace
+
+uint32_t TileDominatesAvx2(const Value* q, const Value* tile, int dims,
+                           uint32_t lane_mask) {
+  return TileVsBroadcast(BroadcastQ(q, dims), tile, dims, lane_mask);
+}
 
 bool DominatedByAnyAvx2(const Value* q, const TileBlock& tiles,
                         size_t limit, uint64_t* dts) {

@@ -385,6 +385,244 @@ TEST(MaskedRangeKernel, FlavoursMatchOneVsOneOracle) {
   }
 }
 
+/// Rows that sit on the weak/strict dominance boundary around probe q.
+/// `s` is the one coordinate at which the strict rows are smaller, and
+/// its neighbour carries a NaN or a violation. The AVX2 tile test runs its
+/// strictness pass only for lanes that weakly dominate q, so the first
+/// three rows (weak, never strict) are the ones that reach it and must
+/// still come back empty. kStrictRows marks the rows that dominate a
+/// probe whose coordinate s is not NaN.
+constexpr int kBoundaryRows = 7;
+constexpr uint32_t kStrictRows = 0b0011000;
+constexpr int kNonStrictRows[] = {0, 1, 2, 5, 6};
+std::vector<Value> BoundaryRow(const std::vector<Value>& q, int s, int kind) {
+  const int nb = (s + 1) % static_cast<int>(q.size());  // == s when d == 1
+  const Value smaller = std::isnan(q[s]) ? -1.0f : q[s] - 0.25f;
+  std::vector<Value> w = q;
+  switch (kind) {
+    case 0:  // coincident copy of q
+      break;
+    case 1:  // q with every ±0 swapped for its opposite sign
+      for (Value& v : w) {
+        if (v == 0.0f) v = -v;
+      }
+      break;
+    case 2:  // the strict coordinate is NaN
+      w[s] = kNaN;
+      break;
+    case 3:  // strict dominator
+      w[s] = smaller;
+      break;
+    case 4:  // strict dominator whose only smaller coordinate is next to NaN
+      w[s] = smaller;
+      if (nb != s) w[nb] = kNaN;
+      break;
+    case 5:  // smaller at s, greater at its neighbour: incomparable
+      w[s] = smaller;
+      w[nb] = nb != s ? q[nb] + 0.25f : 2.0f;
+      break;
+    default:  // dominated by q
+      w[s] = q[s] + 0.25f;
+      break;
+  }
+  return w;
+}
+
+Dataset RowsToDataset(int d, const std::vector<std::vector<Value>>& rows) {
+  Dataset data(d, rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    for (int j = 0; j < d; ++j) data.MutableRow(i)[j] = rows[i][j];
+  }
+  return data;
+}
+
+class WeakDominanceBoundary : public ::testing::TestWithParam<int> {};
+
+TEST_P(WeakDominanceBoundary, FlavoursAgreeOnWeakButNotStrictLanes) {
+  const int d = GetParam();
+  constexpr size_t n = 3 * kSimdWidth + 3;  // ragged 3-lane tail
+  const DomCtx scalar(d, Dataset::StrideFor(d), /*use_simd=*/false);
+  const DomCtx simd(d, Dataset::StrideFor(d), /*use_simd=*/true);
+  Rng rng(500 + static_cast<uint64_t>(d));
+  // The strict coordinate lands before and after kEarlyOutFromDim (4).
+  for (int s = 0; s < d; ++s) {
+    std::vector<Value> base(static_cast<size_t>(d));
+    for (int j = 0; j < d; ++j) {
+      base[j] = j % 3 == 0 ? 0.0f : static_cast<float>(1 + j % 4) / 4.0f;
+    }
+    std::vector<Value> neg_zero = base;  // the same probe with -0 for +0
+    for (Value& v : neg_zero) {
+      if (v == 0.0f) v = -0.0f;
+    }
+    std::vector<Value> nan_s = base;  // strict rows lose their strictness
+    nan_s[s] = kNaN;
+    for (const auto& qv : {base, neg_zero, nan_s}) {
+      const Dataset probe = RowsToDataset(d, {qv});
+      const Value* q = probe.Row(0);
+      // Layouts: every boundary row cycled through every lane, then one
+      // strict row at each position among weak or incomparable rows.
+      std::vector<std::vector<int>> layouts;
+      for (int rot = 0; rot < kBoundaryRows; ++rot) {
+        std::vector<int>& kinds = layouts.emplace_back();
+        for (size_t i = 0; i < n; ++i) {
+          kinds.push_back(static_cast<int>((i + rot) % kBoundaryRows));
+        }
+      }
+      for (size_t pos = 0; pos <= n; ++pos) {  // pos == n: no strict row
+        std::vector<int>& kinds = layouts.emplace_back();
+        for (size_t i = 0; i < n; ++i) {
+          kinds.push_back(i == pos ? 3 + static_cast<int>(pos % 2)
+                                   : kNonStrictRows[i % 5]);
+        }
+      }
+      for (const std::vector<int>& kinds : layouts) {
+        std::vector<std::vector<Value>> rows;
+        for (const int k : kinds) rows.push_back(BoundaryRow(qv, s, k));
+        const Dataset window = RowsToDataset(d, rows);
+        TileBlock tiles(d, n);
+        tiles.AppendRows(window.Row(0), window.stride(), n);
+        std::vector<uint8_t> strict(n);
+        uint32_t strict_count = 0;
+        for (size_t i = 0; i < n; ++i) {
+          strict[i] = DominatesScalar(window.Row(i), q, d) ? 1 : 0;
+          strict_count += strict[i];
+          if (!std::isnan(qv[s])) {
+            ASSERT_EQ(strict[i] != 0, ((kStrictRows >> kinds[i]) & 1) != 0)
+                << "boundary row kind " << kinds[i] << " d=" << d;
+          }
+        }
+        const std::string where = "d=" + std::to_string(d) +
+                                  " s=" + std::to_string(s) +
+                                  " q[s]=" + std::to_string(qv[s]);
+
+        // Tile kernels: valid lanes, random subsets, and masks that drop
+        // exactly the strict lanes.
+        for (size_t t = 0; t < tiles.tile_count(); ++t) {
+          uint32_t strict_lanes = 0;
+          for (size_t l = 0; l < kSimdWidth; ++l) {
+            const size_t i = t * kSimdWidth + l;
+            if (i < n && strict[i] != 0) strict_lanes |= 1u << l;
+          }
+          const uint32_t valid = tiles.ValidLanes(t);
+          for (const uint32_t lane_mask :
+               {valid, valid & ~strict_lanes, strict_lanes,
+                static_cast<uint32_t>(rng.NextBounded(256)) & valid}) {
+            const uint32_t expect = OracleLaneMask(window, t, q, lane_mask);
+            const uint32_t got_scalar =
+                TileDominatesScalar(q, tiles.Tile(t), d, lane_mask);
+            ASSERT_EQ(got_scalar, expect) << where << " t=" << t;
+            if (CpuHasAvx2()) {
+              ASSERT_EQ(TileDominatesAvx2(q, tiles.Tile(t), d, lane_mask),
+                        got_scalar)
+                  << where << " t=" << t << " lanes=" << lane_mask;
+            }
+          }
+        }
+
+        // Prefix scans and their suffix complements.
+        for (size_t cut = 0; cut <= n; ++cut) {
+          bool prefix = false;
+          bool suffix = false;
+          for (size_t i = 0; i < n; ++i) {
+            (i < cut ? prefix : suffix) |= strict[i] != 0;
+          }
+          uint64_t dts_a = 0, dts_b = 0;
+          ASSERT_EQ(scalar.DominatedByAny(q, tiles, cut, &dts_a), prefix)
+              << where << " limit=" << cut;
+          ASSERT_EQ(simd.DominatedByAny(q, tiles, cut, &dts_b), prefix)
+              << where << " limit=" << cut;
+          ASSERT_EQ(dts_a, dts_b) << where << " limit=" << cut;
+          dts_a = dts_b = 0;
+          ASSERT_EQ(scalar.DominatedInRange(q, tiles, cut, &dts_a), suffix)
+              << where << " from=" << cut;
+          ASSERT_EQ(simd.DominatedInRange(q, tiles, cut, &dts_b), suffix)
+              << where << " from=" << cut;
+          ASSERT_EQ(dts_a, dts_b) << where << " from=" << cut;
+        }
+
+        // Dominator counts, with the cap hit and not hit.
+        for (const uint32_t cap :
+             {1u, 2u, strict_count, strict_count + 1, 64u}) {
+          uint64_t dts_a = 0, dts_b = 0;
+          const uint32_t count_a =
+              scalar.CountDominators(q, tiles, n, cap, &dts_a);
+          const uint32_t count_b =
+              simd.CountDominators(q, tiles, n, cap, &dts_b);
+          ASSERT_EQ(count_a, count_b) << where << " cap=" << cap;
+          ASSERT_EQ(dts_a, dts_b) << where << " cap=" << cap;
+          if (cap > strict_count) {
+            ASSERT_EQ(count_a, strict_count) << where << " cap=" << cap;
+          } else if (cap > 0) {
+            ASSERT_GE(count_a, cap) << where;
+          }
+        }
+
+        // Many-vs-many: the probe and every window row as candidates.
+        {
+          std::vector<std::vector<Value>> cand_rows = rows;
+          cand_rows.push_back(qv);
+          const Dataset cands = RowsToDataset(d, cand_rows);
+          std::vector<uint8_t> flags_a(cands.count()), flags_b(cands.count());
+          flags_a[1] = flags_b[1] = 1;  // pre-flagged rows stay skipped
+          uint64_t dts_a = 0, dts_b = 0;
+          const size_t got_a = scalar.FilterTile(cands.Row(0), cands.count(),
+                                                 tiles, flags_a.data(), &dts_a);
+          const size_t got_b = simd.FilterTile(cands.Row(0), cands.count(),
+                                               tiles, flags_b.data(), &dts_b);
+          ASSERT_EQ(got_a, got_b) << where;
+          ASSERT_EQ(flags_a, flags_b) << where;
+          ASSERT_EQ(dts_a, dts_b) << where;
+          ASSERT_EQ(flags_a.back(), strict_count > 0 ? 1 : 0) << where;
+        }
+
+        // Masked ranges: strict rows dropped by masks, pruned flags or the
+        // range bounds, and random masks and flags.
+        std::vector<Mask> masks(n);
+        std::vector<uint8_t> prune_strict = strict;
+        std::vector<uint8_t> prune_random(n);
+        for (uint8_t& f : prune_random) f = rng.NextBounded(3) == 0 ? 1 : 0;
+        for (int mode = 0; mode < 3; ++mode) {
+          Mask m;
+          if (mode == 0) {  // every lane comparable
+            for (Mask& k : masks) k = static_cast<Mask>(rng.NextBounded(64));
+            m = ~Mask{0};
+          } else if (mode == 1) {  // strict lanes carry a bit outside m
+            for (size_t i = 0; i < n; ++i) masks[i] = strict[i] ? 0b10 : 0b01;
+            m = 0b01;
+          } else {  // random subsets
+            for (Mask& k : masks) k = static_cast<Mask>(rng.NextBounded(16));
+            m = static_cast<Mask>(rng.NextBounded(16));
+          }
+          for (uint8_t* pruned : {static_cast<uint8_t*>(nullptr),
+                                  prune_strict.data(), prune_random.data()}) {
+            for (size_t from = 0; from <= n; from += 5) {
+              for (const size_t to : {from, from + 1, from + 9, n}) {
+                if (to > n) continue;
+                const MaskedScan expect =
+                    MaskedOracle(window, q, masks, m, from, to, pruned);
+                MaskedScan a, b;
+                a.dominated = scalar.DominatedInMaskedRange(
+                    q, tiles, masks.data(), m, from, to, pruned, &a.dts,
+                    &a.skips);
+                b.dominated = simd.DominatedInMaskedRange(
+                    q, tiles, masks.data(), m, from, to, pruned, &b.dts,
+                    &b.skips);
+                ASSERT_EQ(a, expect) << where << " [" << from << ", " << to
+                                     << ") mode=" << mode;
+                ASSERT_EQ(b, a) << where << " [" << from << ", " << to
+                                << ") mode=" << mode;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDims, WeakDominanceBoundary,
+                         ::testing::Range(1, kMaxDims + 1));
+
 TEST(EqualKernel, Avx2MatchesScalarIncludingNaN) {
   if (!CpuHasAvx2()) GTEST_SKIP() << "host lacks AVX2";
   for (const int d : {1, 4, 8, 9, 16}) {
