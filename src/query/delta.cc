@@ -50,37 +50,6 @@ std::vector<PointId> ComputeShardSkyline(const Dataset& rows) {
   return std::move(run.skyline);
 }
 
-Dataset DatasetWithAppendedRows(const Dataset& data, const Dataset& batch) {
-  SKY_CHECK(batch.dims() == data.dims());
-  Dataset out(data.dims(), data.count() + batch.count());
-  const size_t stride = static_cast<size_t>(data.stride());
-  if (data.count() > 0) {
-    std::memcpy(out.MutableRow(0), data.Row(0),
-                sizeof(Value) * stride * data.count());
-  }
-  if (batch.count() > 0) {
-    std::memcpy(out.MutableRow(data.count()), batch.Row(0),
-                sizeof(Value) * stride * batch.count());
-  }
-  return out;
-}
-
-Dataset DatasetWithoutRows(const Dataset& data,
-                           const std::vector<uint8_t>& deleted) {
-  SKY_CHECK(deleted.size() == data.count());
-  size_t survivors = 0;
-  for (const uint8_t d : deleted) survivors += (d == 0);
-  Dataset out(data.dims(), survivors);
-  const size_t row_bytes = sizeof(Value) * static_cast<size_t>(data.stride());
-  size_t w = 0;
-  for (size_t i = 0; i < data.count(); ++i) {
-    if (deleted[i]) continue;
-    std::memcpy(out.MutableRow(w), data.Row(i), row_bytes);
-    ++w;
-  }
-  return out;
-}
-
 std::shared_ptr<const Shard> ShardWithInserts(
     const Shard& shard, const Dataset& batch,
     const std::vector<size_t>& batch_rows, PointId base_global_id,
@@ -98,15 +67,27 @@ std::shared_ptr<const Shard> ShardWithInserts(
     std::memcpy(rows->MutableRow(0), old_rows.Row(0),
                 row_bytes * old_count);
   }
-  out->row_ids = shard.row_ids;
-  out->row_ids.reserve(old_count + add);
+  // Ids stay implicit while appended row k of an implicit shard gets
+  // global id old_count + k — the one-shard map's every insert.
+  bool implicit_ids = shard.row_ids.empty() && base_global_id == old_count;
+  for (size_t k = 0; implicit_ids && k < add; ++k) {
+    implicit_ids = batch_rows[k] == k;
+  }
+  if (!implicit_ids) {
+    out->row_ids.reserve(old_count + add);
+    for (size_t i = 0; i < old_count; ++i) {
+      out->row_ids.push_back(shard.global_id(i));
+    }
+  }
   out->box_lo = shard.box_lo;
   out->box_hi = shard.box_hi;
   for (size_t k = 0; k < add; ++k) {
     const Value* src = batch.Row(batch_rows[k]);
     std::memcpy(rows->MutableRow(old_count + k), src, row_bytes);
-    out->row_ids.push_back(base_global_id +
-                           static_cast<PointId>(batch_rows[k]));
+    if (!implicit_ids) {
+      out->row_ids.push_back(base_global_id +
+                             static_cast<PointId>(batch_rows[k]));
+    }
     for (int j = 0; j < dims; ++j) {
       if (src[j] < out->box_lo[static_cast<size_t>(j)]) {
         out->box_lo[static_cast<size_t>(j)] = src[j];
@@ -248,14 +229,20 @@ std::shared_ptr<const Shard> ShardWithDeletes(
   std::vector<PointId> local_map(old_count, 0);
   const size_t row_bytes = sizeof(Value) * static_cast<size_t>(
                                                old_rows.stride());
-  out->row_ids.reserve(rows->count());
+  // Implicit ids stay implicit: they are global rows 0..n-1, so every
+  // deleted id below a survivor is a local delete and the compaction
+  // preserves the identity.
+  const bool implicit_ids = shard.row_ids.empty();
+  if (!implicit_ids) out->row_ids.reserve(rows->count());
   size_t w = 0;
   for (size_t i = 0; i < old_count; ++i) {
     if (deleted[i]) continue;
     local_map[i] = static_cast<PointId>(w);
     std::memcpy(rows->MutableRow(w), old_rows.Row(i), row_bytes);
-    const PointId old_gid = shard.row_ids[i];
-    out->row_ids.push_back(old_gid - global_shift[old_gid]);
+    if (!implicit_ids) {
+      const PointId old_gid = shard.global_id(i);
+      out->row_ids.push_back(old_gid - global_shift[old_gid]);
+    }
     ++w;
   }
   ComputeBox(*rows, out->box_lo, out->box_hi);
@@ -286,7 +273,8 @@ std::shared_ptr<const Shard> ShardWithRemappedIds(
   // The copy keeps shard.epoch: only global ids move, and the executor
   // composes those from its own snapshot's row_ids — a cached view (keyed
   // to the epoch) stays valid because the shard-local numbering it
-  // indexes is unchanged.
+  // indexes is unchanged. Implicit ids (global rows 0..n-1) stay put:
+  // every deleted id lies above them, so their shift is zero.
   auto out = std::make_shared<Shard>(shard);  // shares data/skyline/sketch
   for (PointId& gid : out->row_ids) gid -= global_shift[gid];
   return out;

@@ -64,14 +64,6 @@ std::shared_ptr<const Shard> ShardWithDeletes(
 std::shared_ptr<const Shard> ShardWithRemappedIds(
     const Shard& shard, const std::vector<uint32_t>& global_shift);
 
-/// `data` plus every row of `batch` appended in batch order.
-Dataset DatasetWithAppendedRows(const Dataset& data, const Dataset& batch);
-
-/// `data` minus the rows whose `deleted` flag is set (size data.count()),
-/// surviving rows compacted in order.
-Dataset DatasetWithoutRows(const Dataset& data,
-                           const std::vector<uint8_t>& deleted);
-
 }  // namespace sky
 
 #endif  // SKY_QUERY_DELTA_H_

@@ -75,11 +75,11 @@ QueryResult RunOnTarget(const Dataset& target,
 
   Options run_opts = opts;
   if (run_opts.algorithm == Algorithm::kAuto) {
-    // Engine paths resolve kAuto from registration-time sketches before
-    // reaching here; this covers one-shot RunQuery callers. The target
-    // is already constraint-filtered, so a fresh sketch of it is the
-    // exact selection input (selectivity 1). Skybands run Q-Flow's
-    // block flow whatever the field says — report that truthfully.
+    // The engine resolves kAuto in the planner; this covers one-shot
+    // RunQuery callers. The target is already constraint-filtered, so a
+    // fresh sketch of it is the exact selection input (selectivity 1).
+    // Skybands run Q-Flow's block flow whatever the field says — report
+    // that truthfully.
     run_opts.algorithm = canon.band_k == 1
                              ? ChooseAlgorithmForDataset(target, run_opts)
                              : Algorithm::kQFlow;
@@ -131,53 +131,6 @@ QueryResult RunOnTarget(const Dataset& target,
   return r;
 }
 
-/// Execute stage on raw rows through the zonemap direct path: run the
-/// BBS traversal against the constraint box without materializing a
-/// view (band-1 box-only specs only — raw rows carry the exact view
-/// values there, so dominance and rank scores match the view path
-/// bit-for-bit). `row_map` maps index-local rows to final ids.
-QueryResult RunZonemapDirect(const Dataset& data, const ZoneMapIndex& index,
-                             const std::vector<PointId>* row_map,
-                             const QuerySpec& canon, const Options& opts) {
-  QueryResult r;
-  if (data.count() == 0) return r;
-
-  Options run_opts = opts;
-  if (opts.progressive && row_map != nullptr) {
-    const ProgressiveCallback callback = opts.progressive;
-    run_opts.progressive = [callback, row_map](std::span<const PointId> ids) {
-      std::vector<PointId> mapped(ids.size());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        mapped[i] = (*row_map)[ids[i]];
-      }
-      callback(mapped);
-    };
-  }
-  ZonemapRunResult run =
-      ZonemapSkylineRun(data, index, canon.constraints, run_opts);
-  r.stats = run.stats;
-  r.matched_rows = run.matched_rows;
-  r.shard_algorithms.assign(1, Algorithm::kZonemap);
-  r.ids.resize(run.skyline.size());
-  if (row_map == nullptr) {
-    std::copy(run.skyline.begin(), run.skyline.end(), r.ids.begin());
-  } else {
-    for (size_t i = 0; i < run.skyline.size(); ++i) {
-      r.ids[i] = (*row_map)[run.skyline[i]];
-    }
-  }
-  r.dominator_counts.assign(r.ids.size(), 0u);
-  if (canon.top_k > 0) {
-    std::vector<Value> scores(run.skyline.size());
-    for (size_t i = 0; i < run.skyline.size(); ++i) {
-      scores[i] = RankScore(data, run.skyline[i]);
-    }
-    RankAndTruncate(r, canon.top_k, scores);
-  }
-  r.stats.skyline_size = r.ids.size();
-  return r;
-}
-
 /// Fold per-phase times and counters of a partial run into `into`,
 /// leaving total_seconds / skyline_size to the caller (the executor
 /// reports true end-to-end wall time, not the sum of parallel shards).
@@ -194,20 +147,31 @@ void AccumulateStats(RunStats& into, const RunStats& from) {
   into.prefiltered_points += from.prefiltered_points;
 }
 
-/// Per-shard execute-stage output, kept alive until the merge copies the
-/// candidate rows out of the shard view. The trace fields are filled only
-/// when a TraceBuilder is attached (spans are emitted post-hoc on the
-/// coordinating thread, so worker threads just record timings here).
+/// Per-shard execute-stage output, kept alive until the finish stage
+/// copies the candidate rows out of the shard view. The trace fields are
+/// filled only when a TraceBuilder is attached (spans are emitted
+/// post-hoc on the coordinating thread, so worker threads just record
+/// timings here).
 struct ShardPartial {
-  std::shared_ptr<const QueryView> view;  // null when the spec is identity
-  std::vector<PointId> cand_rows;         // target-local candidate rows
+  /// The shard view the candidates index; null when they index the raw
+  /// shard rows (identity specs, maintained and zonemap-direct runs).
+  std::shared_ptr<const QueryView> view;
+  std::vector<PointId> cand_rows;  // target-local candidate rows
+  std::vector<uint32_t> counts;    // k-skyband dominator counts, if band_k > 1
   RunStats stats;
+  size_t matched = 0;          // rows inside the constraint box
   double trace_start = 0.0;    // seconds since the trace epoch
   double trace_seconds = 0.0;  // shard wall time
   bool view_built = false;     // view materialized (vs. cache hit)
   bool maintained = false;     // served from the maintained shard skyline
   bool direct = false;         // ran the zonemap direct path (no view)
-  size_t matched = 0;          // rows in the box, when `direct`
+
+  const Dataset& target(const Shard& shard) const {
+    return view != nullptr ? view->data : shard.rows();
+  }
+  PointId global_id(const Shard& shard, PointId row) const {
+    return shard.global_id(view != nullptr ? view->row_ids[row] : row);
+  }
 };
 
 /// Source of per-shard materialized views: the engine passes a lambda
@@ -236,305 +200,42 @@ std::shared_ptr<const QueryView> ViewOfShard(
       MaterializeView(map.shard(shard_index).rows(), canon, opts));
 }
 
-/// Merge + finish: the interpreter for a planner-produced ExecutionPlan.
-///
-/// Correctness of the M(S) union-then-filter merge: every global skyline
-/// point is non-dominated within its shard, so the union of partial
-/// skylines contains SKY(data); and any non-member is dominated by a
-/// minimal dominator that itself is a skyline point, hence in the union —
-/// so SKY(union) == SKY(data). The depth-aware variant holds too: order a
-/// point's dominator set D(p) by |D(.)| ascending; the i-th element has
-/// at most i-1 dominators (its dominators are strictly earlier in the
-/// order), so the first min(|D(p)|, k) of them are global k-skyband
-/// members, each a per-shard band member of its own shard. Members
-/// therefore keep their exact global count inside the union, and every
-/// non-member still meets >= k dominators there.
-QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
-                               const QuerySpec& canon, const Options& opts,
-                               const ShardViewProvider& provider = {},
-                               const ZonemapProvider& zonemap_provider = {},
-                               obs::TraceBuilder* tb = nullptr,
-                               int trace_parent = -1) {
-  WallTimer timer;
-  QueryResult r;
-  r.shards_executed = static_cast<uint32_t>(plan.shards.size());
-  r.shards_pruned = plan.pruned;
-  if (plan.shards.empty()) {
-    r.stats.total_seconds = timer.Seconds();
-    return r;
-  }
-  const bool identity = canon.IsIdentityTransform();
-  // Band-1 box-only specs let Algorithm::kZonemap run on the raw shard
-  // rows (constraint box applied during the traversal), skipping view
-  // materialization entirely.
-  const bool zonemap_direct = canon.band_k == 1 && canon.IsBoxOnlyTransform();
-  // Per-shard algorithm: the plan's cost-model picks when the request
-  // was kAuto, the caller's explicit choice otherwise.
-  const auto algo_of = [&](size_t s) {
-    return plan.algorithms.empty() ? opts.algorithm : plan.algorithms[s];
-  };
-  /// Per-shard index for a direct run: the provider's cached entry, or a
-  /// private build (one-shot paths and custom Options::block_rows). The
-  /// private build's cost lands in `build_seconds`.
-  const auto zonemap_of = [&](uint32_t shard_index, double* build_seconds)
-      -> std::shared_ptr<const ZoneMapIndex> {
-    if (zonemap_provider) {
-      std::shared_ptr<const ZoneMapIndex> zm = zonemap_provider(shard_index);
-      if (zm != nullptr) return zm;
-    }
-    WallTimer build_timer;
-    const Shard& shard = map.shard(shard_index);
-    auto zm = std::make_shared<const ZoneMapIndex>(
-        ZoneMapIndex::Build(shard.rows(), opts.block_rows, &shard.sketch));
-    *build_seconds += build_timer.Seconds();
-    return zm;
-  };
-
-  // Single surviving shard: pruned shards hold no constraint-box row, so
-  // the shard answer is the global answer — no merge stage at all. The
-  // lone shard keeps the caller's full thread budget.
-  if (plan.merge == MergeStrategy::kNone) {
-    const Shard& shard = map.shard(plan.shards[0]);
-    Options one_opts = opts;
-    one_opts.algorithm = algo_of(0);
-    const double span_start = tb != nullptr ? tb->Now() : 0.0;
-    bool view_built = false;
-    const bool direct =
-        zonemap_direct && one_opts.algorithm == Algorithm::kZonemap;
-    QueryResult one;
-    if (direct) {
-      double build_seconds = 0.0;
-      const std::shared_ptr<const ZoneMapIndex> zm =
-          zonemap_of(plan.shards[0], &build_seconds);
-      one = RunZonemapDirect(shard.rows(), *zm, &shard.row_ids, canon,
-                             one_opts);
-      one.stats.other_seconds += build_seconds;
-    } else if (identity) {
-      one = RunOnTarget(shard.rows(), &shard.row_ids, canon, one_opts);
-    } else {
-      const std::shared_ptr<const QueryView> view = ViewOfShard(
-          map, plan.shards[0], canon, one_opts, provider, &view_built);
-      std::vector<PointId> composed(view->row_ids.size());
-      for (size_t i = 0; i < view->row_ids.size(); ++i) {
-        composed[i] = shard.row_ids[view->row_ids[i]];
-      }
-      one = RunOnTarget(view->data, &composed, canon, one_opts);
-      if (!provider) one.stats.other_seconds += view->materialize_seconds;
-    }
-    one.shards_executed = r.shards_executed;
-    one.shards_pruned = r.shards_pruned;
-    one.stats.total_seconds = timer.Seconds();
-    if (tb != nullptr) {
-      const int span =
-          tb->AddSpan("shard[" + std::to_string(plan.shards[0]) + "]",
-                      trace_parent, span_start, tb->Now() - span_start);
-      tb->Attr(span, "algo",
-               one.shard_algorithms.empty()
-                   ? AlgorithmName(one_opts.algorithm)
-                   : AlgorithmName(one.shard_algorithms[0]));
-      tb->AttrCount(span, "rows", one.matched_rows);
-      tb->AttrCount(span, "members", one.ids.size());
-      if (opts.count_dts) {
-        tb->AttrCount(span, "dom_tests", one.stats.dominance_tests);
-      }
-      if (direct) {
-        tb->Attr(span, "view", "direct");
-      } else if (!identity) {
-        tb->Attr(span, "view", view_built ? "build" : "hit");
-      }
-    }
-    return one;
-  }
-
-  // Execute stage. Two shapes, chosen by the planner's thread budget:
-  // parallelism across shards with each shard sequential (the default),
-  // or — when pruning left fewer shards than threads — shards in turn,
-  // each running its algorithm with intra-shard parallelism. Per-shard
-  // progressive callbacks are suppressed either way — a shard-local
-  // skyline point is not a confirmed global member; the merge stage
-  // streams the confirmed answer instead.
-  Options shard_opts = opts;
-  shard_opts.threads = plan.shard_threads;
-  shard_opts.progressive = nullptr;
-  const size_t n_shards = plan.shards.size();
-  std::vector<ShardPartial> parts(n_shards);
-  const auto run_shard = [&](size_t s) {
-    // Cancellation/failure checkpoint per shard: a tripped token (or an
-    // armed shard_execute failpoint) unwinds into the fan-out group,
-    // which cancels the siblings and rethrows at the join.
-    CheckCancel(opts.cancel);
-    SKY_FAILPOINT("shard_execute");
-    const Shard& shard = map.shard(plan.shards[s]);
-    ShardPartial& p = parts[s];
-    // tb->Now() only reads the immutable epoch and the steady clock, so
-    // worker threads may stamp their own slots concurrently.
-    if (tb != nullptr) p.trace_start = tb->Now();
-    if (identity && canon.band_k == 1 && shard.skyline != nullptr) {
-      // The mutation path maintains exactly this shard's skyline: hand
-      // the merge the precomputed candidates and skip the per-shard
-      // compute. Constrained or view-transformed specs cannot take this
-      // shortcut (filtering changes the dominance set), but identity is
-      // the common serving case and the one mutations repair for.
-      p.cand_rows = *shard.skyline;
-      p.maintained = true;
-      if (tb != nullptr) p.trace_seconds = tb->Now() - p.trace_start;
-      return;
-    }
-    if (zonemap_direct && algo_of(s) == Algorithm::kZonemap) {
-      // Direct path: traverse the shard's (cached) zonemap index against
-      // the constraint box on raw rows — no view. The per-shard
-      // progressive suppression above applies unchanged.
-      p.direct = true;
-      if (shard.rows().count() > 0) {
-        double build_seconds = 0.0;
-        const std::shared_ptr<const ZoneMapIndex> zm =
-            zonemap_of(plan.shards[s], &build_seconds);
-        Options one = shard_opts;
-        one.algorithm = Algorithm::kZonemap;
-        ZonemapRunResult run =
-            ZonemapSkylineRun(shard.rows(), *zm, canon.constraints, one);
-        p.stats = run.stats;
-        p.stats.other_seconds += build_seconds;
-        p.cand_rows = std::move(run.skyline);
-        p.matched = run.matched_rows;
-      }
-      if (tb != nullptr) p.trace_seconds = tb->Now() - p.trace_start;
-      return;
-    }
-    if (!identity) {
-      p.view = ViewOfShard(map, plan.shards[s], canon, shard_opts, provider,
-                           &p.view_built);
-    }
-    const Dataset& target = identity ? shard.rows() : p.view->data;
-    if (target.count() == 0) {
-      if (tb != nullptr) p.trace_seconds = tb->Now() - p.trace_start;
-      return;
-    }
-    Options one = shard_opts;
-    one.algorithm = algo_of(s);
-    if (canon.band_k == 1) {
-      Result run = ComputeSkyline(target, one);
-      p.stats = run.stats;
-      p.cand_rows = std::move(run.skyline);
-    } else {
-      SkybandResult run = ComputeSkyband(target, canon.band_k, one);
-      p.stats = run.stats;
-      p.cand_rows = std::move(run.skyband);
-    }
-    if (tb != nullptr) p.trace_seconds = tb->Now() - p.trace_start;
-  };
-  Executor::GroupStats exec_stats;
-  bool used_group = false;
-  const int workers = static_cast<int>(
-      std::min(n_shards, static_cast<size_t>(opts.ResolvedThreads())));
-  if (plan.shard_threads > 1) {
-    // Shards in turn, each with intra-shard parallelism: the per-shard
-    // algorithms borrow workers themselves (shard_opts carries
-    // opts.executor), so no fan-out group is needed here.
-    for (size_t s = 0; s < n_shards; ++s) run_shard(s);
-  } else if (opts.executor != nullptr) {
-    // Serving path: fan the shards out as one capped task group on the
-    // engine's shared executor — zero pool constructions per request.
-    Executor::TaskGroup group(*opts.executor, workers);
-    group.set_cancel_token(opts.cancel);
-    group.ParallelFor(n_shards, 1, [&](size_t begin, size_t end) {
-      for (size_t s = begin; s < end; ++s) run_shard(s);
-    });
-    exec_stats = group.stats();
-    used_group = true;
-  } else {
-    // One-shot fallback (RunShardedQuery without an engine): a private
-    // pool scoped to this call.
-    ThreadPool pool(workers);
-    pool.ParallelFor(n_shards, 1, [&](size_t begin, size_t end) {
-      for (size_t s = begin; s < end; ++s) run_shard(s);
-    });
-  }
-  r.shard_algorithms.resize(n_shards);
-  for (size_t s = 0; s < n_shards; ++s) r.shard_algorithms[s] = algo_of(s);
-  if (tb != nullptr) {
-    // Spans are emitted post-hoc, in shard order, from the timings the
-    // (possibly parallel) executors stamped into their slots.
-    for (size_t s = 0; s < n_shards; ++s) {
-      const ShardPartial& p = parts[s];
-      const int span =
-          tb->AddSpan("shard[" + std::to_string(plan.shards[s]) + "]",
-                      trace_parent, p.trace_start, p.trace_seconds);
-      tb->Attr(span, "algo", AlgorithmName(algo_of(s)));
-      const Dataset& target = identity || p.direct
-                                  ? map.shard(plan.shards[s]).rows()
-                                  : p.view->data;
-      tb->AttrCount(span, "rows", p.direct ? p.matched : target.count());
-      tb->AttrCount(span, "candidates", p.cand_rows.size());
-      if (opts.count_dts) {
-        tb->AttrCount(span, "dom_tests", p.stats.dominance_tests);
-      }
-      if (p.maintained) tb->Attr(span, "maintained", "true");
-      if (p.direct) {
-        tb->Attr(span, "view", "direct");
-      } else if (!identity) {
-        tb->Attr(span, "view", p.view_built ? "build" : "hit");
-      }
-    }
-    if (used_group) {
-      // Scheduler accounting for the fan-out group: how many distinct
-      // participants (workers + the caller) touched this query, how many
-      // tasks it submitted or ran inline, and how many were stolen.
-      tb->AttrCount(trace_parent, "executor.workers",
-                    static_cast<size_t>(exec_stats.workers_used));
-      tb->AttrCount(trace_parent, "executor.tasks",
-                    static_cast<size_t>(exec_stats.tasks +
-                                        exec_stats.inline_runs));
-      tb->AttrCount(trace_parent, "executor.steals",
-                    static_cast<size_t>(exec_stats.steals));
-    }
-  }
-
+/// Merge stage of a multi-shard plan: M(S) — copy every candidate's
+/// view-space row into one union set `merged` and dominance-filter it
+/// (depth-aware for k-skybands). Fills r.ids, r.dominator_counts and the
+/// merge's stats, streams the confirmed answer to a progressive caller,
+/// and returns the members as rows of `merged`.
+std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
+                                const QuerySpec& canon, const Options& opts,
+                                const std::vector<ShardPartial>& parts,
+                                Dataset& merged, QueryResult& r,
+                                obs::TraceBuilder* tb, int trace_parent) {
   int view_dims = 0;
   for (const Preference pref : canon.preferences) {
     if (pref != Preference::kIgnore) ++view_dims;
   }
   size_t total = 0;
-  for (size_t s = 0; s < n_shards; ++s) {
-    const ShardPartial& p = parts[s];
-    if (p.direct) {
-      r.matched_rows += p.matched;
-    } else {
-      const Dataset& target =
-          identity ? map.shard(plan.shards[s]).rows() : p.view->data;
-      r.matched_rows += target.count();
-    }
-    total += p.cand_rows.size();
-    AccumulateStats(r.stats, p.stats);
-    if (!identity && !p.direct && !provider) {
-      r.stats.other_seconds += p.view->materialize_seconds;
-    }
-  }
-
-  // Merge stage: M(S) — copy every candidate's view-space row into one
-  // union set and dominance-filter it (depth-aware for k-skybands).
+  for (const ShardPartial& p : parts) total += p.cand_rows.size();
   // Checkpoint before committing to the union copy: the per-shard work
-  // above may have consumed the whole deadline budget.
+  // may have consumed the whole deadline budget.
   CheckCancel(opts.cancel);
   SKY_FAILPOINT("merge_union");
   const double merge_start = tb != nullptr ? tb->Now() : 0.0;
   uint64_t merge_dts = 0;
   const char* merge_path = "empty";
-  Dataset merged(view_dims, total);
+  merged = Dataset(view_dims, total);
   std::vector<PointId> merged_ids(total);
   const size_t row_bytes = sizeof(Value) * static_cast<size_t>(view_dims);
   size_t w = 0;
-  for (size_t s = 0; s < n_shards; ++s) {
+  for (size_t s = 0; s < parts.size(); ++s) {
     const Shard& shard = map.shard(plan.shards[s]);
     const ShardPartial& p = parts[s];
-    // Direct partials are rows of the raw shard in shard-local numbering
-    // (box-only specs keep every dimension, so raw rows are view rows).
-    const bool raw = identity || p.direct;
-    const Dataset& target = raw ? shard.rows() : p.view->data;
+    // Raw-row partials (identity, maintained, direct) are already view
+    // rows: box-only and identity specs keep every dimension unchanged.
+    const Dataset& target = p.target(shard);
     for (const PointId row : p.cand_rows) {
       std::memcpy(merged.MutableRow(w), target.Row(row), row_bytes);
-      merged_ids[w] =
-          raw ? shard.row_ids[row] : shard.row_ids[p.view->row_ids[row]];
+      merged_ids[w] = p.global_id(shard, row);
       ++w;
     }
   }
@@ -652,10 +353,257 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
   for (size_t i = 0; i < members.size(); ++i) {
     r.ids[i] = merged_ids[members[i]];
   }
+  return members;
+}
+
+/// Merge + finish: the interpreter for a planner-produced ExecutionPlan.
+///
+/// Correctness of the M(S) union-then-filter merge: every global skyline
+/// point is non-dominated within its shard, so the union of partial
+/// skylines contains SKY(data); and any non-member is dominated by a
+/// minimal dominator that itself is a skyline point, hence in the union —
+/// so SKY(union) == SKY(data). The depth-aware variant holds too: order a
+/// point's dominator set D(p) by |D(.)| ascending; the i-th element has
+/// at most i-1 dominators (its dominators are strictly earlier in the
+/// order), so the first min(|D(p)|, k) of them are global k-skyband
+/// members, each a per-shard band member of its own shard. Members
+/// therefore keep their exact global count inside the union, and every
+/// non-member still meets >= k dominators there.
+///
+/// A single surviving shard (merge kNone) needs no merge at all: pruned
+/// shards hold no constraint-box row, so its answer is the global one.
+/// It runs with the planner's full thread budget and the caller's
+/// progressive callback, and its members, dominator counts and rank
+/// scores are final.
+QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
+                               const QuerySpec& canon, const Options& opts,
+                               const ShardViewProvider& provider = {},
+                               const ZonemapProvider& zonemap_provider = {},
+                               obs::TraceBuilder* tb = nullptr,
+                               int trace_parent = -1) {
+  WallTimer timer;
+  QueryResult r;
+  r.shards_executed = static_cast<uint32_t>(plan.shards.size());
+  r.shards_pruned = plan.pruned;
+  if (plan.shards.empty()) {
+    r.stats.total_seconds = timer.Seconds();
+    return r;
+  }
+  const bool identity = canon.IsIdentityTransform();
+  const bool single = plan.merge == MergeStrategy::kNone;
+  // Band-1 box-only specs let Algorithm::kZonemap run on the raw shard
+  // rows (constraint box applied during the traversal), skipping view
+  // materialization entirely.
+  const bool zonemap_direct = canon.band_k == 1 && canon.IsBoxOnlyTransform();
+  // Per-shard algorithm: the plan's cost-model picks when the request
+  // was kAuto, the caller's explicit choice otherwise.
+  const auto algo_of = [&](size_t s) {
+    return plan.algorithms.empty() ? opts.algorithm : plan.algorithms[s];
+  };
+  /// Per-shard index for a direct run: the provider's cached entry, or a
+  /// private build (one-shot paths and custom Options::block_rows). The
+  /// private build's cost lands in `build_seconds`.
+  const auto zonemap_of = [&](uint32_t shard_index, double* build_seconds)
+      -> std::shared_ptr<const ZoneMapIndex> {
+    if (zonemap_provider) {
+      std::shared_ptr<const ZoneMapIndex> zm = zonemap_provider(shard_index);
+      if (zm != nullptr) return zm;
+    }
+    WallTimer build_timer;
+    const Shard& shard = map.shard(shard_index);
+    auto zm = std::make_shared<const ZoneMapIndex>(
+        ZoneMapIndex::Build(shard.rows(), opts.block_rows, &shard.sketch));
+    *build_seconds += build_timer.Seconds();
+    return zm;
+  };
+
+  // Execute stage. Two shapes, chosen by the planner's thread budget:
+  // parallelism across shards with each shard sequential (the default),
+  // or — when pruning left fewer shards than threads — shards in turn,
+  // each running its algorithm with intra-shard parallelism. A lone
+  // shard streams its confirmed members in caller row space; otherwise
+  // per-shard progressive callbacks are suppressed — a shard-local
+  // skyline point is not a confirmed global member; the merge stage
+  // streams the answer instead.
+  Options shard_opts = opts;
+  shard_opts.threads = plan.shard_threads;
+  shard_opts.progressive = nullptr;
+  const size_t n_shards = plan.shards.size();
+  std::vector<ShardPartial> parts(n_shards);
+  const auto run_shard = [&](size_t s) {
+    // Cancellation/failure checkpoint per shard: a tripped token (or an
+    // armed shard_execute failpoint) unwinds into the fan-out group,
+    // which cancels the siblings and rethrows at the join.
+    CheckCancel(opts.cancel);
+    SKY_FAILPOINT("shard_execute");
+    const Shard& shard = map.shard(plan.shards[s]);
+    ShardPartial& p = parts[s];
+    // tb->Now() only reads the immutable epoch and the steady clock, so
+    // worker threads may stamp their own slots concurrently.
+    if (tb != nullptr) p.trace_start = tb->Now();
+    Options one = shard_opts;
+    one.algorithm = algo_of(s);
+    if (single && opts.progressive) {
+      one.progressive = [&](std::span<const PointId> rows) {
+        std::vector<PointId> mapped(rows.size());
+        for (size_t i = 0; i < rows.size(); ++i) {
+          mapped[i] = p.global_id(shard, rows[i]);
+        }
+        opts.progressive(mapped);
+      };
+    }
+    if (identity && canon.band_k == 1 && shard.skyline != nullptr) {
+      // The mutation path maintains exactly this shard's skyline: take
+      // the precomputed candidates and skip the per-shard compute (a lone
+      // shard streams them as one block). Constrained or view-transformed
+      // specs cannot take this shortcut (filtering changes the dominance
+      // set), but identity is the common serving case and the one
+      // mutations repair for.
+      p.cand_rows = *shard.skyline;
+      p.matched = shard.rows().count();
+      p.maintained = true;
+      if (one.progressive && !p.cand_rows.empty()) {
+        one.progressive(p.cand_rows);
+      }
+    } else if (zonemap_direct && one.algorithm == Algorithm::kZonemap) {
+      // Direct path: traverse the shard's (cached) zonemap index against
+      // the constraint box on raw rows — no view.
+      p.direct = true;
+      if (shard.rows().count() > 0) {
+        double build_seconds = 0.0;
+        const std::shared_ptr<const ZoneMapIndex> zm =
+            zonemap_of(plan.shards[s], &build_seconds);
+        ZonemapRunResult run =
+            ZonemapSkylineRun(shard.rows(), *zm, canon.constraints, one);
+        p.stats = run.stats;
+        p.stats.other_seconds += build_seconds;
+        p.cand_rows = std::move(run.skyline);
+        p.matched = run.matched_rows;
+      }
+    } else {
+      if (!identity) {
+        p.view = ViewOfShard(map, plan.shards[s], canon, one, provider,
+                             &p.view_built);
+      }
+      const Dataset& target = p.target(shard);
+      p.matched = target.count();
+      if (target.count() > 0 && canon.band_k == 1) {
+        Result run = ComputeSkyline(target, one);
+        p.stats = run.stats;
+        p.cand_rows = std::move(run.skyline);
+      } else if (target.count() > 0) {
+        SkybandResult run = ComputeSkyband(target, canon.band_k, one);
+        p.stats = run.stats;
+        p.cand_rows = std::move(run.skyband);
+        p.counts = std::move(run.dominator_counts);
+      }
+    }
+    if (tb != nullptr) p.trace_seconds = tb->Now() - p.trace_start;
+  };
+  Executor::GroupStats exec_stats;
+  bool used_group = false;
+  const int workers = static_cast<int>(
+      std::min(n_shards, static_cast<size_t>(opts.ResolvedThreads())));
+  if (plan.shard_threads > 1 || n_shards == 1) {
+    // Shards in turn, each with intra-shard parallelism: the per-shard
+    // algorithms borrow workers themselves (shard_opts carries
+    // opts.executor), so no fan-out group is needed here.
+    for (size_t s = 0; s < n_shards; ++s) run_shard(s);
+  } else if (opts.executor != nullptr) {
+    // Serving path: fan the shards out as one capped task group on the
+    // engine's shared executor — zero pool constructions per request.
+    Executor::TaskGroup group(*opts.executor, workers);
+    group.set_cancel_token(opts.cancel);
+    group.ParallelFor(n_shards, 1, [&](size_t begin, size_t end) {
+      for (size_t s = begin; s < end; ++s) run_shard(s);
+    });
+    exec_stats = group.stats();
+    used_group = true;
+  } else {
+    // One-shot fallback (RunShardedQuery without an engine): a private
+    // pool scoped to this call.
+    ThreadPool pool(workers);
+    pool.ParallelFor(n_shards, 1, [&](size_t begin, size_t end) {
+      for (size_t s = begin; s < end; ++s) run_shard(s);
+    });
+  }
+  r.shard_algorithms.resize(n_shards);
+  for (size_t s = 0; s < n_shards; ++s) r.shard_algorithms[s] = algo_of(s);
+  if (tb != nullptr) {
+    // Spans are emitted post-hoc, in shard order, from the timings the
+    // (possibly parallel) executors stamped into their slots.
+    for (size_t s = 0; s < n_shards; ++s) {
+      const ShardPartial& p = parts[s];
+      const int span =
+          tb->AddSpan("shard[" + std::to_string(plan.shards[s]) + "]",
+                      trace_parent, p.trace_start, p.trace_seconds);
+      tb->Attr(span, "algo", AlgorithmName(algo_of(s)));
+      tb->AttrCount(span, "rows", p.matched);
+      tb->AttrCount(span, "candidates", p.cand_rows.size());
+      if (opts.count_dts) {
+        tb->AttrCount(span, "dom_tests", p.stats.dominance_tests);
+      }
+      if (p.maintained) tb->Attr(span, "maintained", "true");
+      if (p.direct) {
+        tb->Attr(span, "view", "direct");
+      } else if (p.view != nullptr) {
+        tb->Attr(span, "view", p.view_built ? "build" : "hit");
+        if (p.view_built) {
+          tb->AttrCount(span, "threads",
+                        static_cast<uint64_t>(p.view->build_threads));
+        }
+      }
+    }
+    if (used_group) {
+      // Scheduler accounting for the fan-out group: how many distinct
+      // participants (workers + the caller) touched this query, how many
+      // tasks it submitted or ran inline, and how many were stolen.
+      tb->AttrCount(trace_parent, "executor.workers",
+                    static_cast<size_t>(exec_stats.workers_used));
+      tb->AttrCount(trace_parent, "executor.tasks",
+                    static_cast<size_t>(exec_stats.tasks +
+                                        exec_stats.inline_runs));
+      tb->AttrCount(trace_parent, "executor.steals",
+                    static_cast<size_t>(exec_stats.steals));
+    }
+  }
+
+  for (const ShardPartial& p : parts) {
+    r.matched_rows += p.matched;
+    AccumulateStats(r.stats, p.stats);
+    if (p.view != nullptr && !provider) {
+      r.stats.other_seconds += p.view->materialize_seconds;
+    }
+  }
+
+  // Finish stage: `members` index the rows of `final_rows` — the lone
+  // shard's target, or the merged candidate union.
+  std::vector<PointId> members;
+  const Dataset* final_rows = nullptr;
+  Dataset merged;
+  if (single) {
+    ShardPartial& p = parts[0];
+    const Shard& shard = map.shard(plan.shards[0]);
+    final_rows = &p.target(shard);
+    members = std::move(p.cand_rows);
+    r.ids.resize(members.size());
+    for (size_t i = 0; i < members.size(); ++i) {
+      r.ids[i] = p.global_id(shard, members[i]);
+    }
+    if (canon.band_k > 1) {
+      r.dominator_counts = std::move(p.counts);
+    } else {
+      r.dominator_counts.assign(members.size(), 0u);
+    }
+  } else {
+    members =
+        MergeUnion(map, plan, canon, opts, parts, merged, r, tb, trace_parent);
+    final_rows = &merged;
+  }
   if (canon.top_k > 0) {
     std::vector<Value> scores(members.size());
     for (size_t i = 0; i < members.size(); ++i) {
-      scores[i] = RankScore(merged, members[i]);
+      scores[i] = RankScore(*final_rows, members[i]);
     }
     RankAndTruncate(r, canon.top_k, scores);
   }
@@ -818,7 +766,6 @@ SkylineEngine::SkylineEngine(Config config)
              &QueryResultBytes, config.result_cache_ttl),
       view_cache_(config.view_cache_capacity, config.view_cache_bytes,
                   &QueryViewBytes),
-      selectivity_cache_(256),
       zonemap_cache_(64, 0, &ZoneMapIndexBytes) {
   WireInstruments();
 }
@@ -827,7 +774,6 @@ EngineMetricsSnapshot SkylineEngine::MetricsSnapshot() const {
   EngineMetricsSnapshot s;
   s.result_cache = cache_.counters();
   s.view_cache = view_cache_.counters();
-  s.selectivity_cache = selectivity_cache_.counters();
   s.zonemap_cache = zonemap_cache_.counters();
   std::shared_lock lock(registry_mu_);
   s.datasets = registry_.size();
@@ -913,9 +859,6 @@ void SkylineEngine::WireInstruments() {
   inst_.invalidated_views = metrics_.GetCounter(
       "sky_invalidated_views_total", {},
       "Cached views erased by mutation fixups");
-  inst_.invalidated_selectivities = metrics_.GetCounter(
-      "sky_invalidated_selectivities_total", {},
-      "Cached selectivity estimates erased by mutation fixups");
   inst_.invalidated_zonemaps = metrics_.GetCounter(
       "sky_invalidated_zonemaps_total", {},
       "Cached zonemap indexes erased by mutation fixups");
@@ -932,6 +875,7 @@ void SkylineEngine::WireInstruments() {
       "sky_query_degraded_total", {},
       "Degraded answers served: stale cache entries and truncated "
       "progressive prefixes");
+  inst_.planner = InternPlannerCounters(metrics_);
   for (size_t a = 0; a < inst_.algorithm.size(); ++a) {
     inst_.algorithm[a] = metrics_.GetCounter(
         "sky_engine_algorithm_total",
@@ -942,7 +886,6 @@ void SkylineEngine::WireInstruments() {
     const EngineMetricsSnapshot s = MetricsSnapshot();
     AppendCacheMetrics("result", s.result_cache, out);
     AppendCacheMetrics("view", s.view_cache, out);
-    AppendCacheMetrics("selectivity", s.selectivity_cache, out);
     AppendCacheMetrics("zonemap", s.zonemap_cache, out);
     obs::MetricValue datasets;
     datasets.name = "sky_datasets";
@@ -1008,15 +951,11 @@ uint64_t SkylineEngine::RegisterDataset(const std::string& name,
 uint64_t SkylineEngine::RegisterDataset(const std::string& name, Dataset data,
                                         size_t shards, ShardPolicy policy) {
   auto holder = std::make_shared<const Dataset>(std::move(data));
-  // Plan stage inputs: the shard decomposition (with bounding boxes and
-  // per-shard sketches) and the whole-dataset sketch are built once per
-  // registration, never per query.
-  std::shared_ptr<const ShardMap> map;
-  if (shards > 1 && holder->count() > 1) {
-    map = std::make_shared<const ShardMap>(
-        ShardMap::Build(*holder, shards, policy, /*seed=*/42, &executor_));
-  }
-  auto sketch = std::make_shared<const StatsSketch>(ComputeSketch(*holder));
+  // Plan stage input: the shard decomposition (with bounding boxes and
+  // per-shard sketches) is built once per registration, never per query.
+  // One shard aliases `holder` and only sketches it.
+  auto map = std::make_shared<const ShardMap>(
+      ShardMap::Build(holder, shards, policy, /*seed=*/42, &executor_));
   const int dims = holder->dims();
   const size_t count = holder->count();
   uint64_t replaced_version = 0;
@@ -1026,8 +965,7 @@ uint64_t SkylineEngine::RegisterDataset(const std::string& name, Dataset data,
     auto it = registry_.find(name);
     if (it != registry_.end()) replaced_version = it->second.version;
     version = next_version_++;
-    registry_[name] = Registered{std::move(holder), std::move(map),
-                                 std::move(sketch), version,
+    registry_[name] = Registered{std::move(holder), std::move(map), version,
                                  /*minor=*/0, dims, count};
   }
   // The old generation can never be served again (versions are never
@@ -1036,7 +974,6 @@ uint64_t SkylineEngine::RegisterDataset(const std::string& name, Dataset data,
     const std::string prefix = CacheKeyPrefix(replaced_version);
     cache_.ErasePrefix(prefix);
     view_cache_.ErasePrefix(prefix);
-    selectivity_cache_.ErasePrefix(prefix);
     zonemap_cache_.ErasePrefix(prefix);
   }
   return version;
@@ -1054,56 +991,27 @@ bool SkylineEngine::EvictDataset(const std::string& name) {
   const std::string prefix = CacheKeyPrefix(version);
   cache_.ErasePrefix(prefix);
   view_cache_.ErasePrefix(prefix);
-  selectivity_cache_.ErasePrefix(prefix);
   zonemap_cache_.ErasePrefix(prefix);
   return true;
 }
-
-namespace {
-
-/// Whole-dataset rows of a mutated sharded generation: every shard row
-/// is copied back to its current global id. O(n), done at most once per
-/// minor version (Find caches the result back into the registry entry).
-std::shared_ptr<const Dataset> ReconcatenateRows(const ShardMap& map,
-                                                 int dims, size_t count) {
-  auto rebuilt = std::make_shared<Dataset>(dims, count);
-  for (size_t s = 0; s < map.shard_count(); ++s) {
-    const Shard& shard = map.shard(s);
-    const Dataset& rows = shard.rows();
-    const size_t row_bytes =
-        sizeof(Value) * static_cast<size_t>(rows.stride());
-    for (size_t i = 0; i < rows.count(); ++i) {
-      std::memcpy(rebuilt->MutableRow(shard.row_ids[i]), rows.Row(i),
-                  row_bytes);
-    }
-  }
-  return rebuilt;
-}
-
-}  // namespace
 
 std::shared_ptr<const Dataset> SkylineEngine::Find(
     const std::string& name) const {
   std::shared_ptr<const ShardMap> shards;
   uint64_t version = 0;
   uint64_t minor = 0;
-  int dims = 0;
-  size_t count = 0;
   {
     std::shared_lock lock(registry_mu_);
     auto it = registry_.find(name);
     if (it == registry_.end()) return nullptr;
     if (it->second.data != nullptr) return it->second.data;
-    // A mutated sharded generation: the truth lives in the shards
-    // (mutation kept the repair O(shard) by not rebuilding this).
+    // A mutated generation: the truth lives in the shards (mutation kept
+    // the repair O(shard) by not rebuilding this).
     shards = it->second.shards;
     version = it->second.version;
     minor = it->second.minor;
-    dims = it->second.dims;
-    count = it->second.count;
   }
-  std::shared_ptr<const Dataset> rebuilt =
-      ReconcatenateRows(*shards, dims, count);
+  std::shared_ptr<const Dataset> rebuilt = shards->WholeRows();
   // Cache the concatenation back so repeated Finds at the same minor pay
   // once, gated on the generation still being current. Find is logically
   // const — this only fills a memo slot derived from immutable shards.
@@ -1127,69 +1035,6 @@ std::shared_ptr<const ShardMap> SkylineEngine::FindShards(
   return it == registry_.end() ? nullptr : it->second.shards;
 }
 
-std::shared_ptr<const StatsSketch> SkylineEngine::FindSketch(
-    const std::string& name) const {
-  std::shared_lock lock(registry_mu_);
-  auto it = registry_.find(name);
-  return it == registry_.end() ? nullptr : it->second.sketch;
-}
-
-void SkylineEngine::PutResultIfCurrent(
-    const std::string& name, uint64_t version, uint64_t minor,
-    const std::string& key, std::shared_ptr<const QueryResult> value) {
-  // Lock order: registry (shared) -> cache mutex; no path takes them in
-  // the other order, and RegisterDataset's purge runs after it released
-  // the registry lock, so it must observe this insert. The minor check
-  // closes the in-flight-mutation race the same way: a computation that
-  // started before an InsertPoints/DeletePoints batch published cannot
-  // cache its (pre-mutation) answer afterwards.
-  SKY_FAILPOINT("result_cache_put");
-  std::shared_lock lock(registry_mu_);
-  auto it = registry_.find(name);
-  if (it == registry_.end() || it->second.version != version ||
-      it->second.minor != minor) {
-    return;
-  }
-  cache_.Put(key, std::move(value));
-}
-
-void SkylineEngine::PutViewIfCurrent(const std::string& name,
-                                     uint64_t version, uint64_t minor,
-                                     const std::string& key,
-                                     std::shared_ptr<const QueryView> value) {
-  std::shared_lock lock(registry_mu_);
-  auto it = registry_.find(name);
-  if (it == registry_.end() || it->second.version != version ||
-      it->second.minor != minor) {
-    return;
-  }
-  view_cache_.Put(key, std::move(value));
-}
-
-void SkylineEngine::PutSelectivityIfCurrent(
-    const std::string& name, uint64_t version, uint64_t minor,
-    const std::string& key, std::shared_ptr<const SelectivityEntry> value) {
-  std::shared_lock lock(registry_mu_);
-  auto it = registry_.find(name);
-  if (it == registry_.end() || it->second.version != version ||
-      it->second.minor != minor) {
-    return;
-  }
-  selectivity_cache_.Put(key, std::move(value));
-}
-
-void SkylineEngine::PutZonemapIfCurrent(
-    const std::string& name, uint64_t version, uint64_t minor,
-    const std::string& key, std::shared_ptr<const ZoneMapIndex> value) {
-  std::shared_lock lock(registry_mu_);
-  auto it = registry_.find(name);
-  if (it == registry_.end() || it->second.version != version ||
-      it->second.minor != minor) {
-    return;
-  }
-  zonemap_cache_.Put(key, std::move(value));
-}
-
 std::vector<std::string> SkylineEngine::DatasetNames() const {
   std::shared_lock lock(registry_mu_);
   std::vector<std::string> names;
@@ -1202,31 +1047,22 @@ QueryResult SkylineEngine::Execute(const std::string& name,
                                    const QuerySpec& spec,
                                    const Options& opts) {
   WallTimer timer;
-  std::shared_ptr<const Dataset> data;
   std::shared_ptr<const ShardMap> shards;
-  std::shared_ptr<const StatsSketch> sketch;
   uint64_t version = 0;
   uint64_t minor = 0;
-  int dims = 0;
   {
     std::shared_lock lock(registry_mu_);
     auto it = registry_.find(name);
     if (it == registry_.end()) {
       throw std::runtime_error("query engine: unknown dataset '" + name + "'");
     }
-    // `data` may be null for a mutated sharded generation (the truth
-    // lives in the shards); every path below that dereferences it is an
-    // unsharded path, where it is always populated.
-    data = it->second.data;
     shards = it->second.shards;
-    sketch = it->second.sketch;
     version = it->second.version;
     minor = it->second.minor;
-    dims = it->second.dims;
   }
 
   // Serving-wide auto-selection overrides the caller's algorithm; the
-  // cost model then resolves per query (and per shard) below. Every
+  // planner then resolves it per executed shard. Every
   // parallel stage of this request — shard fan-out, intra-shard phase
   // loops, the merge — runs as capped task groups on the engine's shared
   // executor; Options::threads is the request's concurrency limit there.
@@ -1240,7 +1076,7 @@ QueryResult SkylineEngine::Execute(const std::string& name,
   // serves all decompositions and selections. Minor versions are
   // invisible too — a mutation edits the entries under these keys in
   // place (remap or erase) rather than abandoning them.
-  const QuerySpec canon = spec.Canonicalize(dims);
+  const QuerySpec canon = spec.Canonicalize(shards->dims());
   const std::string prefix = CacheKeyPrefix(version);
   const std::string key = prefix + canon.CanonicalKey();
   // Lookup. Under serve_stale the keep-expired variant is used so a
@@ -1384,243 +1220,112 @@ QueryResult SkylineEngine::Execute(const std::string& name,
   };
 
   try {
-    // Unsharded kAuto requests resolve here, from the registration-time
-    // sketch and the (version-keyed, cached) constraint selectivity, so
-    // RunOnTarget never has to sketch on the fly. Sharded plans resolve
-    // per shard inside PlanQuery instead.
-    if (eff.algorithm == Algorithm::kAuto &&
-        (shards == nullptr || shards->shard_count() <= 1)) {
-      SelectionContext ctx;
-      ctx.band_k = canon.band_k;
-      ctx.threads = eff.ResolvedThreads();
-      ctx.progressive = eff.progressive != nullptr;
-      ctx.zonemap_direct = canon.band_k == 1 && !canon.constraints.empty() &&
-                           canon.IsBoxOnlyTransform();
-      ctx.learner = config_.cost_learning ? &learner_ : nullptr;
-      ctx.selectivity = 1.0;
-      if (!canon.constraints.empty()) {
-        const std::string sel_key = prefix + "sel|" + canon.ViewKey();
-        if (std::shared_ptr<const SelectivityEntry> sel =
-                selectivity_cache_.Get(sel_key)) {
-          ctx.selectivity = sel->value;
-        } else {
-          ctx.selectivity =
-              EstimateConstraintSelectivity(*sketch, canon.constraints);
-          auto entry = std::make_shared<const SelectivityEntry>(
-              SelectivityEntry{ctx.selectivity, canon.constraints});
-          PutSelectivityIfCurrent(name, version, minor, sel_key,
-                                  std::move(entry));
-        }
-      }
-      eff.algorithm = canon.band_k == 1
-                          ? ChooseAlgorithm(*sketch, ctx).algorithm
-                          : Algorithm::kQFlow;
-    }
-
-    QueryResult fresh;
-    if (shards != nullptr && shards->shard_count() > 1) {
-      // Per-shard views are served from the view cache too, keyed by the
-      // shard index on top of the ViewKey, so a band_k / top-k sweep pays
-      // each shard's materialization once. Keys omit the minor version, so
-      // a cached view may come from a different generation of the shard
-      // than this query's snapshot (an in-flight reader races a mutation in
-      // either direction); the Shard::epoch check rejects such a view —
-      // composing its local row indices through the snapshot's row_ids
-      // would read out of bounds or return wrong global ids — and the
-      // reader rebuilds from its own snapshot instead (PutViewIfCurrent
-      // keeps a stale rebuild out of the cache).
-      const ShardViewProvider provider = [&](uint32_t shard_index,
-                                             const Options& shard_opts,
-                                             bool* built_out) {
-        const std::string view_key = prefix + "v|s" +
-                                     std::to_string(shard_index) + "|" +
-                                     canon.ViewKey();
-        const uint64_t epoch = shards->shard(shard_index).epoch;
-        std::shared_ptr<const QueryView> view = view_cache_.Get(view_key);
-        const bool rebuild = view == nullptr || view->source_epoch != epoch;
-        if (rebuild) {
-          QueryView built = MaterializeView(
-              shards->shard(shard_index).rows(), canon, shard_opts);
-          built.constraints = canon.constraints;
-          built.source_shard = static_cast<int>(shard_index);
-          built.source_epoch = epoch;
-          auto holder = std::make_shared<const QueryView>(std::move(built));
-          PutViewIfCurrent(name, version, minor, view_key, holder);
-          view = std::move(holder);
-          if (config_.metrics) inst_.view_builds->Add();
-        }
-        if (built_out != nullptr) *built_out = rebuild;
-        return view;
-      };
-      // Per-shard zonemap indexes for the direct path, cached next to the
-      // shard views under fixed keys (so mutations can repair them) and
-      // epoch-guarded the same way. Custom Options::block_rows bypasses the
-      // cache entirely — the executor builds privately.
-      const ZonemapProvider zonemap_provider =
-          [&](uint32_t shard_index) -> std::shared_ptr<const ZoneMapIndex> {
-        if (eff.block_rows != 0 &&
-            eff.block_rows != ZoneMapIndex::kDefaultBlockRows) {
-          return nullptr;
-        }
-        const std::string zm_key =
-            prefix + "zm|s" + std::to_string(shard_index);
-        const Shard& shard = shards->shard(shard_index);
-        std::shared_ptr<const ZoneMapIndex> zm = zonemap_cache_.Get(zm_key);
-        if (zm == nullptr || zm->source_epoch != shard.epoch) {
-          ZoneMapIndex built = ZoneMapIndex::Build(
-              shard.rows(), /*block_rows=*/0, &shard.sketch);
-          built.source_epoch = shard.epoch;
-          built.source_shard = static_cast<int>(shard_index);
-          auto holder = std::make_shared<const ZoneMapIndex>(std::move(built));
-          PutZonemapIfCurrent(name, version, minor, zm_key, holder);
-          zm = std::move(holder);
-        }
-        return zm;
-      };
-      int plan_span = -1;
-      if (tb != nullptr) plan_span = tb->Open("plan", root);
-      const ExecutionPlan plan =
-          PlanQuery(*shards, canon, eff, config_.metrics ? &metrics_ : nullptr,
-                    config_.cost_learning ? &learner_ : nullptr);
-      if (tb != nullptr) {
-        tb->Close(plan_span);
-        tb->AttrCount(plan_span, "shards", plan.shards.size());
-        tb->AttrCount(plan_span, "pruned", plan.pruned);
-        tb->Attr(plan_span, "merge", MergeStrategyName(plan.merge));
-        tb->AttrCount(plan_span, "shard_threads",
-                      static_cast<uint64_t>(plan.shard_threads));
-      }
-      fresh = ExecuteShardedPlan(*shards, plan, canon, eff, provider,
-                                 zonemap_provider, tb, root);
-    } else if (eff.algorithm == Algorithm::kZonemap && canon.band_k == 1 &&
-               canon.IsBoxOnlyTransform()) {
-      // Unsharded direct path: traverse the whole-dataset zonemap index
-      // against the constraint box on raw rows — first-ever sub-dataset
-      // pruning with no view materialization. The cached index is guarded
-      // by the minor version the way shard entries are guarded by epochs.
-      const bool cacheable = eff.block_rows == 0 ||
-                             eff.block_rows == ZoneMapIndex::kDefaultBlockRows;
-      const std::string zm_key = prefix + "zm|d";
-      std::shared_ptr<const ZoneMapIndex> zm;
-      if (cacheable) {
-        zm = zonemap_cache_.Get(zm_key);
-        if (zm != nullptr && zm->source_epoch != minor) zm = nullptr;
-      }
-      double build_seconds = 0.0;
-      const bool zm_built = zm == nullptr;
-      const int is = tb != nullptr ? tb->Open("zonemap", root) : -1;
-      if (zm_built) {
-        WallTimer build_timer;
-        ZoneMapIndex built =
-            ZoneMapIndex::Build(*data, eff.block_rows, sketch.get());
-        built.source_epoch = minor;
-        built.source_shard = -1;
-        build_seconds = build_timer.Seconds();
-        auto holder = std::make_shared<const ZoneMapIndex>(std::move(built));
-        if (cacheable) {
-          PutZonemapIfCurrent(name, version, minor, zm_key, holder);
-        }
-        zm = std::move(holder);
-      }
-      if (tb != nullptr) {
-        tb->Close(is);
-        tb->Attr(is, "source", zm_built ? "build" : "hit");
-        tb->AttrCount(is, "blocks", zm->block_count());
-      }
-      const int ex = tb != nullptr ? tb->Open("execute", root) : -1;
-      fresh = RunZonemapDirect(*data, *zm, nullptr, canon, eff);
-      if (tb != nullptr) {
-        tb->Close(ex);
-        tb->Attr(ex, "algo", AlgorithmName(Algorithm::kZonemap));
-        tb->AttrCount(ex, "rows", fresh.matched_rows);
-      }
-      fresh.stats.other_seconds += build_seconds;
-      fresh.stats.total_seconds += build_seconds;
-    } else if (canon.IsIdentityTransform()) {
-      const int ex = tb != nullptr ? tb->Open("execute", root) : -1;
-      fresh = RunOnTarget(*data, nullptr, canon, eff);
-      if (tb != nullptr) {
-        tb->Close(ex);
-        if (!fresh.shard_algorithms.empty()) {
-          tb->Attr(ex, "algo", AlgorithmName(fresh.shard_algorithms[0]));
-        }
-        tb->AttrCount(ex, "rows", fresh.matched_rows);
-      }
-    } else {
-      // View reuse: specs sharing preferences/projection/constraints (same
-      // ViewKey) share one materialized view, so e.g. a band_k / top-k
-      // sweep over one box pays materialization once.
-      const std::string view_key = prefix + "v|" + canon.ViewKey();
-      const int vs = tb != nullptr ? tb->Open("view", root) : -1;
+    // Per-shard views are served from the view cache, keyed by the shard
+    // index on top of the ViewKey, so a band_k / top-k sweep pays each
+    // shard's materialization once. Keys omit the minor version, so a
+    // cached view may come from a different generation of the shard than
+    // this query's snapshot (an in-flight reader races a mutation in
+    // either direction); the Shard::epoch check rejects such a view —
+    // composing its local row indices through the snapshot's row ids
+    // would read out of bounds or return wrong global ids — and the
+    // reader rebuilds from its own snapshot instead (PutIfCurrent keeps
+    // a stale rebuild out of the cache).
+    const ShardViewProvider provider = [&](uint32_t shard_index,
+                                           const Options& shard_opts,
+                                           bool* built_out) {
+      const std::string view_key = prefix + "v|s" +
+                                   std::to_string(shard_index) + "|" +
+                                   canon.ViewKey();
+      const uint64_t epoch = shards->shard(shard_index).epoch;
       std::shared_ptr<const QueryView> view = view_cache_.Get(view_key);
-      double build_seconds = 0.0;
-      const bool view_built = view == nullptr;
-      if (view_built) {
-        QueryView built = MaterializeView(*data, canon, eff);
-        built.constraints = canon.constraints;
-        built.source_shard = -1;
+      const bool rebuild = view == nullptr || view->source_epoch != epoch;
+      if (rebuild) {
+        QueryView built = MaterializeView(shards->shard(shard_index).rows(),
+                                          canon, shard_opts);
+        built.source_shard = static_cast<int>(shard_index);
+        built.source_epoch = epoch;
         auto holder = std::make_shared<const QueryView>(std::move(built));
-        build_seconds = holder->materialize_seconds;
-        PutViewIfCurrent(name, version, minor, view_key, holder);
+        PutIfCurrent(view_cache_, name, version, minor, view_key, holder);
         view = std::move(holder);
         if (config_.metrics) inst_.view_builds->Add();
       }
-      if (tb != nullptr) {
-        tb->Close(vs);
-        tb->Attr(vs, "source", view_built ? "build" : "hit");
-        tb->AttrCount(vs, "rows", view->data.count());
-        if (view_built) {
-          tb->AttrCount(vs, "threads",
-                        static_cast<uint64_t>(view->build_threads));
-        }
+      if (built_out != nullptr) *built_out = rebuild;
+      return view;
+    };
+    // Per-shard zonemap indexes for the direct path, cached next to the
+    // shard views under fixed keys (so mutations can repair them) and
+    // epoch-guarded the same way. Custom Options::block_rows bypasses the
+    // cache entirely — the executor builds privately.
+    const ZonemapProvider zonemap_provider =
+        [&](uint32_t shard_index) -> std::shared_ptr<const ZoneMapIndex> {
+      if (eff.block_rows != 0 &&
+          eff.block_rows != ZoneMapIndex::kDefaultBlockRows) {
+        return nullptr;
       }
-      const int ex = tb != nullptr ? tb->Open("execute", root) : -1;
-      fresh = RunOnTarget(view->data, &view->row_ids, canon, eff);
-      if (tb != nullptr) {
-        tb->Close(ex);
-        if (!fresh.shard_algorithms.empty()) {
-          tb->Attr(ex, "algo", AlgorithmName(fresh.shard_algorithms[0]));
-        }
-        tb->AttrCount(ex, "rows", fresh.matched_rows);
+      const std::string zm_key = prefix + "zm|s" + std::to_string(shard_index);
+      const Shard& shard = shards->shard(shard_index);
+      std::shared_ptr<const ZoneMapIndex> zm = zonemap_cache_.Get(zm_key);
+      if (zm == nullptr || zm->source_epoch != shard.epoch) {
+        ZoneMapIndex built =
+            ZoneMapIndex::Build(shard.rows(), /*block_rows=*/0, &shard.sketch);
+        built.source_epoch = shard.epoch;
+        built.source_shard = static_cast<int>(shard_index);
+        auto holder = std::make_shared<const ZoneMapIndex>(std::move(built));
+        PutIfCurrent(zonemap_cache_, name, version, minor, zm_key, holder);
+        zm = std::move(holder);
       }
-      fresh.stats.other_seconds += build_seconds;
-      fresh.stats.total_seconds += build_seconds;
+      return zm;
+    };
+    int plan_span = -1;
+    if (tb != nullptr) plan_span = tb->Open("plan", root);
+    const ExecutionPlan plan = PlanQuery(
+        *shards, canon, eff, config_.metrics ? &inst_.planner : nullptr,
+        config_.cost_learning ? &learner_ : nullptr);
+    if (tb != nullptr) {
+      tb->Close(plan_span);
+      tb->AttrCount(plan_span, "shards", plan.shards.size());
+      tb->AttrCount(plan_span, "pruned", plan.pruned);
+      tb->Attr(plan_span, "merge", MergeStrategyName(plan.merge));
+      tb->AttrCount(plan_span, "shard_threads",
+                    static_cast<uint64_t>(plan.shard_threads));
     }
+    QueryResult fresh = ExecuteShardedPlan(*shards, plan, canon, eff, provider,
+                                           zonemap_provider, tb, root);
     fresh.constraints = canon.constraints;
-    if (config_.cost_learning && fresh.shard_algorithms.size() == 1 &&
-        (shards == nullptr || shards->shard_count() <= 1)) {
-      // One observation per unsharded fresh compute (sharded runs overlap
-      // several algorithms in one wall time, so they stay unattributed):
-      // measured wall time against the model's prediction at the query's
-      // *measured* selectivity, so the learner corrects coefficient error
-      // rather than selectivity-estimate error.
+    if (config_.cost_learning && plan.shards.size() == 1) {
+      // One observation per single-shard fresh compute (multi-shard runs
+      // overlap several algorithms in one wall time, so they stay
+      // unattributed): measured wall time against the model's prediction
+      // for the executed shard at the query's *measured* selectivity, so
+      // the learner corrects coefficient error rather than
+      // selectivity-estimate error.
+      const StatsSketch& sketch = shards->shard(plan.shards[0]).sketch;
       SelectionContext rctx;
       rctx.band_k = canon.band_k;
       rctx.threads = eff.ResolvedThreads();
       rctx.progressive = eff.progressive != nullptr;
-      rctx.selectivity = sketch->n > 0
-                             ? std::min(1.0, static_cast<double>(
-                                                 fresh.matched_rows) /
-                                                 static_cast<double>(sketch->n))
-                             : 1.0;
+      rctx.selectivity =
+          sketch.n > 0 ? std::min(1.0, static_cast<double>(fresh.matched_rows) /
+                                           static_cast<double>(sketch.n))
+                       : 1.0;
       learner_.Record(
           fresh.shard_algorithms[0],
-          EstimateAlgorithmCost(fresh.shard_algorithms[0], *sketch, rctx),
+          EstimateAlgorithmCost(fresh.shard_algorithms[0], sketch, rctx),
           fresh.stats.total_seconds);
     }
     if (config_.metrics) {
       inst_.queries->Add();
       // Planner decision tally: one bump per executed shard under the
-      // algorithm it actually ran (covers explicit, auto, sharded and
-      // unsharded paths uniformly).
+      // algorithm it actually ran (explicit and auto picks alike).
       for (const Algorithm a : fresh.shard_algorithms) {
         inst_.algorithm[static_cast<size_t>(a)]->Add();
       }
     }
     const int put = tb != nullptr ? tb->Open("cache.put", root) : -1;
     try {
-      PutResultIfCurrent(name, version, minor, key,
-                         std::make_shared<const QueryResult>(fresh));
+      SKY_FAILPOINT("result_cache_put");
+      PutIfCurrent(cache_, name, version, minor, key,
+                   std::make_shared<const QueryResult>(fresh));
     } catch (...) {
       // A failed cache insert (result_cache_put failpoint) never fails
       // the query: the computed result is simply served uncached.
@@ -1689,6 +1394,67 @@ uint64_t SkylineEngine::MinorVersion(const std::string& name) const {
   return it == registry_.end() ? 0 : it->second.minor;
 }
 
+SkylineEngine::Registered SkylineEngine::MutationSnapshot(
+    const std::string& name) const {
+  std::shared_lock lock(registry_mu_);
+  auto it = registry_.find(name);
+  if (it == registry_.end()) {
+    throw std::runtime_error("query engine: unknown dataset '" + name + "'");
+  }
+  return it->second;
+}
+
+void SkylineEngine::RepairShards(
+    size_t n, const std::function<void(size_t, RepairStats*)>& repair) {
+  // Each touched shard's repair is an independent pure function of
+  // immutable inputs, so the repairs fan out as a capped task group on
+  // the engine's shared executor (a cap of 1 runs inline with no
+  // synchronisation) — no per-mutation pool construction. Each slot gets
+  // its own RepairStats; summed after the join.
+  std::vector<RepairStats> stats(n);
+  ThreadPool pool(&executor_, std::min<int>(Executor::DefaultThreads(),
+                                            static_cast<int>(n)));
+  pool.ParallelFor(n, 1, [&](size_t lo, size_t hi) {
+    for (size_t t = lo; t < hi; ++t) {
+      // A repair failure (failpoint or real) unwinds out of the join and
+      // aborts the whole batch pre-publish: the registry still holds the
+      // untouched generation.
+      SKY_FAILPOINT("shard_repair");
+      repair(t, &stats[t]);
+    }
+  });
+  if (config_.metrics) {
+    RepairStats sum;
+    for (const RepairStats& rs : stats) {
+      sum.dom_tests += rs.dom_tests;
+      sum.sketch_rebuilds += rs.sketch_rebuilds;
+    }
+    inst_.repair_dom_tests->Add(sum.dom_tests);
+    inst_.sketch_rebuilds->Add(sum.sketch_rebuilds);
+  }
+}
+
+std::optional<uint64_t> SkylineEngine::PublishMutation(
+    const std::string& name, uint64_t version, size_t count,
+    const MutationDelta& delta) {
+  std::unique_lock lock(registry_mu_);
+  auto it = registry_.find(name);
+  if (it == registry_.end()) {
+    throw std::runtime_error("query engine: dataset '" + name +
+                             "' evicted during a mutation");
+  }
+  if (it->second.version != version) {
+    if (config_.metrics) inst_.retries->Add();
+    return std::nullopt;
+  }
+  it->second.data = nullptr;  // Find() rebuilds it lazily from the shards
+  it->second.shards = delta.map;
+  it->second.count = count;
+  const uint64_t bumped = ++it->second.minor;
+  FixupCachesLocked(CacheKeyPrefix(version), delta);
+  return bumped;
+}
+
 uint64_t SkylineEngine::InsertPoints(const std::string& name,
                                      const Dataset& rows) {
   WallTimer timer;
@@ -1700,173 +1466,79 @@ uint64_t SkylineEngine::InsertPoints(const std::string& name,
   // mid-repair — the repair is then discarded and retried against the
   // new generation.
   for (;;) {
-    std::shared_ptr<const Dataset> data;
-    std::shared_ptr<const ShardMap> map;
-    std::shared_ptr<const StatsSketch> sketch;
-    uint64_t version = 0;
-    uint64_t minor = 0;
-    int dims = 0;
-    size_t count = 0;
-    {
-      std::shared_lock lock(registry_mu_);
-      auto it = registry_.find(name);
-      if (it == registry_.end()) {
-        throw std::runtime_error("query engine: unknown dataset '" + name +
-                                 "'");
-      }
-      data = it->second.data;
-      map = it->second.shards;
-      sketch = it->second.sketch;
-      version = it->second.version;
-      minor = it->second.minor;
-      dims = it->second.dims;
-      count = it->second.count;
-    }
-    if (rows.dims() != dims) {
+    const Registered snap = MutationSnapshot(name);
+    const ShardMap& map = *snap.shards;
+    if (rows.dims() != snap.dims) {
       throw std::runtime_error(
           "query engine: InsertPoints dimensionality mismatch");
     }
     const size_t add = rows.count();
-    if (add == 0) return minor;  // nothing mutated: no bump, no fixup
+    if (add == 0) return snap.minor;  // nothing mutated: no bump, no fixup
 
-    std::vector<Value> mut_lo = EmptyBoxLo(dims);
-    std::vector<Value> mut_hi = EmptyBoxHi(dims);
-    for (size_t b = 0; b < add; ++b) GrowBox(mut_lo, mut_hi, rows.Row(b), dims);
-
-    std::shared_ptr<const Dataset> new_data;
-    std::shared_ptr<const ShardMap> new_map = map;
-    std::vector<uint8_t> touched;
-    auto new_sketch = std::make_shared<StatsSketch>(*sketch);
-    if (map != nullptr) {
-      // Route each batch row to its shard, rebuild only the shards that
-      // received rows (delta.h repairs their skyline / box / sketch
-      // incrementally), and share every other shard by pointer. The
-      // whole-dataset `data` mirror is dropped — Find() reconcatenates
-      // lazily — so the batch costs O(touched shards), not O(n).
-      const size_t n_shards = map->shard_count();
-      std::vector<std::vector<size_t>> routed(n_shards);
-      for (size_t b = 0; b < add; ++b) {
-        routed[map->RouteInsert(rows.Row(b))].push_back(b);
-      }
-      ShardMap next = *map;
-      touched.assign(n_shards, 0);
-      std::vector<size_t> touched_idx;
-      for (size_t s = 0; s < n_shards; ++s) {
-        if (routed[s].empty()) continue;
-        touched[s] = 1;
-        touched_idx.push_back(s);
-      }
-      // Each touched shard's repair is an independent pure function of
-      // immutable inputs, so the repairs fan out as a capped task group
-      // on the engine's shared executor (a cap of 1 runs inline with no
-      // synchronisation) — no per-mutation pool construction. Each slot
-      // gets its own RepairStats; summed after the join.
-      std::vector<std::shared_ptr<const Shard>> repaired(touched_idx.size());
-      std::vector<RepairStats> repair_stats(touched_idx.size());
-      ThreadPool repair_pool(&executor_,
-                             std::min<int>(
-                                 Executor::DefaultThreads(),
-                                 static_cast<int>(touched_idx.size())));
-      repair_pool.ParallelFor(
-          touched_idx.size(), 1, [&](size_t lo, size_t hi) {
-            for (size_t t = lo; t < hi; ++t) {
-              // A repair failure (failpoint or real) unwinds out of the
-              // join below and aborts the whole batch pre-publish: the
-              // registry still holds the untouched generation.
-              SKY_FAILPOINT("shard_repair");
-              const size_t s = touched_idx[t];
-              repaired[t] = ShardWithInserts(map->shard(s), rows, routed[s],
-                                             static_cast<PointId>(count),
-                                             /*sketch_seed=*/version + s,
-                                             &repair_stats[t]);
-            }
-          });
-      for (size_t t = 0; t < touched_idx.size(); ++t) {
-        next.ReplaceShard(touched_idx[t], std::move(repaired[t]));
-      }
-      if (config_.metrics) {
-        RepairStats sum;
-        for (const RepairStats& rs : repair_stats) {
-          sum.dom_tests += rs.dom_tests;
-          sum.sketch_rebuilds += rs.sketch_rebuilds;
-        }
-        inst_.repair_dom_tests->Add(sum.dom_tests);
-        inst_.sketch_rebuilds->Add(sum.sketch_rebuilds);
-      }
-      new_map = std::make_shared<const ShardMap>(std::move(next));
-      UpdateSketchOnInsert(*new_sketch, rows.Row(0), rows.stride(), add);
-      if (SketchNeedsRebuild(*new_sketch)) {
-        *new_sketch =
-            ComputeSketch(*ReconcatenateRows(*new_map, dims, count + add));
-        if (config_.metrics) inst_.sketch_rebuilds->Add();
-      }
-    } else {
-      new_data = std::make_shared<const Dataset>(
-          DatasetWithAppendedRows(*data, rows));
-      UpdateSketchOnInsert(*new_sketch, rows.Row(0), rows.stride(), add);
-      if (SketchNeedsRebuild(*new_sketch)) {
-        *new_sketch = ComputeSketch(*new_data);
-        if (config_.metrics) inst_.sketch_rebuilds->Add();
-      }
+    MutationDelta delta;
+    delta.lo = EmptyBoxLo(snap.dims);
+    delta.hi = EmptyBoxHi(snap.dims);
+    for (size_t b = 0; b < add; ++b) {
+      GrowBox(delta.lo, delta.hi, rows.Row(b), snap.dims);
     }
 
+    // Route each batch row to its shard, rebuild only the shards that
+    // received rows (delta.h repairs their skyline / box / sketch
+    // incrementally), and share every other shard by pointer, so the
+    // batch costs O(touched shards), not O(n).
+    const size_t n_shards = map.shard_count();
+    std::vector<std::vector<size_t>> routed(n_shards);
+    for (size_t b = 0; b < add; ++b) {
+      routed[map.RouteInsert(rows.Row(b))].push_back(b);
+    }
+    delta.touched.assign(n_shards, 0);
+    std::vector<size_t> touched_idx;
+    for (size_t s = 0; s < n_shards; ++s) {
+      if (routed[s].empty()) continue;
+      delta.touched[s] = 1;
+      touched_idx.push_back(s);
+    }
+    std::vector<std::shared_ptr<const Shard>> repaired(touched_idx.size());
+    RepairShards(touched_idx.size(), [&](size_t t, RepairStats* stats) {
+      const size_t s = touched_idx[t];
+      repaired[t] = ShardWithInserts(map.shard(s), rows, routed[s],
+                                     static_cast<PointId>(snap.count),
+                                     /*sketch_seed=*/snap.version + s, stats);
+    });
+    ShardMap next = map;
+    for (size_t t = 0; t < touched_idx.size(); ++t) {
+      next.ReplaceShard(touched_idx[t], std::move(repaired[t]));
+    }
+    delta.map = std::make_shared<const ShardMap>(std::move(next));
+
     // Block-local zonemap repair, pre-publish and outside the registry
-    // lock: a still-valid cached index of a mutated target absorbs the
+    // lock: a still-valid cached index of a touched shard absorbs the
     // appended rows (tail-block extension) and is re-stamped with its
     // post-mutation epoch; FixupCachesLocked installs the repairs after
     // erasing the stale entries.
-    std::vector<RepairedZonemap> repaired_zm;
-    const std::string prefix = CacheKeyPrefix(version);
-    if (map != nullptr) {
-      for (size_t s = 0; s < map->shard_count(); ++s) {
-        if (touched[s] == 0) continue;
-        const std::string zm_key = prefix + "zm|s" + std::to_string(s);
-        std::shared_ptr<const ZoneMapIndex> zm = zonemap_cache_.Get(zm_key);
-        if (zm == nullptr || zm->source_epoch != map->shard(s).epoch) {
-          continue;
-        }
-        ZoneMapIndex rep = zm->WithAppendedRows(
-            new_map->shard(s).rows(), map->shard(s).rows().count());
-        rep.source_epoch = new_map->shard(s).epoch;
-        rep.source_shard = static_cast<int>(s);
-        repaired_zm.emplace_back(
-            zm_key, std::make_shared<const ZoneMapIndex>(std::move(rep)));
-      }
-    } else {
-      const std::string zm_key = prefix + "zm|d";
+    const std::string prefix = CacheKeyPrefix(snap.version);
+    for (const size_t s : touched_idx) {
+      const std::string zm_key = prefix + "zm|s" + std::to_string(s);
       std::shared_ptr<const ZoneMapIndex> zm = zonemap_cache_.Get(zm_key);
-      if (zm != nullptr && zm->source_epoch == minor) {
-        ZoneMapIndex rep = zm->WithAppendedRows(*new_data, count);
-        rep.source_epoch = minor + 1;  // the bump published below
-        rep.source_shard = -1;
-        repaired_zm.emplace_back(
-            zm_key, std::make_shared<const ZoneMapIndex>(std::move(rep)));
-      }
+      if (zm == nullptr || zm->source_epoch != map.shard(s).epoch) continue;
+      const Shard& shard = delta.map->shard(s);
+      ZoneMapIndex rep =
+          zm->WithAppendedRows(shard.rows(), map.shard(s).rows().count());
+      rep.source_epoch = shard.epoch;
+      rep.source_shard = static_cast<int>(s);
+      delta.zonemaps.emplace_back(
+          zm_key, std::make_shared<const ZoneMapIndex>(std::move(rep)));
     }
 
-    std::unique_lock lock(registry_mu_);
-    auto it = registry_.find(name);
-    if (it == registry_.end()) {
-      throw std::runtime_error("query engine: dataset '" + name +
-                               "' evicted during InsertPoints");
-    }
-    if (it->second.version != version) {
-      if (config_.metrics) inst_.retries->Add();
-      continue;  // replaced: retry
-    }
-    it->second.data = std::move(new_data);  // null for sharded datasets
-    it->second.shards = std::move(new_map);
-    it->second.sketch = std::move(new_sketch);
-    it->second.count = count + add;
-    const uint64_t bumped = ++it->second.minor;
-    FixupCachesLocked(prefix, mut_lo, mut_hi, touched,
-                      /*id_shift=*/{}, repaired_zm);
+    const std::optional<uint64_t> bumped =
+        PublishMutation(name, snap.version, snap.count + add, delta);
+    if (!bumped.has_value()) continue;  // replaced: retry
     if (config_.metrics) {
       inst_.inserts->Add();
       inst_.rows_inserted->Add(add);
       inst_.mutation_latency->Observe(timer.Seconds());
     }
-    return bumped;
+    return *bumped;
   }
 }
 
@@ -1875,292 +1547,146 @@ uint64_t SkylineEngine::DeletePoints(const std::string& name,
   WallTimer timer;
   std::lock_guard<std::mutex> mutation_lock(mutation_mu_);
   for (;;) {
-    std::shared_ptr<const Dataset> data;
-    std::shared_ptr<const ShardMap> map;
-    std::shared_ptr<const StatsSketch> sketch;
-    uint64_t version = 0;
-    uint64_t minor = 0;
-    int dims = 0;
-    size_t count = 0;
-    {
-      std::shared_lock lock(registry_mu_);
-      auto it = registry_.find(name);
-      if (it == registry_.end()) {
-        throw std::runtime_error("query engine: unknown dataset '" + name +
-                                 "'");
-      }
-      data = it->second.data;
-      map = it->second.shards;
-      sketch = it->second.sketch;
-      version = it->second.version;
-      minor = it->second.minor;
-      dims = it->second.dims;
-      count = it->second.count;
-    }
+    const Registered snap = MutationSnapshot(name);
+    const ShardMap& map = *snap.shards;
     std::vector<PointId> drop(ids.begin(), ids.end());
     std::sort(drop.begin(), drop.end());
     drop.erase(std::unique(drop.begin(), drop.end()), drop.end());
-    if (!drop.empty() && drop.back() >= count) {
+    if (!drop.empty() && drop.back() >= snap.count) {
       throw std::runtime_error("query engine: DeletePoints id out of range");
     }
-    if (drop.empty()) return minor;
+    if (drop.empty()) return snap.minor;
 
     // Compaction map: a surviving global id shifts down by the number of
     // deleted ids below it.
-    std::vector<uint8_t> deleted(count, 0);
+    std::vector<uint8_t> deleted(snap.count, 0);
     for (const PointId id : drop) deleted[id] = 1;
-    std::vector<uint32_t> shift(count, 0);
+    MutationDelta delta;
+    delta.id_shift.assign(snap.count, 0);
     uint32_t cum = 0;
-    for (size_t i = 0; i < count; ++i) {
-      shift[i] = cum;
+    for (size_t i = 0; i < snap.count; ++i) {
+      delta.id_shift[i] = cum;
       cum += deleted[i];
     }
 
-    std::vector<Value> mut_lo = EmptyBoxLo(dims);
-    std::vector<Value> mut_hi = EmptyBoxHi(dims);
-    std::shared_ptr<const Dataset> new_data;
-    std::shared_ptr<const ShardMap> new_map = map;
-    std::vector<uint8_t> touched;
-    auto new_sketch = std::make_shared<StatsSketch>(*sketch);
-    if (map != nullptr) {
-      // Shards that lost rows get a delta repair (re-promotion scan +
-      // compaction); every other shard only has its global row ids
-      // compacted through `shift`, sharing rows / skyline / sketch with
-      // the old shard.
-      const size_t n_shards = map->shard_count();
-      ShardMap next = *map;
-      touched.assign(n_shards, 0);
-      std::vector<std::vector<PointId>> drop_locals(n_shards);
-      for (size_t s = 0; s < n_shards; ++s) {
-        const Shard& shard = map->shard(s);
-        for (size_t i = 0; i < shard.row_ids.size(); ++i) {
-          if (!deleted[shard.row_ids[i]]) continue;
-          drop_locals[s].push_back(static_cast<PointId>(i));
-          GrowBox(mut_lo, mut_hi, shard.rows().Row(i), dims);
-        }
-        touched[s] = !drop_locals[s].empty();
+    // Shards that lost rows get a delta repair (re-promotion scan +
+    // compaction); every other shard only has its global row ids
+    // compacted through the shift, sharing rows / skyline / sketch with
+    // the old shard.
+    delta.lo = EmptyBoxLo(snap.dims);
+    delta.hi = EmptyBoxHi(snap.dims);
+    const size_t n_shards = map.shard_count();
+    delta.touched.assign(n_shards, 0);
+    std::vector<std::vector<PointId>> drop_locals(n_shards);
+    std::vector<size_t> touched_idx;
+    for (size_t s = 0; s < n_shards; ++s) {
+      const Shard& shard = map.shard(s);
+      for (size_t i = 0; i < shard.rows().count(); ++i) {
+        if (!deleted[shard.global_id(i)]) continue;
+        drop_locals[s].push_back(static_cast<PointId>(i));
+        GrowBox(delta.lo, delta.hi, shard.rows().Row(i), snap.dims);
       }
-      // Touched-shard repairs (re-promotion scan + compaction) are
-      // independent pure functions of immutable inputs; run them in
-      // parallel. The cheap id remaps stay sequential.
-      std::vector<std::shared_ptr<const Shard>> repaired(n_shards);
-      std::vector<size_t> touched_idx;
-      for (size_t s = 0; s < n_shards; ++s) {
-        if (touched[s]) touched_idx.push_back(s);
-      }
-      if (!touched_idx.empty()) {
-        std::vector<RepairStats> repair_stats(touched_idx.size());
-        // Shared-executor task group, not a per-mutation pool (see the
-        // insert path).
-        ThreadPool repair_pool(&executor_,
-                               std::min<int>(
-                                   Executor::DefaultThreads(),
-                                   static_cast<int>(touched_idx.size())));
-        repair_pool.ParallelFor(
-            touched_idx.size(), 1, [&](size_t lo, size_t hi) {
-              for (size_t t = lo; t < hi; ++t) {
-                // Pre-publish abort on failure, exactly like the insert
-                // path's repair fan-out.
-                SKY_FAILPOINT("shard_repair");
-                const size_t s = touched_idx[t];
-                repaired[s] =
-                    ShardWithDeletes(map->shard(s), drop_locals[s], shift,
-                                     /*sketch_seed=*/version + s,
-                                     &repair_stats[t]);
-              }
-            });
-        if (config_.metrics) {
-          RepairStats sum;
-          for (const RepairStats& rs : repair_stats) {
-            sum.dom_tests += rs.dom_tests;
-            sum.sketch_rebuilds += rs.sketch_rebuilds;
-          }
-          inst_.repair_dom_tests->Add(sum.dom_tests);
-          inst_.sketch_rebuilds->Add(sum.sketch_rebuilds);
-        }
-      }
-      for (size_t s = 0; s < n_shards; ++s) {
-        next.ReplaceShard(s, touched[s]
-                                 ? std::move(repaired[s])
-                                 : ShardWithRemappedIds(map->shard(s), shift));
-      }
-      new_map = std::make_shared<const ShardMap>(std::move(next));
-      UpdateSketchOnDelete(*new_sketch, drop.size());
-      if (SketchNeedsRebuild(*new_sketch)) {
-        *new_sketch = ComputeSketch(
-            *ReconcatenateRows(*new_map, dims, count - drop.size()));
-        if (config_.metrics) inst_.sketch_rebuilds->Add();
-      }
-    } else {
-      for (const PointId id : drop)
-        GrowBox(mut_lo, mut_hi, data->Row(id), dims);
-      new_data = std::make_shared<const Dataset>(
-          DatasetWithoutRows(*data, deleted));
-      UpdateSketchOnDelete(*new_sketch, drop.size());
-      if (SketchNeedsRebuild(*new_sketch)) {
-        *new_sketch = ComputeSketch(*new_data);
-        if (config_.metrics) inst_.sketch_rebuilds->Add();
-      }
+      if (drop_locals[s].empty()) continue;
+      delta.touched[s] = 1;
+      touched_idx.push_back(s);
     }
+    std::vector<std::shared_ptr<const Shard>> repaired(n_shards);
+    RepairShards(touched_idx.size(), [&](size_t t, RepairStats* stats) {
+      const size_t s = touched_idx[t];
+      repaired[s] = ShardWithDeletes(map.shard(s), drop_locals[s],
+                                     delta.id_shift,
+                                     /*sketch_seed=*/snap.version + s, stats);
+    });
+    ShardMap next = map;
+    for (size_t s = 0; s < n_shards; ++s) {
+      next.ReplaceShard(s, delta.touched[s]
+                               ? std::move(repaired[s])
+                               : ShardWithRemappedIds(map.shard(s),
+                                                      delta.id_shift));
+    }
+    delta.map = std::make_shared<const ShardMap>(std::move(next));
 
     // Block-local zonemap repair, pre-publish (see InsertPoints): drop
     // the deleted local rows from their blocks and recompute only the
     // touched AABBs. Untouched shards keep their indexes through
     // FixupCachesLocked (shard-local numbering is unchanged by a pure
     // global-id remap, and the shard epoch proves it).
-    std::vector<RepairedZonemap> repaired_zm;
-    const std::string prefix = CacheKeyPrefix(version);
-    if (map != nullptr) {
-      for (size_t s = 0; s < map->shard_count(); ++s) {
-        if (touched[s] == 0) continue;
-        const std::string zm_key = prefix + "zm|s" + std::to_string(s);
-        std::shared_ptr<const ZoneMapIndex> zm = zonemap_cache_.Get(zm_key);
-        if (zm == nullptr || zm->source_epoch != map->shard(s).epoch) {
-          continue;
-        }
-        const Shard& old_shard = map->shard(s);
-        std::vector<PointId> drop_local;  // ascending pre-delete numbering
-        for (size_t i = 0; i < old_shard.row_ids.size(); ++i) {
-          if (deleted[old_shard.row_ids[i]]) {
-            drop_local.push_back(static_cast<PointId>(i));
-          }
-        }
-        ZoneMapIndex rep =
-            zm->WithDeletedRows(new_map->shard(s).rows(), drop_local);
-        rep.source_epoch = new_map->shard(s).epoch;
-        rep.source_shard = static_cast<int>(s);
-        repaired_zm.emplace_back(
-            zm_key, std::make_shared<const ZoneMapIndex>(std::move(rep)));
-      }
-    } else {
-      const std::string zm_key = prefix + "zm|d";
+    const std::string prefix = CacheKeyPrefix(snap.version);
+    for (const size_t s : touched_idx) {
+      const std::string zm_key = prefix + "zm|s" + std::to_string(s);
       std::shared_ptr<const ZoneMapIndex> zm = zonemap_cache_.Get(zm_key);
-      if (zm != nullptr && zm->source_epoch == minor) {
-        ZoneMapIndex rep = zm->WithDeletedRows(*new_data, drop);
-        rep.source_epoch = minor + 1;  // the bump published below
-        rep.source_shard = -1;
-        repaired_zm.emplace_back(
-            zm_key, std::make_shared<const ZoneMapIndex>(std::move(rep)));
-      }
+      if (zm == nullptr || zm->source_epoch != map.shard(s).epoch) continue;
+      const Shard& shard = delta.map->shard(s);
+      ZoneMapIndex rep = zm->WithDeletedRows(shard.rows(), drop_locals[s]);
+      rep.source_epoch = shard.epoch;
+      rep.source_shard = static_cast<int>(s);
+      delta.zonemaps.emplace_back(
+          zm_key, std::make_shared<const ZoneMapIndex>(std::move(rep)));
     }
 
-    std::unique_lock lock(registry_mu_);
-    auto it = registry_.find(name);
-    if (it == registry_.end()) {
-      throw std::runtime_error("query engine: dataset '" + name +
-                               "' evicted during DeletePoints");
-    }
-    if (it->second.version != version) {
-      if (config_.metrics) inst_.retries->Add();
-      continue;  // replaced: retry
-    }
-    it->second.data = std::move(new_data);  // null for sharded datasets
-    it->second.shards = std::move(new_map);
-    it->second.sketch = std::move(new_sketch);
-    it->second.count = count - drop.size();
-    const uint64_t bumped = ++it->second.minor;
-    FixupCachesLocked(prefix, mut_lo, mut_hi, touched, shift, repaired_zm);
+    const std::optional<uint64_t> bumped =
+        PublishMutation(name, snap.version, snap.count - drop.size(), delta);
+    if (!bumped.has_value()) continue;  // replaced: retry
     if (config_.metrics) {
       inst_.deletes->Add();
       inst_.rows_deleted->Add(drop.size());
       inst_.mutation_latency->Observe(timer.Seconds());
     }
-    return bumped;
+    return *bumped;
   }
 }
 
-void SkylineEngine::FixupCachesLocked(
-    const std::string& prefix, const std::vector<Value>& mut_lo,
-    const std::vector<Value>& mut_hi,
-    const std::vector<uint8_t>& touched_shards,
-    const std::vector<uint32_t>& id_shift,
-    const std::vector<RepairedZonemap>& repaired_zonemaps) {
-  const bool is_delete = !id_shift.empty();
+void SkylineEngine::FixupCachesLocked(const std::string& prefix,
+                                      const MutationDelta& delta) {
+  const bool is_delete = !delta.id_shift.empty();
   // Result cache: an entry survives iff its constraint box provably
   // excludes every mutated row — then no inserted or deleted row is in
   // the constraint region, so its member set, dominator counts, and
   // matched_rows are all unchanged. Deletes still compact the surviving
-  // ids through `id_shift` (no surviving entry can reference a deleted
+  // ids through the shift (no surviving entry can reference a deleted
   // row: deleted rows are outside its box).
   const size_t results_erased = cache_.EditPrefix(
       prefix,
       [&](const std::string&, const std::shared_ptr<const QueryResult>& v)
           -> std::shared_ptr<const QueryResult> {
         if (v->constraints.empty() ||
-            BoxIntersectsConstraints(mut_lo, mut_hi, v->constraints)) {
+            BoxIntersectsConstraints(delta.lo, delta.hi, v->constraints)) {
           return nullptr;
         }
         if (!is_delete) return v;
         auto remapped = std::make_shared<QueryResult>(*v);
-        for (PointId& id : remapped->ids) id -= id_shift[id];
+        for (PointId& id : remapped->ids) id -= delta.id_shift[id];
         return remapped;
       });
-  // View cache: a shard-cut view is the shard's rows filtered by the
-  // box, in shard-local numbering — it survives iff its shard was
-  // untouched (deletes included: shard-local indices only move when the
-  // shard itself loses rows, and the executor composes global ids from
-  // the *new* shard's row_ids). A whole-dataset view survives an insert
-  // iff its box excludes every inserted row; any delete erases it — its
-  // row_ids are global, and remapping them would deep-copy the
-  // dataset-sized view for little gain.
+  // Views and zonemap indexes live in shard-local row space: an entry
+  // survives iff its shard kept its rows (deletes of *other* shards only
+  // remap global ids, which neither stores, and the executor composes
+  // global ids from the *new* shard's ids). The pre-built block-local
+  // zonemap repairs are then installed in place of what was erased.
+  const auto untouched = [&](int source_shard) {
+    const size_t s = static_cast<size_t>(source_shard);
+    return s < delta.touched.size() && delta.touched[s] == 0;
+  };
   const size_t views_erased = view_cache_.EditPrefix(
       prefix,
       [&](const std::string&, const std::shared_ptr<const QueryView>& v)
           -> std::shared_ptr<const QueryView> {
-        if (v->source_shard >= 0) {
-          const size_t s = static_cast<size_t>(v->source_shard);
-          const bool untouched =
-              s < touched_shards.size() && touched_shards[s] == 0;
-          return untouched ? v : nullptr;
-        }
-        if (is_delete || v->constraints.empty() ||
-            BoxIntersectsConstraints(mut_lo, mut_hi, v->constraints)) {
-          return nullptr;
-        }
-        return v;
+        return untouched(v->source_shard) ? v : nullptr;
       });
-  // Selectivity cache: estimates are advisory (they steer algorithm
-  // selection, never correctness), so box-excluded entries survive even
-  // though the total row count drifted; intersecting ones are
-  // re-estimated on the next miss from the staleness-damped sketch.
-  const size_t selectivities_erased = selectivity_cache_.EditPrefix(
-      prefix,
-      [&](const std::string&, const std::shared_ptr<const SelectivityEntry>& v)
-          -> std::shared_ptr<const SelectivityEntry> {
-        if (v->constraints.empty() ||
-            BoxIntersectsConstraints(mut_lo, mut_hi, v->constraints)) {
-          return nullptr;
-        }
-        return v;
-      });
-  // Zonemap cache: indexes live in shard-local row space, exactly like
-  // shard-cut views — a shard entry survives iff its shard kept its rows
-  // (deletes of *other* shards only remap global ids, which the index
-  // never stores). The whole-dataset entry is always erased: any
-  // unsharded mutation changed its rows, and any sharded mutation means
-  // the key is unused anyway. The pre-built block-local repairs are then
-  // installed in place of what was erased.
   const size_t zonemaps_erased = zonemap_cache_.EditPrefix(
       prefix,
       [&](const std::string&, const std::shared_ptr<const ZoneMapIndex>& v)
           -> std::shared_ptr<const ZoneMapIndex> {
-        if (v->source_shard >= 0) {
-          const size_t s = static_cast<size_t>(v->source_shard);
-          const bool untouched =
-              s < touched_shards.size() && touched_shards[s] == 0;
-          return untouched ? v : nullptr;
-        }
-        return nullptr;
+        return untouched(v->source_shard) ? v : nullptr;
       });
-  for (const RepairedZonemap& rz : repaired_zonemaps) {
+  for (const RepairedZonemap& rz : delta.zonemaps) {
     zonemap_cache_.Put(rz.first, rz.second);
   }
   if (config_.metrics) {
     inst_.invalidated_results->Add(results_erased);
     inst_.invalidated_views->Add(views_erased);
-    inst_.invalidated_selectivities->Add(selectivities_erased);
     inst_.invalidated_zonemaps->Add(zonemaps_erased);
-    inst_.zonemap_repairs->Add(repaired_zonemaps.size());
+    inst_.zonemap_repairs->Add(delta.zonemaps.size());
   }
 }
 

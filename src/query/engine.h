@@ -1,19 +1,20 @@
 // Copyright (c) SkyBench-NG contributors.
 // SkylineEngine: the long-lived serving layer on top of the algorithm
-// suite. Holds a registry of named datasets (optionally sharded at
-// registration), and answers each QuerySpec through a three-stage
-// plan -> execute -> merge pipeline:
+// suite. Holds a registry of named datasets, each registered as a
+// ShardMap of K >= 1 shards (K = 1 aliases the dataset), and answers
+// every fresh QuerySpec through one three-stage plan -> execute -> merge
+// pipeline:
 //
 //   plan     the planner prunes shards whose bounding boxes miss the
 //            constraint box, picks the merge strategy and — for
 //            Algorithm::kAuto requests — cost-selects an algorithm and
-//            thread budget per surviving shard from the
-//            registration-time StatsSketch,
-//   execute  surviving shards run per-shard skylines / k-skybands on a
-//            fork-join pool (single-shard datasets take the original
-//            unsharded fast path),
+//            thread budget per surviving shard from its StatsSketch,
+//   execute  surviving shards run per-shard skylines / k-skybands on the
+//            shared executor (a lone survivor gets the whole thread
+//            budget and the progressive callback),
 //   merge    partial results are combined with the paper's M(S)
-//            union-then-filter operator (depth-aware for k-skybands).
+//            union-then-filter operator (depth-aware for k-skybands);
+//            a lone survivor's answer is final and skips it.
 //
 // Finished results land in a byte- and entry-capped LRU; materialized
 // views are reused across specs that differ only in band_k / top_k. All
@@ -24,21 +25,23 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/options.h"
-#include "data/sketch.h"
 #include "index/zonemap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/executor.h"
 #include "query/cost_model.h"
+#include "query/delta.h"
 #include "query/planner.h"
 #include "query/query_spec.h"
 #include "query/result_cache.h"
@@ -72,11 +75,11 @@ struct QueryResult {
   bool cache_hit = false;   ///< true when served from the result cache
   uint32_t shards_executed = 1;  ///< shards the plan actually ran
   uint32_t shards_pruned = 0;    ///< shards skipped by box intersection
-  /// Algorithm each executed shard ran (one entry for unsharded runs) —
-  /// under kAuto, the cost model's per-shard picks. Like `stats`, a
-  /// cache hit reports the run that produced the entry. Empty for runs
-  /// on empty data. band_k > 1 reports the selection even though
-  /// ComputeSkyband's block flow ignores it.
+  /// Algorithm each executed shard ran — under kAuto, the cost model's
+  /// per-shard picks. Like `stats`, a cache hit reports the run that
+  /// produced the entry. Empty when every shard was pruned. band_k > 1
+  /// reports the selection even though ComputeSkyband's block flow
+  /// ignores it.
   std::vector<Algorithm> shard_algorithms;
   RunStats stats;           ///< stats of the run that produced the entry
   /// Constraint box of the canonical spec that produced this result —
@@ -94,18 +97,19 @@ size_t QueryResultBytes(const QueryResult& r);
 
 /// One-shot, uncached execution of `spec` against `data` with the
 /// algorithm/threads/alpha selection in `opts` (band_k > 1 routes to
-/// ComputeSkyband, which ignores the algorithm field). This is the whole
-/// unsharded pipeline: canonicalize, materialize the view, compute, map
-/// ids back, apply the top-k cap. Throws std::runtime_error on invalid
-/// specs.
+/// ComputeSkyband, which ignores the algorithm field): canonicalize,
+/// materialize the view, compute, map ids back, apply the top-k cap.
+/// Deliberately not routed through the planner, so tests and the
+/// benchmark's correctness gate can use it as an oracle for the engine's
+/// plan path. Throws std::runtime_error on invalid specs.
 QueryResult RunQuery(const Dataset& data, const QuerySpec& spec,
                      const Options& opts = Options{});
 
-/// One-shot, uncached sharded execution: plan against `map`, run the
-/// surviving shards (parallelism across shards; each shard computes
-/// single-threaded), merge with M(S). Row-for-row identical to RunQuery
-/// on the unsharded dataset. Exposed for tests and benchmarks; serving
-/// traffic goes through SkylineEngine::Execute.
+/// One-shot, uncached execution of the engine's plan path: plan against
+/// `map`, run the surviving shards at the plan's thread budget, merge
+/// with M(S). Row-for-row identical to RunQuery on the unsharded
+/// dataset. Exposed for tests and benchmarks; serving traffic goes
+/// through SkylineEngine::Execute.
 QueryResult RunShardedQuery(const ShardMap& map, const QuerySpec& spec,
                             const Options& opts = Options{});
 
@@ -137,7 +141,8 @@ class SkylineEngine {
     /// disables the byte cap. Views are the engine's largest cached
     /// objects, so serving deployments should set this.
     size_t view_cache_bytes = 0;
-    /// Shards per registered dataset (1 = unsharded fast path).
+    /// Shards per registered dataset. 1 registers a single shard that
+    /// aliases the dataset — no row copy, same plan/execute path.
     size_t shards = 1;
     /// Row-to-shard assignment policy used at registration.
     ShardPolicy shard_policy = ShardPolicy::kRoundRobin;
@@ -152,13 +157,14 @@ class SkylineEngine {
     /// counters are maintained by the caches regardless.
     bool metrics = true;
     /// Online cost-model recalibration (query/cost_model.h CostLearner):
-    /// unsharded and single-shard fresh computes record their measured
-    /// wall time against the model's prediction, and kAuto selection
-    /// scales candidate costs by the learned per-algorithm ratios. Off by
-    /// default so deterministic tests see the static model.
+    /// fresh computes whose plan executed one shard record their measured
+    /// wall time against the model's prediction for that shard's sketch,
+    /// and kAuto selection scales candidate costs by the learned
+    /// per-algorithm ratios. Off by default so deterministic tests see
+    /// the static model.
     bool cost_learning = false;
     /// Width of the engine's shared work-stealing executor
-    /// (parallel/executor.h): every sharded query, mutation repair, and
+    /// (parallel/executor.h): every query, mutation repair, and
     /// intra-shard algorithm phase runs as capped task groups on this one
     /// worker set, so N concurrent requests never spawn N×threads OS
     /// threads. 0 = Executor::DefaultThreads(); 1 = fully inline (no
@@ -225,10 +231,10 @@ class SkylineEngine {
   // mutation the registered state is row-identical to a fresh
   // registration of the surviving rows. Each mutation bumps a per-
   // dataset minor version and *selectively* invalidates cache entries:
-  // results/views/selectivities whose constraint box excludes every
-  // mutated row (and, for shard-cut views, whose shard was untouched)
-  // survive — deletes remap their ids in place — while everything else
-  // is erased. Mutations serialize with each other; queries never block.
+  // results whose constraint box excludes every mutated row survive —
+  // deletes remap their ids in place — and so do views and zonemap
+  // indexes of untouched shards; everything else is erased. Mutations
+  // serialize with each other; queries never block.
 
   /// Append every row of `rows` (dims must match). Returns the new minor
   /// version. Throws std::runtime_error on unknown name or dims
@@ -247,13 +253,10 @@ class SkylineEngine {
   /// Look up a registered dataset (nullptr if absent).
   std::shared_ptr<const Dataset> Find(const std::string& name) const;
 
-  /// Shard decomposition of a registered dataset (nullptr if absent or
-  /// registered unsharded).
+  /// Shard decomposition of a registered dataset — never null for a
+  /// registered name (one shard when registered unsharded); nullptr if
+  /// absent. Each shard's sketch is the cost model's selection input.
   std::shared_ptr<const ShardMap> FindShards(const std::string& name) const;
-
-  /// Registration-time statistics sketch of a registered dataset — the
-  /// cost model's whole-dataset selection input (nullptr if absent).
-  std::shared_ptr<const StatsSketch> FindSketch(const std::string& name) const;
 
   /// Registered names, sorted.
   std::vector<std::string> DatasetNames() const;
@@ -263,8 +266,8 @@ class SkylineEngine {
   /// racing misses on the same key may both compute (last insert wins —
   /// both results are correct). On multi-shard plans a progressive
   /// callback fires during the merge stage (once partial results are
-  /// confirmed global), not per shard; single-shard plans stream as the
-  /// unsharded path does. Throws std::runtime_error for unknown names or
+  /// confirmed global), not per shard; single-shard plans stream from
+  /// the shard's own run. Throws std::runtime_error for unknown names or
   /// invalid specs. Runtime outcomes are returned, not thrown: a deadline
   /// (Options::deadline_ms) or caller cancellation comes back as
   /// QueryResult::status (with a `truncated` partial on progressive
@@ -278,7 +281,6 @@ class SkylineEngine {
   void ClearCache() {
     cache_.Clear();
     view_cache_.Clear();
-    selectivity_cache_.Clear();
     zonemap_cache_.Clear();
   }
 
@@ -287,13 +289,6 @@ class SkylineEngine {
   CostLearner& Learner() { return learner_; }
   const CostLearner& Learner() const { return learner_; }
 
-  /// A cached constraint-selectivity estimate plus the constraint box it
-  /// was estimated for (the mutation path's invalidation key).
-  struct SelectivityEntry {
-    double value = 1.0;
-    std::vector<DimConstraint> constraints;
-  };
-
   /// One coherent engine-health snapshot (EngineMetricsSnapshot, defined
   /// below): all three cache counter sets plus the registered-dataset
   /// count, read in one call. The per-cache accessors below are thin
@@ -301,7 +296,6 @@ class SkylineEngine {
   EngineMetricsSnapshot MetricsSnapshot() const;
   LruCache<QueryResult>::Counters cache_counters() const;
   LruCache<QueryView>::Counters view_cache_counters() const;
-  LruCache<SelectivityEntry>::Counters selectivity_cache_counters() const;
   LruCache<ZoneMapIndex>::Counters zonemap_cache_counters() const;
 
   /// The engine's metrics registry — every counter/histogram the serving
@@ -318,13 +312,11 @@ class SkylineEngine {
 
  private:
   struct Registered {
-    /// Whole-dataset rows at current ids. For sharded datasets a
-    /// mutation clears this (the truth lives in the shards); Find()
-    /// lazily reconcatenates and re-caches it. Never null when
-    /// `shards` is null.
+    /// Whole-dataset rows at current ids, for Find() only — queries and
+    /// mutations read `shards`. A mutation clears this (the truth lives
+    /// in the shards); Find() lazily re-caches ShardMap::WholeRows().
     std::shared_ptr<const Dataset> data;
-    std::shared_ptr<const ShardMap> shards;  // nullptr when unsharded
-    std::shared_ptr<const StatsSketch> sketch;  // whole-dataset sketch
+    std::shared_ptr<const ShardMap> shards;  ///< never null
     uint64_t version = 0;
     uint64_t minor = 0;  ///< bumped per mutation batch
     int dims = 0;        ///< stable across mutations
@@ -337,19 +329,20 @@ class SkylineEngine {
   /// mutation's selective fixup: a replacement/mutation blocks on the
   /// registry lock until the Put finishes, and its ErasePrefix/EditPrefix
   /// then sees the entry — a computation that outlived its generation
-  /// can never leave stale entries squatting under live keys.
-  void PutResultIfCurrent(const std::string& name, uint64_t version,
-                          uint64_t minor, const std::string& key,
-                          std::shared_ptr<const QueryResult> value);
-  void PutViewIfCurrent(const std::string& name, uint64_t version,
-                        uint64_t minor, const std::string& key,
-                        std::shared_ptr<const QueryView> value);
-  void PutSelectivityIfCurrent(const std::string& name, uint64_t version,
-                               uint64_t minor, const std::string& key,
-                               std::shared_ptr<const SelectivityEntry> value);
-  void PutZonemapIfCurrent(const std::string& name, uint64_t version,
-                           uint64_t minor, const std::string& key,
-                           std::shared_ptr<const ZoneMapIndex> value);
+  /// can never leave stale entries squatting under live keys. Lock
+  /// order: registry (shared) -> cache mutex; no path takes them in the
+  /// other order.
+  template <typename T>
+  void PutIfCurrent(LruCache<T>& cache, const std::string& name,
+                    uint64_t version, uint64_t minor, const std::string& key,
+                    std::shared_ptr<const T> value) {
+    std::shared_lock lock(registry_mu_);
+    auto it = registry_.find(name);
+    if (it != registry_.end() && it->second.version == version &&
+        it->second.minor == minor) {
+      cache.Put(key, std::move(value));
+    }
+  }
 
   /// A block-locally repaired zonemap index ready to replace a cache
   /// entry the mutation invalidated, stamped with its post-mutation
@@ -358,19 +351,41 @@ class SkylineEngine {
   using RepairedZonemap =
       std::pair<std::string, std::shared_ptr<const ZoneMapIndex>>;
 
+  /// One repaired mutation batch, ready to publish.
+  struct MutationDelta {
+    std::shared_ptr<const ShardMap> map;  ///< the repaired COW map
+    /// Bounds of every mutated row (NaN coordinates excluded).
+    std::vector<Value> lo, hi;
+    std::vector<uint8_t> touched;  ///< per shard: 1 iff repaired
+    /// Delete compaction map (new id = old id - id_shift[old id]); empty
+    /// for inserts.
+    std::vector<uint32_t> id_shift;
+    std::vector<RepairedZonemap> zonemaps;  ///< installed by the fixup
+  };
+
+  /// Copy of `name`'s registry entry; throws std::runtime_error if absent.
+  Registered MutationSnapshot(const std::string& name) const;
+
+  /// Run repair(t, stats) for t in [0, n) as a capped task group on the
+  /// shared executor and feed the summed RepairStats to the metrics.
+  void RepairShards(size_t n,
+                    const std::function<void(size_t, RepairStats*)>& repair);
+
+  /// Install `delta` as generation (`version`, minor + 1) of `name` with
+  /// `count` rows and fix up the caches, under the exclusive registry
+  /// lock. Returns the bumped minor version, or nullopt when a
+  /// re-registration replaced `version` meanwhile (the caller retries).
+  /// Throws std::runtime_error if `name` was evicted.
+  std::optional<uint64_t> PublishMutation(const std::string& name,
+                                          uint64_t version, size_t count,
+                                          const MutationDelta& delta);
+
   /// Selective cache fixup after a mutation, called with `registry_mu_`
   /// held exclusively (lock order registry -> cache is the process-wide
-  /// rule). `mut_lo`/`mut_hi` bound every mutated row; `touched_shards`
-  /// flags repaired shards (empty when unsharded); `id_shift` is the
-  /// delete compaction map (empty for pure inserts). Zonemap entries for
-  /// touched shards (and the whole-dataset entry) are erased, then the
-  /// `repaired_zonemaps` replacements are installed.
+  /// rule). View and zonemap entries of touched shards are erased, then
+  /// the delta's repaired zonemaps are installed.
   void FixupCachesLocked(const std::string& prefix,
-                         const std::vector<Value>& mut_lo,
-                         const std::vector<Value>& mut_hi,
-                         const std::vector<uint8_t>& touched_shards,
-                         const std::vector<uint32_t>& id_shift,
-                         const std::vector<RepairedZonemap>& repaired_zonemaps);
+                         const MutationDelta& delta);
 
   /// Hot-path instruments, interned once at construction so serving
   /// threads never touch the registry mutex (obs/metrics.h pointers are
@@ -390,7 +405,6 @@ class SkylineEngine {
     obs::Histogram* mutation_latency = nullptr;  ///< sky_mutation_seconds
     obs::Counter* invalidated_results = nullptr;
     obs::Counter* invalidated_views = nullptr;
-    obs::Counter* invalidated_selectivities = nullptr;
     obs::Counter* invalidated_zonemaps = nullptr;
     obs::Counter* zonemap_repairs = nullptr;  ///< sky_zonemap_repairs_total
     /// sky_query_deadline_exceeded_total — queries whose deadline tripped
@@ -405,6 +419,7 @@ class SkylineEngine {
     /// one bump per executed shard (the planner decision tally).
     std::array<obs::Counter*, static_cast<size_t>(Algorithm::kAuto) + 1>
         algorithm{};
+    PlannerCounters planner;  ///< sky_planner_* decision tallies
   };
 
   void WireInstruments();
@@ -432,17 +447,11 @@ class SkylineEngine {
   std::atomic<int> inflight_{0};
   LruCache<QueryResult> cache_;
   LruCache<QueryView> view_cache_;
-  /// Constraint-selectivity estimates, keyed by (dataset version |
-  /// constraint key) like the other caches so a re-registration's purge
-  /// invalidates them with the sketch they came from. Values carry their
-  /// constraint box so mutations can invalidate selectively.
-  LruCache<SelectivityEntry> selectivity_cache_;
-  /// Lazily built per-shard (and whole-dataset) block zonemap indexes
-  /// (index/zonemap.h), keyed "<version>|zm|s<idx>" / "<version>|zm|d"
-  /// and epoch-guarded like shard views: an entry is served only when its
-  /// source_epoch still matches the shard epoch (the minor version for
-  /// unsharded data). Only default-block-size indexes are cached;
-  /// explicit Options::block_rows overrides build privately.
+  /// Lazily built per-shard block zonemap indexes (index/zonemap.h),
+  /// keyed "<version>|zm|s<idx>" and epoch-guarded like shard views: an
+  /// entry is served only when its source_epoch still matches the shard
+  /// epoch. Only default-block-size indexes are cached; explicit
+  /// Options::block_rows overrides build privately.
   LruCache<ZoneMapIndex> zonemap_cache_;
   CostLearner learner_;  ///< behind Config::cost_learning
 };
@@ -453,7 +462,6 @@ class SkylineEngine {
 struct EngineMetricsSnapshot {
   LruCache<QueryResult>::Counters result_cache;
   LruCache<QueryView>::Counters view_cache;
-  LruCache<SkylineEngine::SelectivityEntry>::Counters selectivity_cache;
   LruCache<ZoneMapIndex>::Counters zonemap_cache;
   size_t datasets = 0;
 };
@@ -464,10 +472,6 @@ inline LruCache<QueryResult>::Counters SkylineEngine::cache_counters() const {
 inline LruCache<QueryView>::Counters SkylineEngine::view_cache_counters()
     const {
   return MetricsSnapshot().view_cache;
-}
-inline LruCache<SkylineEngine::SelectivityEntry>::Counters
-SkylineEngine::selectivity_cache_counters() const {
-  return MetricsSnapshot().selectivity_cache;
 }
 inline LruCache<ZoneMapIndex>::Counters
 SkylineEngine::zonemap_cache_counters() const {

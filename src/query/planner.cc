@@ -31,14 +31,34 @@ bool BoxIntersectsConstraints(const std::vector<Value>& lo,
   return true;
 }
 
+PlannerCounters InternPlannerCounters(obs::MetricsRegistry& metrics) {
+  PlannerCounters c;
+  c.plans = metrics.GetCounter("sky_planner_plans_total", {},
+                               "Execution plans built");
+  c.shards_executed =
+      metrics.GetCounter("sky_planner_shards_executed_total", {},
+                         "Shards surviving box pruning, summed over plans");
+  c.shards_pruned =
+      metrics.GetCounter("sky_planner_shards_pruned_total", {},
+                         "Shards skipped by constraint-box pruning");
+  for (size_t m = 0; m < c.merge.size(); ++m) {
+    c.merge[m] = metrics.GetCounter(
+        "sky_planner_merge_total",
+        {{"strategy", MergeStrategyName(static_cast<MergeStrategy>(m))}},
+        "Plans by merge strategy");
+  }
+  return c;
+}
+
 ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon) {
-  // Mutation staleness: shard boxes stay exact across InsertPoints /
-  // DeletePoints (inserts grow them exactly, deletes recompute them
-  // during compaction), so box pruning never drops a shard that holds a
-  // matching row. Shard sketches, by contrast, drift between periodic
-  // rebuilds — selection below tolerates that because
-  // EstimateConstraintSelectivity damps toward 1 by the sketch's
-  // StaleFraction (over-budgeting instead of under-planning).
+  // Mutation staleness: every shard box covers every row of its shard
+  // across InsertPoints / DeletePoints (inserts grow it, deletes recompute
+  // it exactly during compaction; a one-shard map starts unbounded), so
+  // box pruning never drops a shard that holds a matching row. Shard
+  // sketches, by contrast, drift between periodic rebuilds — selection
+  // below tolerates that because EstimateConstraintSelectivity damps
+  // toward 1 by the sketch's StaleFraction (over-budgeting instead of
+  // under-planning).
   ExecutionPlan plan;
   for (size_t s = 0; s < map.shard_count(); ++s) {
     const Shard& shard = map.shard(s);
@@ -59,28 +79,18 @@ ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon) {
 }
 
 ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon,
-                        const Options& opts, obs::MetricsRegistry* metrics,
+                        const Options& opts, const PlannerCounters* counters,
                         const CostLearner* learner) {
   ExecutionPlan plan = PlanQuery(map, canon);
-  if (metrics != nullptr) {
-    // Interning is a mutex + map lookup — fine at plan frequency, and it
-    // keeps the planner free of any stored instrument state.
-    metrics->GetCounter("sky_planner_plans_total", {},
-                        "Execution plans built")->Add();
-    metrics
-        ->GetCounter("sky_planner_shards_executed_total", {},
-                     "Shards surviving box pruning, summed over plans")
-        ->Add(plan.shards.size());
-    metrics
-        ->GetCounter("sky_planner_shards_pruned_total", {},
-                     "Shards skipped by constraint-box pruning")
-        ->Add(plan.pruned);
-    metrics
-        ->GetCounter("sky_planner_merge_total",
-                     {{"strategy", MergeStrategyName(plan.merge)}},
-                     "Plans by merge strategy")
-        ->Add();
+  if (counters != nullptr) {
+    counters->plans->Add();
+    counters->shards_executed->Add(plan.shards.size());
+    counters->shards_pruned->Add(plan.pruned);
+    counters->merge[static_cast<size_t>(plan.merge)]->Add();
   }
+  // A lone survivor's answer is final and nothing runs beside it, so it
+  // gets the caller's whole budget whatever the algorithm.
+  if (plan.shards.size() == 1) plan.shard_threads = opts.ResolvedThreads();
   if (opts.algorithm != Algorithm::kAuto || plan.shards.empty()) return plan;
 
   // Thread budget. Across-shard mode (budget 1 each, S shards in

@@ -10,6 +10,7 @@
 #ifndef SKY_QUERY_PLANNER_H_
 #define SKY_QUERY_PLANNER_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -47,8 +48,8 @@ struct ExecutionPlan {
   std::vector<Algorithm> algorithms;
 
   /// Concurrency budget per executed shard. 1 = the engine parallelizes
-  /// across shards (each shard sequential). > 1 — chosen by the adaptive
-  /// planner when few shards survive a prune — makes the engine run
+  /// across shards (each shard sequential). > 1 — a lone survivor, or
+  /// few survivors under the adaptive planner — makes the engine run
   /// shards one after another, each with intra-shard parallelism, so a
   /// lone surviving 2M-row shard still uses the whole budget. On the
   /// engine's shared work-stealing executor this is a concurrency
@@ -73,6 +74,20 @@ bool BoxIntersectsConstraints(const std::vector<Value>& lo,
                               const std::vector<Value>& hi,
                               const std::vector<DimConstraint>& constraints);
 
+/// The planner's decision tallies, interned once by the owner of the
+/// metrics registry (the engine, at construction) so planning never takes
+/// the registry mutex. Fill it with InternPlannerCounters.
+struct PlannerCounters {
+  obs::Counter* plans = nullptr;            ///< sky_planner_plans_total
+  obs::Counter* shards_executed = nullptr;  ///< ..._shards_executed_total
+  obs::Counter* shards_pruned = nullptr;    ///< ..._shards_pruned_total
+  /// sky_planner_merge_total{strategy=...}, indexed by MergeStrategy.
+  std::array<obs::Counter*, 3> merge{};
+};
+
+/// Intern every PlannerCounters instrument in `metrics`.
+PlannerCounters InternPlannerCounters(obs::MetricsRegistry& metrics);
+
 /// Build the pruning plan for `canon` (must already be canonicalized for
 /// the map's dimensionality) over `map`. No algorithm selection: the
 /// executor runs every shard with the caller's Options.
@@ -80,15 +95,13 @@ ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon);
 
 /// Adaptive variant: additionally resolves per-shard algorithms, the
 /// shard thread budget and the merge algorithm when opts.algorithm is
-/// kAuto (identical to the two-argument form otherwise). A non-null
-/// `metrics` registry receives the planner's decision tallies —
-/// sky_planner_plans_total, sky_planner_shards_{executed,pruned}_total
-/// and the per-strategy sky_planner_merge_total — at plan time, where
+/// kAuto (identical to the two-argument form otherwise). Non-null
+/// `counters` receive the planner's decision tallies at plan time, where
 /// the decisions are made. A non-null `learner` scales each candidate's
 /// model cost by its measured/predicted EMA (Config::cost_learning).
 ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon,
                         const Options& opts,
-                        obs::MetricsRegistry* metrics = nullptr,
+                        const PlannerCounters* counters = nullptr,
                         const CostLearner* learner = nullptr);
 
 }  // namespace sky

@@ -61,21 +61,53 @@ std::vector<PointId> MaskOrder(const Dataset& data, uint64_t seed,
   return order;
 }
 
+/// Shards a Build call produces: the request clamped to [1, max(count, 1)].
+size_t ShardCount(size_t shards, size_t count) {
+  return std::min(std::max<size_t>(shards, 1), std::max<size_t>(count, 1));
+}
+
 }  // namespace
+
+ShardMap ShardMap::Build(std::shared_ptr<const Dataset> data, size_t shards,
+                         ShardPolicy policy, uint64_t seed,
+                         Executor* executor) {
+  if (ShardCount(shards, data->count()) > 1) {
+    return Build(*data, shards, policy, seed, executor);
+  }
+  // One shard aliases the dataset: no row copy, implicit ids, and an
+  // unbounded box — it covers every row, and the planner never needs to
+  // prune the only shard. The sketch is the one registration pass.
+  ShardMap map;
+  map.policy_ = policy;
+  map.dims_ = data->dims();
+  map.total_count_ = data->count();
+  Shard shard;
+  const size_t dims = static_cast<size_t>(data->dims());
+  shard.box_lo.assign(dims, -std::numeric_limits<Value>::infinity());
+  shard.box_hi.assign(dims, std::numeric_limits<Value>::infinity());
+  shard.sketch = ComputeSketch(*data, seed);
+  shard.epoch = NextShardEpoch();
+  shard.data = std::move(data);
+  map.shards_.push_back(std::make_shared<const Shard>(std::move(shard)));
+  return map;
+}
 
 ShardMap ShardMap::Build(const Dataset& data, size_t shards,
                          ShardPolicy policy, uint64_t seed,
                          Executor* executor) {
+  const size_t k = ShardCount(shards, data.count());
+  if (k == 1) {
+    return Build(std::make_shared<const Dataset>(data.Clone()), shards,
+                 policy, seed, executor);
+  }
   ShardMap map;
   map.policy_ = policy;
   map.dims_ = data.dims();
   map.total_count_ = data.count();
-  const size_t k = std::min(std::max<size_t>(shards, 1),
-                            std::max<size_t>(data.count(), 1));
 
   // Membership lists per shard, in original row-id order per shard.
   std::vector<std::vector<PointId>> members(k);
-  if (policy == ShardPolicy::kRoundRobin || k == 1 || data.count() == 0) {
+  if (policy == ShardPolicy::kRoundRobin) {
     for (size_t i = 0; i < data.count(); ++i) {
       members[i % k].push_back(static_cast<PointId>(i));
     }
@@ -127,14 +159,30 @@ void ShardMap::ReplaceShard(size_t i, std::shared_ptr<const Shard> shard) {
             shard->data != nullptr);
   shards_[i] = std::move(shard);
   size_t total = 0;
-  for (const auto& s : shards_) total += s->row_ids.size();
+  for (const auto& s : shards_) total += s->rows().count();
   total_count_ = total;
+}
+
+std::shared_ptr<const Dataset> ShardMap::WholeRows() const {
+  if (shards_.size() == 1 && shards_[0]->row_ids.empty()) {
+    return shards_[0]->data;
+  }
+  auto rows = std::make_shared<Dataset>(dims_, total_count_);
+  for (const auto& shard : shards_) {
+    const Dataset& src = shard->rows();
+    const size_t row_bytes = sizeof(Value) * static_cast<size_t>(src.stride());
+    for (size_t i = 0; i < src.count(); ++i) {
+      std::memcpy(rows->MutableRow(shard->global_id(i)), src.Row(i),
+                  row_bytes);
+    }
+  }
+  return rows;
 }
 
 size_t ShardMap::RouteInsert(const Value* row) const {
   SKY_CHECK(!shards_.empty());
   const auto least_loaded = [&](size_t a, size_t b) {
-    return shards_[b]->row_ids.size() < shards_[a]->row_ids.size() ? b : a;
+    return shards_[b]->rows().count() < shards_[a]->rows().count() ? b : a;
   };
   if (policy_ == ShardPolicy::kRoundRobin) {
     size_t best = 0;

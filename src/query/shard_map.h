@@ -1,6 +1,6 @@
 // Copyright (c) SkyBench-NG contributors.
-// Sharded dataset representation for the serving layer: a registered
-// dataset is split once, at registration time, into K shards, each a
+// Sharded dataset representation for the serving layer: every registered
+// dataset is split once, at registration time, into K >= 1 shards, each a
 // self-contained Dataset plus the row-id mapping back to the original and
 // an axis-aligned bounding box over the original dimensions. The planner
 // (query/planner.h) prunes shards whose boxes miss the constraint box and
@@ -34,19 +34,24 @@ const char* ShardPolicyName(ShardPolicy policy);
 /// Parse "rr" / "roundrobin" / "median". Throws std::runtime_error.
 ShardPolicy ParseShardPolicy(const std::string& name);
 
-/// One shard: a contiguous private Dataset (rows re-padded), the original
-/// row id of each shard row, and the shard's bounding box per original
-/// dimension. NaN coordinates are excluded from the box — they can never
-/// satisfy a closed-interval constraint, so pruning on the NaN-free box
-/// stays exact.
+/// One shard: a contiguous Dataset (rows re-padded), the original row id
+/// of each shard row, and a bounding box per original dimension that
+/// covers every row. NaN coordinates are excluded from the box — they can
+/// never satisfy a closed-interval constraint, so pruning on the NaN-free
+/// box never drops a matching row. A one-shard map aliases the whole
+/// dataset instead: its ids stay implicit (the identity) and its box is
+/// unbounded, so building it costs no pass over the rows.
 struct Shard {
   /// Shared so a copy-on-write ShardMap clone can alias the untouched
   /// shards' row storage instead of deep-copying it; never null once
   /// built.
   std::shared_ptr<const Dataset> data;
-  std::vector<PointId> row_ids;  ///< shard row -> original dataset row
-  std::vector<Value> box_lo;     ///< per-dim minimum (+inf if all-NaN)
-  std::vector<Value> box_hi;     ///< per-dim maximum (-inf if all-NaN)
+  /// Shard row -> original dataset row; empty when shard row i is
+  /// original row i for every i, as in a one-shard map (read ids through
+  /// global_id()).
+  std::vector<PointId> row_ids;
+  std::vector<Value> box_lo;  ///< per-dim minimum (+inf if all-NaN)
+  std::vector<Value> box_hi;  ///< per-dim maximum (-inf if all-NaN)
   /// Registration-time statistics of this shard's rows — the planner's
   /// per-shard cost-model input (query/cost_model.h). Incrementally
   /// updated (with staleness tracking) under mutation.
@@ -67,6 +72,10 @@ struct Shard {
   uint64_t epoch = 0;
 
   const Dataset& rows() const { return *data; }
+  /// Original dataset row of shard row `row`.
+  PointId global_id(size_t row) const {
+    return row_ids.empty() ? static_cast<PointId>(row) : row_ids[row];
+  }
 };
 
 /// Next value of the process-wide shard epoch counter (never 0).
@@ -79,10 +88,17 @@ uint64_t NextShardEpoch();
 class ShardMap {
  public:
   /// Split `data` into min(shards, max(count, 1)) shards under `policy`.
-  /// `seed` feeds pivot selection. Every original row lands in exactly one
-  /// shard; shard sizes differ by at most one. The median-pivot mask pass
-  /// runs on `executor` when given (the engine passes its shared
-  /// scheduler), otherwise on a one-shot standalone pool.
+  /// `seed` feeds pivot selection and shard s's sketch (seed + s). Every
+  /// original row lands in exactly one shard; shard sizes differ by at
+  /// most one. A single shard aliases `data` itself (implicit ids,
+  /// unbounded box). The median-pivot mask pass runs on `executor` when
+  /// given (the engine passes its shared scheduler), otherwise on a
+  /// one-shot standalone pool.
+  static ShardMap Build(std::shared_ptr<const Dataset> data, size_t shards,
+                        ShardPolicy policy, uint64_t seed = 42,
+                        Executor* executor = nullptr);
+  /// Same, for callers that do not own `data` in a shared_ptr: a single
+  /// shard then holds a copy.
   static ShardMap Build(const Dataset& data, size_t shards,
                         ShardPolicy policy, uint64_t seed = 42,
                         Executor* executor = nullptr);
@@ -106,6 +122,9 @@ class ShardMap {
   int dims() const { return dims_; }
   /// Sum of shard row counts (== the source dataset's count).
   size_t total_count() const { return total_count_; }
+  /// Every row at its original id, as one Dataset: the aliased rows of a
+  /// single implicit-id shard, otherwise an O(n) concatenation.
+  std::shared_ptr<const Dataset> WholeRows() const;
 
  private:
   std::vector<std::shared_ptr<const Shard>> shards_;

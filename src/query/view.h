@@ -34,16 +34,14 @@ struct QueryView {
   /// to the executor's width and to the number of row chunks.
   int build_threads = 1;
   /// Invalidation metadata, filled by the engine when it caches a view:
-  /// the constraint box the view was filtered by (empty = unconstrained)
-  /// and the shard the view was cut from (-1 = whole dataset). A
-  /// mutation keeps a cached view alive iff no mutated row could have
-  /// entered or left it — see SkylineEngine::InsertPoints/DeletePoints.
-  std::vector<DimConstraint> constraints;
+  /// the shard the view was cut from (-1 = not cached). A mutation keeps
+  /// a cached view alive iff its shard kept its rows — see
+  /// SkylineEngine::InsertPoints/DeletePoints.
   int source_shard = -1;
-  /// Shard::epoch of the shard this view was cut from (0 for whole-
-  /// dataset views). A reader only composes a cached shard view with its
-  /// own ShardMap snapshot when the epochs match — the view's local row
-  /// indices are meaningless against any other generation of the shard.
+  /// Shard::epoch of the shard this view was cut from. A reader only
+  /// composes a cached shard view with its own ShardMap snapshot when the
+  /// epochs match — the view's local row indices are meaningless against
+  /// any other generation of the shard.
   uint64_t source_epoch = 0;
 };
 

@@ -7,7 +7,9 @@
 // the compact-index id semantics, lazy Find() reconcatenation, minor
 // versioning, and the selective cache invalidation matrix.
 #include <algorithm>
+#include <mutex>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -113,6 +115,22 @@ SkylineEngine::Config ConfigFor(size_t shards, ShardPolicy policy) {
 void ExpectMatchesScratch(SkylineEngine& engine, const RowModel& model,
                           size_t shards, ShardPolicy policy,
                           const char* where) {
+  // An uncached identity band-1 progressive request (every mutation
+  // erases unconstrained entries) streams exactly its answer in caller
+  // ids: as one block from the maintained skyline of a lone shard, from
+  // the merge stage otherwise.
+  std::mutex mu;
+  std::vector<PointId> streamed;
+  Options progressive;
+  progressive.progressive = [&](std::span<const PointId> ids) {
+    std::lock_guard<std::mutex> lock(mu);
+    streamed.insert(streamed.end(), ids.begin(), ids.end());
+  };
+  const QueryResult live = engine.Execute("ds", QuerySpec{}, progressive);
+  EXPECT_FALSE(live.cache_hit) << where;
+  EXPECT_EQ(Sorted(streamed), Sorted(live.ids)) << where;
+  EXPECT_TRUE(VerifyQuery(model.Build(), QuerySpec{}, live)) << where;
+
   SkylineEngine scratch(ConfigFor(shards, policy));
   scratch.RegisterDataset("ds", model.Build());
   for (const QuerySpec& spec : SpecMatrix()) {
@@ -209,8 +227,15 @@ TEST_P(IncrementalMutationSuite, MutationsMatchFromScratchRegister) {
   ExpectMatchesScratch(engine, model, shards, policy, "after delete 2");
 
   EXPECT_EQ(engine.MinorVersion("ds"), 4u);
-  ASSERT_NE(engine.FindSketch("ds"), nullptr);
-  EXPECT_EQ(engine.FindSketch("ds")->n, model.rows.size());
+  // The shard sketches (the planner's selection input) track the rows.
+  const std::shared_ptr<const ShardMap> map = engine.FindShards("ds");
+  ASSERT_NE(map, nullptr);
+  size_t sketched = 0;
+  for (size_t s = 0; s < map->shard_count(); ++s) {
+    EXPECT_EQ(map->shard(s).sketch.n, map->shard(s).rows().count());
+    sketched += map->shard(s).sketch.n;
+  }
+  EXPECT_EQ(sketched, model.rows.size());
 }
 
 TEST_P(IncrementalMutationSuite, DeleteEverythingThenRepopulate) {
@@ -282,6 +307,29 @@ TEST(IncrementalMutationTest, DeletedSkylineMemberRepromotesCoveredRows) {
   engine.DeletePoints("ds", std::vector<PointId>{0});
   EXPECT_EQ(SortedEntries(engine.Execute("ds", QuerySpec{})),
             (std::vector<OracleEntry>{{0, 0}, {1, 0}, {2, 0}}));
+}
+
+TEST(IncrementalMutationTest, EmptiedShardRefillKeepsGlobalIds) {
+  // Deleting every row of a shard leaves it with no ids at all; rows
+  // later routed into it (round-robin picks the least-loaded shard) must
+  // carry their global ids, not their shard-local indices.
+  const Dataset base =
+      GenerateSynthetic(Distribution::kAnticorrelated, 40, 4, 81);
+  RowModel model = RowModel::Of(base);
+  SkylineEngine engine(ConfigFor(2, ShardPolicy::kRoundRobin));
+  engine.RegisterDataset("ds", base.Clone());
+  std::vector<PointId> shard0;  // round-robin: the even ids
+  for (PointId id = 0; id < 40; id += 2) shard0.push_back(id);
+  model.Delete(shard0);
+  engine.DeletePoints("ds", shard0);
+  EXPECT_EQ(engine.FindShards("ds")->shard(0).rows().count(), 0u);
+  const Dataset refill =
+      GenerateSynthetic(Distribution::kAnticorrelated, 12, 4, 82);
+  model.Insert(refill);
+  engine.InsertPoints("ds", refill);
+  EXPECT_EQ(engine.FindShards("ds")->shard(0).rows().count(), 12u);
+  ExpectMatchesScratch(engine, model, 2, ShardPolicy::kRoundRobin,
+                       "emptied shard refilled");
 }
 
 TEST(IncrementalMutationTest, DuplicatePointsSurvivepartnerDeletion) {

@@ -191,6 +191,9 @@ TEST(EngineTraceTest, ShardedConstrainedQuerySpanTree) {
 }
 
 TEST(EngineTraceTest, UnshardedIdentityQueryTracesExecuteStage) {
+  // An unsharded dataset is a one-shard plan: the trace has the same
+  // shape as any other fresh compute — plan, the lone shard's execute
+  // span, cache.put — and no merge.
   SkylineEngine engine;
   engine.RegisterDataset(
       "flat", GenerateSynthetic(Distribution::kAnticorrelated, 500, 3,
@@ -199,8 +202,25 @@ TEST(EngineTraceTest, UnshardedIdentityQueryTracesExecuteStage) {
   opts.trace = true;
   const QueryResult r = engine.Execute("flat", QuerySpec{}, opts);
   ASSERT_NE(r.trace, nullptr);
-  EXPECT_EQ(r.trace->spans[0].name, "query");
-  EXPECT_GE(FindSpan(*r.trace, "execute"), 0);
+  const obs::QueryTrace& t = *r.trace;
+  EXPECT_EQ(t.spans[0].name, "query");
+  const int plan = FindSpan(t, "plan");
+  const int shard = FindSpan(t, "shard[0]");
+  const int put = FindSpan(t, "cache.put");
+  ASSERT_GE(plan, 0);
+  ASSERT_GE(shard, 0);
+  ASSERT_GE(put, 0);
+  EXPECT_LT(plan, shard);
+  EXPECT_LT(shard, put);
+  for (const int span : {plan, shard, put}) {
+    EXPECT_EQ(t.spans[static_cast<size_t>(span)].parent, 0);
+  }
+  EXPECT_EQ(AttrOf(t, plan, "shards"), "1");
+  EXPECT_EQ(AttrOf(t, plan, "merge"), "none");
+  EXPECT_NE(AttrOf(t, shard, "algo"), "");
+  EXPECT_EQ(AttrOf(t, shard, "rows"), "500");
+  EXPECT_EQ(AttrOf(t, shard, "view"), "");  // identity: no view at all
+  EXPECT_EQ(FindSpan(t, "merge"), -1);
 
   Options quiet;
   const QueryResult untraced =
@@ -210,8 +230,9 @@ TEST(EngineTraceTest, UnshardedIdentityQueryTracesExecuteStage) {
 
 TEST(EngineTraceTest, UnshardedViewSpanCarriesBuildWidth) {
   // A view spanning several row chunks builds at the request's budget on
-  // the shared executor; the trace reports that width, and a repeat that
-  // reuses the cached view reports a hit with no build width.
+  // the shared executor; the lone shard's span reports that width, and a
+  // repeat that reuses the cached view reports a hit with no build width.
+  // A zonemap run on a box-only spec reports a direct (view-free) run.
   SkylineEngine::Config config;
   config.executor_threads = 4;
   SkylineEngine engine(config);
@@ -225,21 +246,34 @@ TEST(EngineTraceTest, UnshardedViewSpanCarriesBuildWidth) {
   opts.threads = 4;
   const QueryResult r = engine.Execute("flat", spec, opts);
   ASSERT_NE(r.trace, nullptr);
-  const int view = FindSpan(*r.trace, "view");
-  ASSERT_GE(view, 0);
-  EXPECT_EQ(r.trace->spans[static_cast<size_t>(view)].parent, 0);
-  EXPECT_EQ(AttrOf(*r.trace, view, "source"), "build");
-  EXPECT_EQ(AttrOf(*r.trace, view, "rows"), "20000");
-  EXPECT_EQ(AttrOf(*r.trace, view, "threads"), "4");
+  const int shard = FindSpan(*r.trace, "shard[0]");
+  ASSERT_GE(shard, 0);
+  EXPECT_EQ(r.trace->spans[static_cast<size_t>(shard)].parent, 0);
+  EXPECT_EQ(AttrOf(*r.trace, shard, "view"), "build");
+  EXPECT_EQ(AttrOf(*r.trace, shard, "rows"), "20000");
+  EXPECT_EQ(AttrOf(*r.trace, shard, "threads"), "4");
+  EXPECT_GT(FindSpan(*r.trace, "cache.put"), shard);
 
   QuerySpec deeper = spec;
   deeper.band_k = 2;  // same ViewKey: the cached view is reused
   const QueryResult hit = engine.Execute("flat", deeper, opts);
   ASSERT_NE(hit.trace, nullptr);
-  const int reused = FindSpan(*hit.trace, "view");
+  const int reused = FindSpan(*hit.trace, "shard[0]");
   ASSERT_GE(reused, 0);
-  EXPECT_EQ(AttrOf(*hit.trace, reused, "source"), "hit");
+  EXPECT_EQ(AttrOf(*hit.trace, reused, "view"), "hit");
   EXPECT_EQ(AttrOf(*hit.trace, reused, "threads"), "");
+
+  QuerySpec boxed;
+  boxed.Constrain(0, 0.1f, 0.5f);
+  Options zonemap = opts;
+  zonemap.algorithm = Algorithm::kZonemap;
+  const QueryResult direct = engine.Execute("flat", boxed, zonemap);
+  ASSERT_NE(direct.trace, nullptr);
+  const int run = FindSpan(*direct.trace, "shard[0]");
+  ASSERT_GE(run, 0);
+  EXPECT_EQ(AttrOf(*direct.trace, run, "view"), "direct");
+  EXPECT_EQ(AttrOf(*direct.trace, run, "rows"),
+            std::to_string(direct.matched_rows));
 }
 
 }  // namespace

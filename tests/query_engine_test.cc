@@ -220,31 +220,6 @@ TEST(SkylineEngineTest, EvictPurgesTheDatasetsCachedResults) {
   EXPECT_TRUE(engine.Execute("keep", QuerySpec{}).cache_hit);
 }
 
-TEST(SkylineEngineTest, EvictPurgesSelectivityCacheEntries) {
-  // Regression: EvictDataset used to leave selectivity estimates behind;
-  // a later registration reusing the name could never collide (versions
-  // are unique) but the entries squatted in the LRU forever.
-  SkylineEngine engine;
-  engine.RegisterDataset(
-      "ds", GenerateSynthetic(Distribution::kIndependent, 400, 3, 19));
-  QuerySpec boxed;
-  boxed.Constrain(0, 0.1f, 0.8f);
-  Options opts;
-  opts.algorithm = Algorithm::kAuto;
-  engine.Execute("ds", boxed, opts);
-  EXPECT_EQ(engine.selectivity_cache_counters().entries, 1u);
-  EXPECT_TRUE(engine.EvictDataset("ds"));
-  EXPECT_EQ(engine.selectivity_cache_counters().entries, 0u);
-  // Re-registration of the same name also purges the old generation.
-  engine.RegisterDataset(
-      "ds", GenerateSynthetic(Distribution::kIndependent, 400, 3, 19));
-  engine.Execute("ds", boxed, opts);
-  EXPECT_EQ(engine.selectivity_cache_counters().entries, 1u);
-  engine.RegisterDataset(
-      "ds", GenerateSynthetic(Distribution::kIndependent, 400, 3, 23));
-  EXPECT_EQ(engine.selectivity_cache_counters().entries, 0u);
-}
-
 TEST(SkylineEngineTest, ZeroCapacityDisablesCaching) {
   SkylineEngine engine(SkylineEngine::Config{0});
   engine.RegisterDataset("ds", MakeDataset({{1.0f}}));
@@ -434,19 +409,6 @@ TEST(SkylineEngineTest, ZeroTtlNeverExpires) {
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_TRUE(engine.Execute("ds", QuerySpec{}).cache_hit);
   EXPECT_EQ(engine.cache_counters().ttl_evictions, 0u);
-}
-
-TEST(SkylineEngineTest, FindSketchTracksRegistration) {
-  SkylineEngine engine;
-  EXPECT_EQ(engine.FindSketch("ds"), nullptr);
-  engine.RegisterDataset(
-      "ds", GenerateSynthetic(Distribution::kIndependent, 500, 4, 31));
-  const std::shared_ptr<const StatsSketch> sketch = engine.FindSketch("ds");
-  ASSERT_NE(sketch, nullptr);
-  EXPECT_EQ(sketch->n, 500u);
-  EXPECT_EQ(sketch->d, 4);
-  engine.EvictDataset("ds");
-  EXPECT_EQ(engine.FindSketch("ds"), nullptr);
 }
 
 }  // namespace

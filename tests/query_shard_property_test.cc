@@ -143,11 +143,17 @@ TEST(QueryShardPropertyTest, ShardMapPartitionsRowsWithTightBoxes) {
       std::vector<bool> seen(data.count(), false);
       for (size_t s = 0; s < map.shard_count(); ++s) {
         const Shard& shard = map.shard(s);
-        ASSERT_EQ(shard.rows().count(), shard.row_ids.size());
+        // Ids are explicit per row, or implicit (the identity) for the
+        // single shard that aliases the whole dataset.
+        if (k == 1) {
+          EXPECT_TRUE(shard.row_ids.empty());
+        } else {
+          ASSERT_EQ(shard.rows().count(), shard.row_ids.size());
+        }
         // Shard sizes differ by at most one.
         EXPECT_LE(shard.rows().count(), data.count() / k + 1);
-        for (size_t w = 0; w < shard.row_ids.size(); ++w) {
-          const PointId orig = shard.row_ids[w];
+        for (size_t w = 0; w < shard.rows().count(); ++w) {
+          const PointId orig = shard.global_id(w);
           ASSERT_LT(orig, data.count());
           EXPECT_FALSE(seen[orig]) << "row in two shards";
           seen[orig] = true;
@@ -251,10 +257,11 @@ TEST(QueryShardPropertyTest, EnginePrunesAndStaysOracleIdentical) {
   EXPECT_EQ(rr.shards_pruned, 0u);
   EXPECT_EQ(SortedEntries(rr), ReferenceQuery(data, low));
 
-  // Explicit shards=1 falls back to the unsharded fast path.
+  // Explicit shards=1 registers one shard through the same plan path.
   engine.RegisterDataset("clusters", data.Clone(), 1,
                          ShardPolicy::kMedianPivot);
-  EXPECT_EQ(engine.FindShards("clusters"), nullptr);
+  ASSERT_NE(engine.FindShards("clusters"), nullptr);
+  EXPECT_EQ(engine.FindShards("clusters")->shard_count(), 1u);
   const QueryResult one = engine.Execute("clusters", low);
   EXPECT_EQ(one.shards_executed, 1u);
   EXPECT_EQ(one.shards_pruned, 0u);
@@ -350,6 +357,59 @@ TEST(QueryShardPropertyTest, ProgressiveStreamsConfirmedIdsFromMerge) {
   std::sort(got.begin(), got.end());
   std::sort(want.begin(), want.end());
   EXPECT_EQ(got, want);
+}
+
+/// Four equal anti-correlated clusters, one per quadrant: median-pivot
+/// shards with K = 4 each hold one cluster, so a box around the low
+/// quadrant prunes the plan to a single shard.
+Dataset FourQuadrants() {
+  std::vector<float> flat;
+  for (const float bx : {0.0f, 0.8f}) {
+    for (const float by : {0.0f, 0.8f}) {
+      for (int i = 0; i < 50; ++i) {
+        const float t = static_cast<float>(i) / 49.0f;
+        flat.push_back(bx + 0.05f + 0.1f * t);
+        flat.push_back(by + 0.15f - 0.1f * t);
+      }
+    }
+  }
+  return Dataset::FromRowMajor(2, flat);
+}
+
+TEST(QueryShardPropertyTest, LoneSurvivorStreamsProgressiveInCallerIds) {
+  // A plan the box prunes to one shard forwards that shard's progressive
+  // callback, remapped to caller ids: the union of the streamed batches
+  // is the answer, through a view and through the zonemap direct run.
+  // The dataset is mutated first, so the survivor is a repaired shard.
+  // (The one-shard identity case, served from the maintained skyline,
+  // runs in IncrementalMutationSuite.)
+  QuerySpec low;
+  low.Constrain(0, 0.0f, 0.3f).Constrain(1, 0.0f, 0.3f);
+  for (const Algorithm algorithm :
+       {Algorithm::kAuto, Algorithm::kQFlow, Algorithm::kZonemap}) {
+    SkylineEngine engine(SkylineEngine::Config{});
+    engine.RegisterDataset("ds", FourQuadrants(), 4,
+                           ShardPolicy::kMedianPivot);
+    engine.InsertPoints("ds",
+                        MakeDataset({{0.08f, 0.08f}, {0.12f, 0.06f}}));
+    engine.DeletePoints("ds", std::vector<PointId>{3, 60});
+    std::mutex mu;
+    std::vector<PointId> streamed;
+    Options opts;
+    opts.algorithm = algorithm;
+    opts.threads = 2;
+    opts.progressive = [&](std::span<const PointId> ids) {
+      std::lock_guard<std::mutex> lock(mu);
+      streamed.insert(streamed.end(), ids.begin(), ids.end());
+    };
+    const QueryResult r = engine.Execute("ds", low, opts);
+    const char* label = AlgorithmName(algorithm);
+    EXPECT_EQ(r.shards_executed, 1u) << label;
+    EXPECT_EQ(r.shards_pruned, 3u) << label;
+    EXPECT_FALSE(r.ids.empty()) << label;
+    EXPECT_EQ(Sorted(streamed), Sorted(r.ids)) << label;
+    EXPECT_TRUE(VerifyQuery(*engine.Find("ds"), low, r)) << label;
+  }
 }
 
 TEST(QueryShardPropertyTest, NanRowsNeverSatisfyConstraintsAnyShardCount) {
