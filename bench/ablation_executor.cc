@@ -1,20 +1,11 @@
 // Copyright (c) SkyBench-NG contributors.
-// Executor ablation: what does the shared work-stealing scheduler buy a
-// serving workload? A concurrent-clients x shards grid over the same
-// sharded dataset, each cell served two ways that differ only in who
-// provides the cross-shard parallelism:
-//   pooled   — the seed's behaviour: every query constructs a private
-//              ThreadPool (spawn + join per request), so C in-flight
-//              clients stand up C x threads OS threads;
-//   executor — the engine's behaviour since the shared scheduler landed:
-//              queries submit capped task groups to one persistent
-//              work-stealing executor sized to the hardware.
-// Each client runs a fixed script of distinct ~1%-selectivity boxes
-// (plans and computes every time; no result cache in this path), and the
-// cell reports aggregate queries/second. The expected shape: the arms
-// tie at one client and low shard counts, and the pooled arm falls away
-// as clients multiply — per-query spawn/join overhead plus thread
-// oversubscription, which the shared executor's admission caps avoid.
+// Executor scaling: how does sharded serving on the shared work-stealing
+// scheduler scale with concurrent clients? A concurrent-clients x shards
+// grid over the same sharded dataset, every query submitting capped task
+// groups to one persistent executor sized to the hardware. Each client
+// runs a fixed script of distinct ~1%-selectivity boxes (plans and
+// computes every time; no result cache in this path), and the cell
+// reports aggregate queries/second.
 #include <atomic>
 #include <cstdio>
 #include <string>
@@ -33,10 +24,9 @@ namespace {
 constexpr float kBoxWidth = 0.01f;  // ~1% selectivity on a uniform dim
 
 /// One grid cell: `clients` concurrent threads each run `queries_each`
-/// constrained sharded queries against `map`, asking for `threads`-wide
-/// cross-shard parallelism from either a per-query pool (executor ==
-/// nullptr) or the shared scheduler. Returns aggregate queries/second
-/// (median of repeats).
+/// constrained sharded queries against `map`, asking `executor` for
+/// `threads`-wide cross-shard parallelism. Returns aggregate
+/// queries/second (median of repeats).
 double CellQps(const ShardMap& map, int clients, int threads,
                Executor* executor, int queries_each, int repeats) {
   std::vector<double> qps;
@@ -76,34 +66,31 @@ void Run(const BenchConfig& cfg) {
   const Dataset& data = WorkloadCache::Instance().Get(wspec);
   Executor exec(Executor::DefaultThreads());
 
-  Table grid({"shards", "clients", "pooled (q/s)", "executor (q/s)",
-              "speedup"});
+  Table grid({"shards", "clients", "executor (q/s)", "vs 1 client"});
   for (const size_t shards : {size_t{4}, size_t{8}}) {
     const ShardMap map = ShardMap::Build(data, shards,
                                          ShardPolicy::kMedianPivot, cfg.seed);
     // Each query asks for cross-shard parallelism up to the shard count —
-    // the request a serving client would make; the executor arm treats it
-    // as a cap, the pooled arm as a thread count to spawn.
+    // the request a serving client would make, which the executor treats
+    // as a cap.
     const int threads = static_cast<int>(shards);
+    double one_client = 0.0;
     for (const int clients : {1, 2, 4, 8}) {
-      const double pooled =
-          CellQps(map, clients, threads, nullptr, queries_each, cfg.repeats);
-      const double shared =
+      const double qps =
           CellQps(map, clients, threads, &exec, queries_each, cfg.repeats);
-      char speedup[32];
-      std::snprintf(speedup, sizeof(speedup), "%.2fx", shared / pooled);
+      if (clients == 1) one_client = qps;
+      char scale[32];
+      std::snprintf(scale, sizeof(scale), "%.2fx", qps / one_client);
       grid.AddRow({std::to_string(shards), std::to_string(clients),
-                   Table::Num(pooled), Table::Num(shared), speedup});
+                   Table::Num(qps), scale});
     }
   }
-  std::printf("\n-- sharded serving throughput, per-query pool vs shared "
-              "executor --\n");
+  std::printf("\n-- sharded serving throughput on the shared executor --\n");
   Emit(grid, cfg);
   std::printf(
-      "\nExpected shape: parity at 1 client on a wide machine, with the "
-      "pooled arm falling behind as clients stack up — each request pays "
-      "thread spawn/join and the C x threads oversubscription the shared "
-      "executor's admission caps avoid.\n");
+      "\nExpected shape: throughput grows with clients until the executor's "
+      "workers are saturated, then holds flat — admission caps keep C "
+      "clients from oversubscribing the machine.\n");
 }
 
 }  // namespace

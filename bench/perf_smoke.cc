@@ -11,14 +11,11 @@
 // incremental insert must be >= 50x faster than rebuilding the same
 // engine state from scratch (re-register + per-shard skyline bootstrap).
 // A third gate covers the zonemap index: a 1%-box constrained query at
-// anti n=200k d=8 served through the cached index must be >= 2x faster
-// than the materialize-view + sequential-scan baseline. A fourth gate
-// holds the shared work-stealing executor's win: 8 clients serving
-// sharded 1%-box queries through one persistent executor must deliver
-// >= 1.3x the throughput of the per-query-ThreadPool baseline. The
-// algorithm layer has a gate too: batched Hybrid at anti n=20000 d=8
-// must run >= 1.5x faster than its own use_batch=false path (skipped
-// without AVX2).
+// anti n=200k d=8 served through the shard's index must be >= 2x faster
+// than the materialize-view + sequential-scan baseline. The algorithm
+// layer has a gate too: batched Hybrid at anti n=20000 d=8 must run
+// >= 1.5x faster than its own use_batch=false path (skipped without
+// AVX2).
 //
 //   perf_smoke [--out=PATH] [--check]
 //
@@ -43,7 +40,6 @@
 #include "dominance/batch.h"
 #include "dominance/dominance.h"
 #include "parallel/executor.h"
-#include "parallel/thread_pool.h"
 #include "query/delta.h"
 #include "query/engine.h"
 #include "query/shard_map.h"
@@ -335,7 +331,7 @@ ArmPair CancelOverheadPair(int repeats) {
 /// Index-accelerated constrained skyline vs the non-indexed scan path:
 /// the same engine-served query — anti n=200k d=8 under a 1%-selectivity
 /// dim-0 box — once with --algo=zonemap (block AABB pruning over the
-/// cached clustered index) and once forcing the classic materialize-view
+/// shard's clustered index) and once forcing the classic materialize-view
 /// + sequential-scan skyline (SSkyline). The result cache is off and the
 /// boxes differ per repeat, so every Execute plans and computes; the
 /// warm-up query pays the one-time index build, leaving the rows to
@@ -374,78 +370,6 @@ ArmPair ZonemapPair(int repeats) {
     WallTimer t;
     engines[arm]->Execute("smoke", q, o[arm]);
     return Entry{names[arm], std::max(t.Seconds(), 1e-12) * 1e9, 0.0};
-  });
-}
-
-/// Concurrent sharded serving: 8 client threads hammer one engine with
-/// ~0.1%-box queries over an 8-shard anti n=200k d=8 registration, once
-/// with Config::shared_executor off (the seed's per-query ThreadPool:
-/// every request spawns and joins its own workers) and once on the
-/// engine's persistent work-stealing executor (requests submit capped
-/// task groups). Steady state: the result cache is off so every Execute
-/// plans, computes and merges, while the fixed box set keeps the shard
-/// view cache warm — the rows time the serving stack, not the one-time
-/// O(n) view filters, which are identical in both arms. The arms
-/// alternate (AlternatePair), each on its own engine. Returns {pooled,
-/// executor, speedup}; ns_per_op is one served query (aggregate wall
-/// time / queries, median of runs).
-ArmPair ConcurrentServingPair(int repeats) {
-  constexpr size_t kN = 200'000;
-  constexpr int kD = 8;
-  constexpr size_t kShards = 8;
-  constexpr int kClients = 8;
-  constexpr int kQueriesEach = 8;
-  WorkloadSpec spec{Distribution::kAnticorrelated, kN, kD, 42};
-  const Dataset& data = WorkloadCache::Instance().Get(spec);
-
-  // Narrow boxes: the point-lookup-flavoured end of the serving mix,
-  // where per-query compute is small and the per-request scheduling cost
-  // the two arms differ in is actually visible.
-  std::vector<QuerySpec> boxes;
-  for (int b = 0; b < 4; ++b) {
-    QuerySpec q;
-    const float lo = 0.10f + 0.01f * static_cast<float>(b);
-    q.Constrain(0, lo, lo + 0.001f);
-    boxes.push_back(q);
-  }
-
-  std::unique_ptr<SkylineEngine> engines[2];  // [shared_executor]
-  for (const bool shared : {false, true}) {
-    SkylineEngine::Config cfg;
-    cfg.result_cache_capacity = 0;  // every Execute computes and merges
-    cfg.view_cache_capacity = 64;   // all shard x box views stay warm
-    cfg.shards = kShards;
-    cfg.shard_policy = ShardPolicy::kMedianPivot;
-    cfg.shared_executor = shared;
-    engines[shared] = std::make_unique<SkylineEngine>(cfg);
-    engines[shared]->RegisterDataset("smoke", data.Clone());
-    Options warm;
-    warm.threads = static_cast<int>(kShards);
-    for (const QuerySpec& box : boxes) {
-      engines[shared]->Execute("smoke", box, warm);  // per-shard views
-    }
-  }
-  const std::string cell = "/anti/n=" + std::to_string(kN) +
-                           "/d=" + std::to_string(kD) +
-                           "/shards=" + std::to_string(kShards) +
-                           "/clients=" + std::to_string(kClients);
-  const std::string names[2] = {"engine/concurrent_serving_pooled" + cell,
-                                "engine/concurrent_serving_executor" + cell};
-  return AlternatePair(repeats, [&](int arm) {
-    SkylineEngine& engine = *engines[arm];
-    ThreadPool client_pool(kClients);
-    WallTimer t;
-    client_pool.RunOnAll([&](int client) {
-      Options o;
-      o.threads = static_cast<int>(kShards);  // the request's ask: a cap
-                                              // vs threads to spawn
-      for (int q = 0; q < kQueriesEach; ++q) {
-        engine.Execute("smoke", boxes[(client + q) % boxes.size()], o);
-      }
-    });
-    const double per_query_s =
-        std::max(t.Seconds(), 1e-12) / (kClients * kQueriesEach);
-    return Entry{names[arm], per_query_s * 1e9, 0.0};
   });
 }
 
@@ -605,26 +529,6 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr,
                    "perf_smoke: GATE FAILED: zonemap-served constrained "
                    "query only %.2fx the scan baseline (need >= 2x)\n",
-                   speedup);
-      gate_ok = false;
-    }
-  }
-
-  // ---- Shared executor: concurrent sharded serving vs per-query pools.
-  {
-    const auto [pooled, shared, speedup] = ConcurrentServingPair(repeats);
-    entries.push_back(pooled);
-    entries.push_back(shared);
-    ratios.push_back({shared.name, speedup});
-    std::printf("%-48s %12.0f ns/op\n", pooled.name.c_str(),
-                pooled.ns_per_op);
-    std::printf("%-48s %12.0f ns/op  (executor %.2fx faster)\n",
-                shared.name.c_str(), shared.ns_per_op, speedup);
-    if (check && speedup < 1.3) {
-      std::fprintf(stderr,
-                   "perf_smoke: GATE FAILED: shared-executor concurrent "
-                   "serving only %.2fx the per-query-pool baseline "
-                   "(need >= 1.3x)\n",
                    speedup);
       gate_ok = false;
     }

@@ -2,7 +2,7 @@
 // Reproduces paper Table II: run-time and multi-threaded speedup on the
 // real datasets. The originals are unavailable; synthetic stand-ins with
 // Table I's cardinality/dimensionality/duplication structure are used
-// (see DESIGN.md §4).
+// (data/realistic.h).
 //
 // Paper shape to reproduce: Hybrid is the best performer on all three
 // datasets; parallel speedups are modest on the small NBA/House inputs
@@ -64,7 +64,7 @@ void Run(const BenchConfig& cfg) {
   std::printf(
       "Expected shape (paper Table II): Hybrid best on every dataset; "
       "note that on a single-core host the t>1 'speedup' column shows "
-      "oversubscription overhead instead of gain (see EXPERIMENTS.md).\n");
+      "oversubscription overhead instead of gain.\n");
 }
 
 }  // namespace

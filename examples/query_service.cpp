@@ -77,12 +77,11 @@ int main(int argc, char** argv) {
   // assignment keeps hotel shards spatially tight (prunable); the flights
   // registration exercises the round-robin policy. auto_algorithm lets
   // the cost model pick the algorithm per query and per shard from the
-  // registration-time sketches; the caches carry a byte budget (views)
-  // and a TTL (results) like a long-lived deployment would.
+  // registration-time sketches; the result cache carries a TTL like a
+  // long-lived deployment would.
   sky::SkylineEngine::Config config;
   config.result_cache_capacity = 64;
-  config.result_cache_ttl = 300.0;          // refresh-heavy service: 5 min
-  config.view_cache_bytes = size_t{64} << 20;  // 64 MiB of hot views
+  config.result_cache_ttl = 300.0;  // refresh-heavy service: 5 min
   config.shards = shards;
   config.shard_policy = sky::ShardPolicy::kMedianPivot;
   config.auto_algorithm = true;

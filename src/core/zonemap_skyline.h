@@ -48,10 +48,10 @@ ZonemapRunResult ZonemapSkylineRun(const Dataset& data,
 
 /// Registry entry point (AlgorithmTable row for Algorithm::kZonemap):
 /// builds a private index over `data` (opts.block_rows; no sketch) and
-/// runs the unconstrained traversal. The engine's direct path reuses a
-/// cached per-shard index instead and passes the constraint box through
-/// ZonemapSkylineRun — this standalone form pays the build on every call,
-/// which the cost model's startup coefficients reflect.
+/// runs the unconstrained traversal. The engine's direct path reuses the
+/// shard's own index (Shard::zonemap) instead and passes the constraint
+/// box through ZonemapSkylineRun — this standalone form pays the build on
+/// every call, which the cost model's startup coefficients reflect.
 Result ZonemapSkylineCompute(const Dataset& data, const Options& opts);
 
 }  // namespace sky

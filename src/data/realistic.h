@@ -3,7 +3,7 @@
 // originals (NBA, House, Weather) are not redistributable; these
 // generators match their cardinality, dimensionality, heavy value
 // duplication (the "distinct value condition" fails, which is what
-// Table II tests) and approximate skyline fraction. See DESIGN.md §4.
+// Table II tests) and approximate skyline fraction.
 #ifndef SKY_DATA_REALISTIC_H_
 #define SKY_DATA_REALISTIC_H_
 

@@ -221,8 +221,6 @@ ZoneMapIndex ZoneMapIndex::WithDeletedRows(
   index.rows_ = data.count();
   index.stride_ = stride_;
   index.block_rows_ = block_rows_;
-  index.source_epoch = source_epoch;
-  index.source_shard = source_shard;
   index.order_.reserve(order_.size());
   index.clustered_.reserve(clustered_.size());
   index.block_begin_.push_back(0);
@@ -364,16 +362,6 @@ bool ZoneMapIndex::Validate(const Dataset& data) const {
     }
   }
   return true;
-}
-
-size_t ZoneMapIndexBytes(const ZoneMapIndex& index) {
-  const size_t blocks = index.block_count();
-  const size_t supers = index.super_count();
-  const size_t d = static_cast<size_t>(index.dims());
-  return sizeof(ZoneMapIndex) +
-         (index.rows() + blocks + supers + 2) * sizeof(uint32_t) +
-         index.finite_count() * index.stride() * sizeof(Value) +
-         2 * (blocks + supers) * d * sizeof(Value);
 }
 
 }  // namespace sky

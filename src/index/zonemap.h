@@ -110,12 +110,6 @@ class ZoneMapIndex {
   /// tests and mutation-repair assertions; O(n*d).
   bool Validate(const Dataset& data) const;
 
-  /// Epoch of the source rows (Shard::epoch, or the registration's minor
-  /// snapshot version for unsharded data) — cache entries are served only
-  /// when this still matches. Source shard index, -1 for unsharded.
-  uint64_t source_epoch = 0;
-  int source_shard = -1;
-
  private:
   void RebuildSupers();
 
@@ -133,9 +127,6 @@ class ZoneMapIndex {
   std::vector<Value> super_hi_;        ///< super_count x dims
   std::vector<uint32_t> irregular_;    ///< rows with a non-finite coordinate
 };
-
-/// Approximate heap bytes, for LRU cache pricing.
-size_t ZoneMapIndexBytes(const ZoneMapIndex& index);
 
 }  // namespace sky
 

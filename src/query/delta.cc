@@ -10,6 +10,7 @@
 #include "core/streaming.h"
 #include "dominance/batch.h"
 #include "dominance/dominance.h"
+#include "index/zonemap.h"
 
 namespace sky {
 namespace {
@@ -168,7 +169,11 @@ std::shared_ptr<const Shard> ShardWithInserts(
     if (repair_stats != nullptr) repair_stats->sketch_rebuilds += 1;
   }
   if (repair_stats != nullptr) repair_stats->dom_tests += dts;
-  out->epoch = NextShardEpoch();  // local row content changed
+  if (const auto zm = shard.built_zonemap()) {
+    out->set_zonemap(std::make_shared<const ZoneMapIndex>(
+        zm->WithAppendedRows(*rows, old_count)));
+    if (repair_stats != nullptr) repair_stats->zonemap_repairs += 1;
+  }
   out->data = std::move(rows);
   return out;
 }
@@ -263,18 +268,21 @@ std::shared_ptr<const Shard> ShardWithDeletes(
     // The re-promotion window counts its own insert scans.
     repair_stats->dom_tests += window.dominance_tests();
   }
-  out->epoch = NextShardEpoch();  // local row content changed
+  if (const auto zm = shard.built_zonemap()) {
+    out->set_zonemap(std::make_shared<const ZoneMapIndex>(
+        zm->WithDeletedRows(*rows, drop_local)));
+    if (repair_stats != nullptr) repair_stats->zonemap_repairs += 1;
+  }
   out->data = std::move(rows);
   return out;
 }
 
 std::shared_ptr<const Shard> ShardWithRemappedIds(
     const Shard& shard, const std::vector<uint32_t>& global_shift) {
-  // The copy keeps shard.epoch: only global ids move, and the executor
-  // composes those from its own snapshot's row_ids — a cached view (keyed
-  // to the epoch) stays valid because the shard-local numbering it
-  // indexes is unchanged. Implicit ids (global rows 0..n-1) stay put:
-  // every deleted id lies above them, so their shift is zero.
+  // Only global ids move: the copy shares the rows and so the zonemap
+  // index, whose shard-local numbering is unchanged. Implicit ids (global
+  // rows 0..n-1) stay put: every deleted id lies above them, so their
+  // shift is zero.
   auto out = std::make_shared<Shard>(shard);  // shares data/skyline/sketch
   for (PointId& gid : out->row_ids) gid -= global_shift[gid];
   return out;

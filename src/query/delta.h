@@ -30,6 +30,7 @@ std::vector<PointId> ComputeShardSkyline(const Dataset& rows);
 struct RepairStats {
   uint64_t dom_tests = 0;        ///< dominance tests the repair executed
   uint64_t sketch_rebuilds = 0;  ///< exact sketch rebuilds triggered
+  uint64_t zonemap_repairs = 0;  ///< zonemap indexes repaired block-locally
 };
 
 /// COW replacement for `shard` with the selected batch rows appended:
@@ -38,7 +39,9 @@ struct RepairStats {
 /// gets global id `base_global_id + b`. The shard skyline is repaired by
 /// window-scanning each new row against the maintained skyline (seeded
 /// without any dominance work); the box grows exactly; the sketch is
-/// updated incrementally and rebuilt exactly once stale enough.
+/// updated incrementally and rebuilt exactly once stale enough. A built
+/// zonemap index is repaired with WithAppendedRows; an unbuilt one stays
+/// unbuilt.
 std::shared_ptr<const Shard> ShardWithInserts(
     const Shard& shard, const Dataset& batch,
     const std::vector<size_t>& batch_rows, PointId base_global_id,
@@ -52,7 +55,8 @@ std::shared_ptr<const Shard> ShardWithInserts(
 /// skyline. Surviving global row ids are compacted through
 /// `global_shift` (new id = old id - global_shift[old id], the count of
 /// deleted global ids below it). Box and sketch are refreshed; the box
-/// is recomputed exactly during the compaction rewrite.
+/// is recomputed exactly during the compaction rewrite. A built zonemap
+/// index is repaired with WithDeletedRows.
 std::shared_ptr<const Shard> ShardWithDeletes(
     const Shard& shard, const std::vector<PointId>& drop_local,
     const std::vector<uint32_t>& global_shift, uint64_t sketch_seed,
@@ -60,7 +64,7 @@ std::shared_ptr<const Shard> ShardWithDeletes(
 
 /// COW replacement for a shard no row was deleted from, with row_ids
 /// compacted through `global_shift`. Shares the row storage, box,
-/// sketch, and skyline of the original.
+/// sketch, skyline, and zonemap index of the original.
 std::shared_ptr<const Shard> ShardWithRemappedIds(
     const Shard& shard, const std::vector<uint32_t>& global_shift);
 

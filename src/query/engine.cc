@@ -18,6 +18,7 @@
 #include "core/zonemap_skyline.h"
 #include "dominance/batch.h"
 #include "dominance/dominance.h"
+#include "index/zonemap.h"
 #include "parallel/thread_pool.h"
 #include "query/cost_model.h"
 #include "query/delta.h"
@@ -155,14 +156,13 @@ void AccumulateStats(RunStats& into, const RunStats& from) {
 struct ShardPartial {
   /// The shard view the candidates index; null when they index the raw
   /// shard rows (identity specs, maintained and zonemap-direct runs).
-  std::shared_ptr<const QueryView> view;
+  std::unique_ptr<const QueryView> view;
   std::vector<PointId> cand_rows;  // target-local candidate rows
   std::vector<uint32_t> counts;    // k-skyband dominator counts, if band_k > 1
   RunStats stats;
   size_t matched = 0;          // rows inside the constraint box
   double trace_start = 0.0;    // seconds since the trace epoch
   double trace_seconds = 0.0;  // shard wall time
-  bool view_built = false;     // view materialized (vs. cache hit)
   bool maintained = false;     // served from the maintained shard skyline
   bool direct = false;         // ran the zonemap direct path (no view)
 
@@ -173,32 +173,6 @@ struct ShardPartial {
     return shard.global_id(view != nullptr ? view->row_ids[row] : row);
   }
 };
-
-/// Source of per-shard materialized views: the engine passes a lambda
-/// backed by its view cache so a band_k / top-k sweep over one box pays
-/// each shard's materialization once; the one-shot RunShardedQuery path
-/// leaves it empty and the executor materializes locally. A build runs
-/// at the thread budget of the `opts` passed in — the shard's own.
-/// `built` (nullable) reports whether the call materialized (true) or
-/// reused a cached view — the trace's view=build|hit attribute.
-using ShardViewProvider = std::function<std::shared_ptr<const QueryView>(
-    uint32_t shard_index, const Options& opts, bool* built)>;
-
-/// Source of per-shard zonemap indexes for the direct path, backed by the
-/// engine's epoch-guarded zonemap cache. Returns nullptr when the caller
-/// should build privately (no cache, or a non-default Options::block_rows
-/// that must not share the fixed cache keys).
-using ZonemapProvider =
-    std::function<std::shared_ptr<const ZoneMapIndex>(uint32_t shard_index)>;
-
-std::shared_ptr<const QueryView> ViewOfShard(
-    const ShardMap& map, uint32_t shard_index, const QuerySpec& canon,
-    const Options& opts, const ShardViewProvider& provider, bool* built) {
-  if (provider) return provider(shard_index, opts, built);
-  if (built != nullptr) *built = true;
-  return std::make_shared<const QueryView>(
-      MaterializeView(map.shard(shard_index).rows(), canon, opts));
-}
 
 /// Merge stage of a multi-shard plan: M(S) — copy every candidate's
 /// view-space row into one union set `merged` and dominance-filter it
@@ -375,10 +349,13 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
 /// It runs with the planner's full thread budget and the caller's
 /// progressive callback, and its members, dominator counts and rank
 /// scores are final.
+///
+/// Every non-identity shard run materializes its own view (counted in
+/// `view_builds` when non-null); zonemap-direct runs use the shard's own
+/// index unless Options::block_rows asks for a private one.
 QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
                                const QuerySpec& canon, const Options& opts,
-                               const ShardViewProvider& provider = {},
-                               const ZonemapProvider& zonemap_provider = {},
+                               obs::Counter* view_builds = nullptr,
                                obs::TraceBuilder* tb = nullptr,
                                int trace_parent = -1) {
   WallTimer timer;
@@ -400,21 +377,16 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
   const auto algo_of = [&](size_t s) {
     return plan.algorithms.empty() ? opts.algorithm : plan.algorithms[s];
   };
-  /// Per-shard index for a direct run: the provider's cached entry, or a
-  /// private build (one-shot paths and custom Options::block_rows). The
-  /// private build's cost lands in `build_seconds`.
-  const auto zonemap_of = [&](uint32_t shard_index, double* build_seconds)
-      -> std::shared_ptr<const ZoneMapIndex> {
-    if (zonemap_provider) {
-      std::shared_ptr<const ZoneMapIndex> zm = zonemap_provider(shard_index);
-      if (zm != nullptr) return zm;
+  /// Index for a direct run: the shard's own, or a private build when
+  /// Options::block_rows asks for another block size.
+  const auto zonemap_of =
+      [&](const Shard& shard) -> std::shared_ptr<const ZoneMapIndex> {
+    if (opts.block_rows == 0 ||
+        opts.block_rows == ZoneMapIndex::kDefaultBlockRows) {
+      return shard.zonemap();
     }
-    WallTimer build_timer;
-    const Shard& shard = map.shard(shard_index);
-    auto zm = std::make_shared<const ZoneMapIndex>(
+    return std::make_shared<const ZoneMapIndex>(
         ZoneMapIndex::Build(shard.rows(), opts.block_rows, &shard.sketch));
-    *build_seconds += build_timer.Seconds();
-    return zm;
   };
 
   // Execute stage. Two shapes, chosen by the planner's thread budget:
@@ -466,24 +438,26 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
         one.progressive(p.cand_rows);
       }
     } else if (zonemap_direct && one.algorithm == Algorithm::kZonemap) {
-      // Direct path: traverse the shard's (cached) zonemap index against
-      // the constraint box on raw rows — no view.
+      // Direct path: traverse the shard's zonemap index against the
+      // constraint box on raw rows — no view. A first use builds the
+      // index; its cost lands in other_seconds.
       p.direct = true;
       if (shard.rows().count() > 0) {
-        double build_seconds = 0.0;
-        const std::shared_ptr<const ZoneMapIndex> zm =
-            zonemap_of(plan.shards[s], &build_seconds);
+        WallTimer index_timer;
+        const std::shared_ptr<const ZoneMapIndex> zm = zonemap_of(shard);
+        const double index_seconds = index_timer.Seconds();
         ZonemapRunResult run =
             ZonemapSkylineRun(shard.rows(), *zm, canon.constraints, one);
         p.stats = run.stats;
-        p.stats.other_seconds += build_seconds;
+        p.stats.other_seconds += index_seconds;
         p.cand_rows = std::move(run.skyline);
         p.matched = run.matched_rows;
       }
     } else {
       if (!identity) {
-        p.view = ViewOfShard(map, plan.shards[s], canon, one, provider,
-                             &p.view_built);
+        p.view = std::make_unique<const QueryView>(
+            MaterializeView(shard.rows(), canon, one));
+        if (view_builds != nullptr) view_builds->Add();
       }
       const Dataset& target = p.target(shard);
       p.matched = target.count();
@@ -547,11 +521,9 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
       if (p.direct) {
         tb->Attr(span, "view", "direct");
       } else if (p.view != nullptr) {
-        tb->Attr(span, "view", p.view_built ? "build" : "hit");
-        if (p.view_built) {
-          tb->AttrCount(span, "threads",
-                        static_cast<uint64_t>(p.view->build_threads));
-        }
+        tb->Attr(span, "view", "build");
+        tb->AttrCount(span, "threads",
+                      static_cast<uint64_t>(p.view->build_threads));
       }
     }
     if (used_group) {
@@ -571,7 +543,7 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
   for (const ShardPartial& p : parts) {
     r.matched_rows += p.matched;
     AccumulateStats(r.stats, p.stats);
-    if (p.view != nullptr && !provider) {
+    if (p.view != nullptr) {
       r.stats.other_seconds += p.view->materialize_seconds;
     }
   }
@@ -676,7 +648,7 @@ QueryResult RunShardedQuery(const ShardMap& map, const QuerySpec& spec,
   tb.AttrCount(ps, "pruned", plan.pruned);
   tb.Attr(ps, "merge", MergeStrategyName(plan.merge));
   QueryResult r =
-      ExecuteShardedPlan(map, plan, canon, opts, {}, {}, &tb, root);
+      ExecuteShardedPlan(map, plan, canon, opts, nullptr, &tb, root);
   tb.AttrCount(root, "members", r.ids.size());
   tb.Close(root);
   r.trace = tb.Finish();
@@ -763,18 +735,13 @@ SkylineEngine::SkylineEngine(Config config)
       executor_(config.executor_threads > 0 ? config.executor_threads
                                             : Executor::DefaultThreads()),
       cache_(config.result_cache_capacity, config.result_cache_bytes,
-             &QueryResultBytes, config.result_cache_ttl),
-      view_cache_(config.view_cache_capacity, config.view_cache_bytes,
-                  &QueryViewBytes),
-      zonemap_cache_(64, 0, &ZoneMapIndexBytes) {
+             &QueryResultBytes, config.result_cache_ttl) {
   WireInstruments();
 }
 
 EngineMetricsSnapshot SkylineEngine::MetricsSnapshot() const {
   EngineMetricsSnapshot s;
   s.result_cache = cache_.counters();
-  s.view_cache = view_cache_.counters();
-  s.zonemap_cache = zonemap_cache_.counters();
   std::shared_lock lock(registry_mu_);
   s.datasets = registry_.size();
   return s;
@@ -782,13 +749,11 @@ EngineMetricsSnapshot SkylineEngine::MetricsSnapshot() const {
 
 namespace {
 
-/// Append one LRU cache's counters as registry-style metric values —
-/// the caches keep their own counters under their own mutex (they work
-/// even with Config::metrics off), so the registry reads them at
-/// snapshot time through a collector instead of double-counting on the
-/// hot path.
-template <typename Counters>
-void AppendCacheMetrics(const std::string& which, const Counters& c,
+/// Append the result cache's counters as registry-style metric values —
+/// the cache keeps its own counters under its own mutex (they work even
+/// with Config::metrics off), so the registry reads them at snapshot time
+/// through a collector instead of double-counting on the hot path.
+void AppendCacheMetrics(const LruCache<QueryResult>::Counters& c,
                         std::vector<obs::MetricValue>& out) {
   const auto push = [&out](std::string name, const char* help,
                            obs::MetricKind kind, double value) {
@@ -799,7 +764,7 @@ void AppendCacheMetrics(const std::string& which, const Counters& c,
     m.value = value;
     out.push_back(std::move(m));
   };
-  const std::string base = "sky_" + which + "_cache_";
+  const std::string base = "sky_result_cache_";
   using obs::MetricKind;
   push(base + "hits_total", "Cache hits", MetricKind::kCounter,
        static_cast<double>(c.hits));
@@ -832,7 +797,7 @@ void SkylineEngine::WireInstruments() {
       "Execute latency of result-cache misses (plan + execute + merge)");
   inst_.view_builds = metrics_.GetCounter(
       "sky_engine_view_builds_total", {},
-      "Views materialized (view-cache misses and epoch rejections)");
+      "Views materialized by non-identity shard runs");
   inst_.inserts = metrics_.GetCounter("sky_mutation_inserts_total", {},
                                       "InsertPoints batches applied");
   inst_.deletes = metrics_.GetCounter("sky_mutation_deletes_total", {},
@@ -856,15 +821,9 @@ void SkylineEngine::WireInstruments() {
   inst_.invalidated_results = metrics_.GetCounter(
       "sky_invalidated_results_total", {},
       "Cached results erased by mutation fixups");
-  inst_.invalidated_views = metrics_.GetCounter(
-      "sky_invalidated_views_total", {},
-      "Cached views erased by mutation fixups");
-  inst_.invalidated_zonemaps = metrics_.GetCounter(
-      "sky_invalidated_zonemaps_total", {},
-      "Cached zonemap indexes erased by mutation fixups");
   inst_.zonemap_repairs = metrics_.GetCounter(
       "sky_zonemap_repairs_total", {},
-      "Cached zonemap indexes repaired block-locally across a mutation");
+      "Shard zonemap indexes repaired block-locally across a mutation");
   inst_.deadline_exceeded = metrics_.GetCounter(
       "sky_query_deadline_exceeded_total", {},
       "Queries whose deadline tripped (truncated partials included)");
@@ -884,9 +843,7 @@ void SkylineEngine::WireInstruments() {
   }
   metrics_.AddCollector([this](std::vector<obs::MetricValue>& out) {
     const EngineMetricsSnapshot s = MetricsSnapshot();
-    AppendCacheMetrics("result", s.result_cache, out);
-    AppendCacheMetrics("view", s.view_cache, out);
-    AppendCacheMetrics("zonemap", s.zonemap_cache, out);
+    AppendCacheMetrics(s.result_cache, out);
     obs::MetricValue datasets;
     datasets.name = "sky_datasets";
     datasets.help = "Registered datasets";
@@ -971,10 +928,7 @@ uint64_t SkylineEngine::RegisterDataset(const std::string& name, Dataset data,
   // The old generation can never be served again (versions are never
   // reused); free its results instead of letting them squat in the LRU.
   if (replaced_version != 0) {
-    const std::string prefix = CacheKeyPrefix(replaced_version);
-    cache_.ErasePrefix(prefix);
-    view_cache_.ErasePrefix(prefix);
-    zonemap_cache_.ErasePrefix(prefix);
+    cache_.ErasePrefix(CacheKeyPrefix(replaced_version));
   }
   return version;
 }
@@ -988,10 +942,7 @@ bool SkylineEngine::EvictDataset(const std::string& name) {
     version = it->second.version;
     registry_.erase(it);
   }
-  const std::string prefix = CacheKeyPrefix(version);
-  cache_.ErasePrefix(prefix);
-  view_cache_.ErasePrefix(prefix);
-  zonemap_cache_.ErasePrefix(prefix);
+  cache_.ErasePrefix(CacheKeyPrefix(version));
   return true;
 }
 
@@ -1026,6 +977,17 @@ std::shared_ptr<const Dataset> SkylineEngine::Find(
     return it->second.data;
   }
   return rebuilt;
+}
+
+void SkylineEngine::PutIfCurrent(const std::string& name, uint64_t version,
+                                 uint64_t minor, const std::string& key,
+                                 std::shared_ptr<const QueryResult> value) {
+  std::shared_lock lock(registry_mu_);
+  auto it = registry_.find(name);
+  if (it != registry_.end() && it->second.version == version &&
+      it->second.minor == minor) {
+    cache_.Put(key, std::move(value));
+  }
 }
 
 std::shared_ptr<const ShardMap> SkylineEngine::FindShards(
@@ -1067,7 +1029,7 @@ QueryResult SkylineEngine::Execute(const std::string& name,
   // loops, the merge — runs as capped task groups on the engine's shared
   // executor; Options::threads is the request's concurrency limit there.
   Options eff = opts;
-  eff.executor = config_.shared_executor ? &executor_ : nullptr;
+  eff.executor = &executor_;
   if (config_.auto_algorithm) eff.algorithm = Algorithm::kAuto;
 
   // Canonicalize before keying so equivalent spellings share an entry.
@@ -1077,8 +1039,7 @@ QueryResult SkylineEngine::Execute(const std::string& name,
   // invisible too — a mutation edits the entries under these keys in
   // place (remap or erase) rather than abandoning them.
   const QuerySpec canon = spec.Canonicalize(shards->dims());
-  const std::string prefix = CacheKeyPrefix(version);
-  const std::string key = prefix + canon.CanonicalKey();
+  const std::string key = CacheKeyPrefix(version) + canon.CanonicalKey();
   // Lookup. Under serve_stale the keep-expired variant is used so a
   // TTL-expired entry stays resident as the degraded fallback for a shed
   // or timed-out compute below — the plain Get would erase it.
@@ -1220,62 +1181,6 @@ QueryResult SkylineEngine::Execute(const std::string& name,
   };
 
   try {
-    // Per-shard views are served from the view cache, keyed by the shard
-    // index on top of the ViewKey, so a band_k / top-k sweep pays each
-    // shard's materialization once. Keys omit the minor version, so a
-    // cached view may come from a different generation of the shard than
-    // this query's snapshot (an in-flight reader races a mutation in
-    // either direction); the Shard::epoch check rejects such a view —
-    // composing its local row indices through the snapshot's row ids
-    // would read out of bounds or return wrong global ids — and the
-    // reader rebuilds from its own snapshot instead (PutIfCurrent keeps
-    // a stale rebuild out of the cache).
-    const ShardViewProvider provider = [&](uint32_t shard_index,
-                                           const Options& shard_opts,
-                                           bool* built_out) {
-      const std::string view_key = prefix + "v|s" +
-                                   std::to_string(shard_index) + "|" +
-                                   canon.ViewKey();
-      const uint64_t epoch = shards->shard(shard_index).epoch;
-      std::shared_ptr<const QueryView> view = view_cache_.Get(view_key);
-      const bool rebuild = view == nullptr || view->source_epoch != epoch;
-      if (rebuild) {
-        QueryView built = MaterializeView(shards->shard(shard_index).rows(),
-                                          canon, shard_opts);
-        built.source_shard = static_cast<int>(shard_index);
-        built.source_epoch = epoch;
-        auto holder = std::make_shared<const QueryView>(std::move(built));
-        PutIfCurrent(view_cache_, name, version, minor, view_key, holder);
-        view = std::move(holder);
-        if (config_.metrics) inst_.view_builds->Add();
-      }
-      if (built_out != nullptr) *built_out = rebuild;
-      return view;
-    };
-    // Per-shard zonemap indexes for the direct path, cached next to the
-    // shard views under fixed keys (so mutations can repair them) and
-    // epoch-guarded the same way. Custom Options::block_rows bypasses the
-    // cache entirely — the executor builds privately.
-    const ZonemapProvider zonemap_provider =
-        [&](uint32_t shard_index) -> std::shared_ptr<const ZoneMapIndex> {
-      if (eff.block_rows != 0 &&
-          eff.block_rows != ZoneMapIndex::kDefaultBlockRows) {
-        return nullptr;
-      }
-      const std::string zm_key = prefix + "zm|s" + std::to_string(shard_index);
-      const Shard& shard = shards->shard(shard_index);
-      std::shared_ptr<const ZoneMapIndex> zm = zonemap_cache_.Get(zm_key);
-      if (zm == nullptr || zm->source_epoch != shard.epoch) {
-        ZoneMapIndex built =
-            ZoneMapIndex::Build(shard.rows(), /*block_rows=*/0, &shard.sketch);
-        built.source_epoch = shard.epoch;
-        built.source_shard = static_cast<int>(shard_index);
-        auto holder = std::make_shared<const ZoneMapIndex>(std::move(built));
-        PutIfCurrent(zonemap_cache_, name, version, minor, zm_key, holder);
-        zm = std::move(holder);
-      }
-      return zm;
-    };
     int plan_span = -1;
     if (tb != nullptr) plan_span = tb->Open("plan", root);
     const ExecutionPlan plan = PlanQuery(
@@ -1289,8 +1194,9 @@ QueryResult SkylineEngine::Execute(const std::string& name,
       tb->AttrCount(plan_span, "shard_threads",
                     static_cast<uint64_t>(plan.shard_threads));
     }
-    QueryResult fresh = ExecuteShardedPlan(*shards, plan, canon, eff, provider,
-                                           zonemap_provider, tb, root);
+    obs::Counter* view_builds = config_.metrics ? inst_.view_builds : nullptr;
+    QueryResult fresh = ExecuteShardedPlan(*shards, plan, canon, eff,
+                                           view_builds, tb, root);
     fresh.constraints = canon.constraints;
     if (config_.cost_learning && plan.shards.size() == 1) {
       // One observation per single-shard fresh compute (multi-shard runs
@@ -1324,7 +1230,7 @@ QueryResult SkylineEngine::Execute(const std::string& name,
     const int put = tb != nullptr ? tb->Open("cache.put", root) : -1;
     try {
       SKY_FAILPOINT("result_cache_put");
-      PutIfCurrent(cache_, name, version, minor, key,
+      PutIfCurrent(name, version, minor, key,
                    std::make_shared<const QueryResult>(fresh));
     } catch (...) {
       // A failed cache insert (result_cache_put failpoint) never fails
@@ -1428,9 +1334,11 @@ void SkylineEngine::RepairShards(
     for (const RepairStats& rs : stats) {
       sum.dom_tests += rs.dom_tests;
       sum.sketch_rebuilds += rs.sketch_rebuilds;
+      sum.zonemap_repairs += rs.zonemap_repairs;
     }
     inst_.repair_dom_tests->Add(sum.dom_tests);
     inst_.sketch_rebuilds->Add(sum.sketch_rebuilds);
+    inst_.zonemap_repairs->Add(sum.zonemap_repairs);
   }
 }
 
@@ -1451,7 +1359,7 @@ std::optional<uint64_t> SkylineEngine::PublishMutation(
   it->second.shards = delta.map;
   it->second.count = count;
   const uint64_t bumped = ++it->second.minor;
-  FixupCachesLocked(CacheKeyPrefix(version), delta);
+  FixupResultsLocked(CacheKeyPrefix(version), delta);
   return bumped;
 }
 
@@ -1483,20 +1391,17 @@ uint64_t SkylineEngine::InsertPoints(const std::string& name,
     }
 
     // Route each batch row to its shard, rebuild only the shards that
-    // received rows (delta.h repairs their skyline / box / sketch
-    // incrementally), and share every other shard by pointer, so the
-    // batch costs O(touched shards), not O(n).
+    // received rows (delta.h repairs their skyline / box / sketch /
+    // zonemap index incrementally), and share every other shard by
+    // pointer, so the batch costs O(touched shards), not O(n).
     const size_t n_shards = map.shard_count();
     std::vector<std::vector<size_t>> routed(n_shards);
     for (size_t b = 0; b < add; ++b) {
       routed[map.RouteInsert(rows.Row(b))].push_back(b);
     }
-    delta.touched.assign(n_shards, 0);
     std::vector<size_t> touched_idx;
     for (size_t s = 0; s < n_shards; ++s) {
-      if (routed[s].empty()) continue;
-      delta.touched[s] = 1;
-      touched_idx.push_back(s);
+      if (!routed[s].empty()) touched_idx.push_back(s);
     }
     std::vector<std::shared_ptr<const Shard>> repaired(touched_idx.size());
     RepairShards(touched_idx.size(), [&](size_t t, RepairStats* stats) {
@@ -1510,25 +1415,6 @@ uint64_t SkylineEngine::InsertPoints(const std::string& name,
       next.ReplaceShard(touched_idx[t], std::move(repaired[t]));
     }
     delta.map = std::make_shared<const ShardMap>(std::move(next));
-
-    // Block-local zonemap repair, pre-publish and outside the registry
-    // lock: a still-valid cached index of a touched shard absorbs the
-    // appended rows (tail-block extension) and is re-stamped with its
-    // post-mutation epoch; FixupCachesLocked installs the repairs after
-    // erasing the stale entries.
-    const std::string prefix = CacheKeyPrefix(snap.version);
-    for (const size_t s : touched_idx) {
-      const std::string zm_key = prefix + "zm|s" + std::to_string(s);
-      std::shared_ptr<const ZoneMapIndex> zm = zonemap_cache_.Get(zm_key);
-      if (zm == nullptr || zm->source_epoch != map.shard(s).epoch) continue;
-      const Shard& shard = delta.map->shard(s);
-      ZoneMapIndex rep =
-          zm->WithAppendedRows(shard.rows(), map.shard(s).rows().count());
-      rep.source_epoch = shard.epoch;
-      rep.source_shard = static_cast<int>(s);
-      delta.zonemaps.emplace_back(
-          zm_key, std::make_shared<const ZoneMapIndex>(std::move(rep)));
-    }
 
     const std::optional<uint64_t> bumped =
         PublishMutation(name, snap.version, snap.count + add, delta);
@@ -1571,12 +1457,11 @@ uint64_t SkylineEngine::DeletePoints(const std::string& name,
 
     // Shards that lost rows get a delta repair (re-promotion scan +
     // compaction); every other shard only has its global row ids
-    // compacted through the shift, sharing rows / skyline / sketch with
-    // the old shard.
+    // compacted through the shift, sharing rows / skyline / sketch /
+    // zonemap index with the old shard.
     delta.lo = EmptyBoxLo(snap.dims);
     delta.hi = EmptyBoxHi(snap.dims);
     const size_t n_shards = map.shard_count();
-    delta.touched.assign(n_shards, 0);
     std::vector<std::vector<PointId>> drop_locals(n_shards);
     std::vector<size_t> touched_idx;
     for (size_t s = 0; s < n_shards; ++s) {
@@ -1586,9 +1471,7 @@ uint64_t SkylineEngine::DeletePoints(const std::string& name,
         drop_locals[s].push_back(static_cast<PointId>(i));
         GrowBox(delta.lo, delta.hi, shard.rows().Row(i), snap.dims);
       }
-      if (drop_locals[s].empty()) continue;
-      delta.touched[s] = 1;
-      touched_idx.push_back(s);
+      if (!drop_locals[s].empty()) touched_idx.push_back(s);
     }
     std::vector<std::shared_ptr<const Shard>> repaired(n_shards);
     RepairShards(touched_idx.size(), [&](size_t t, RepairStats* stats) {
@@ -1599,30 +1482,12 @@ uint64_t SkylineEngine::DeletePoints(const std::string& name,
     });
     ShardMap next = map;
     for (size_t s = 0; s < n_shards; ++s) {
-      next.ReplaceShard(s, delta.touched[s]
+      next.ReplaceShard(s, repaired[s] != nullptr
                                ? std::move(repaired[s])
                                : ShardWithRemappedIds(map.shard(s),
                                                       delta.id_shift));
     }
     delta.map = std::make_shared<const ShardMap>(std::move(next));
-
-    // Block-local zonemap repair, pre-publish (see InsertPoints): drop
-    // the deleted local rows from their blocks and recompute only the
-    // touched AABBs. Untouched shards keep their indexes through
-    // FixupCachesLocked (shard-local numbering is unchanged by a pure
-    // global-id remap, and the shard epoch proves it).
-    const std::string prefix = CacheKeyPrefix(snap.version);
-    for (const size_t s : touched_idx) {
-      const std::string zm_key = prefix + "zm|s" + std::to_string(s);
-      std::shared_ptr<const ZoneMapIndex> zm = zonemap_cache_.Get(zm_key);
-      if (zm == nullptr || zm->source_epoch != map.shard(s).epoch) continue;
-      const Shard& shard = delta.map->shard(s);
-      ZoneMapIndex rep = zm->WithDeletedRows(shard.rows(), drop_locals[s]);
-      rep.source_epoch = shard.epoch;
-      rep.source_shard = static_cast<int>(s);
-      delta.zonemaps.emplace_back(
-          zm_key, std::make_shared<const ZoneMapIndex>(std::move(rep)));
-    }
 
     const std::optional<uint64_t> bumped =
         PublishMutation(name, snap.version, snap.count - drop.size(), delta);
@@ -1636,15 +1501,15 @@ uint64_t SkylineEngine::DeletePoints(const std::string& name,
   }
 }
 
-void SkylineEngine::FixupCachesLocked(const std::string& prefix,
-                                      const MutationDelta& delta) {
+void SkylineEngine::FixupResultsLocked(const std::string& prefix,
+                                       const MutationDelta& delta) {
   const bool is_delete = !delta.id_shift.empty();
-  // Result cache: an entry survives iff its constraint box provably
-  // excludes every mutated row — then no inserted or deleted row is in
-  // the constraint region, so its member set, dominator counts, and
-  // matched_rows are all unchanged. Deletes still compact the surviving
-  // ids through the shift (no surviving entry can reference a deleted
-  // row: deleted rows are outside its box).
+  // An entry survives iff its constraint box provably excludes every
+  // mutated row — then no inserted or deleted row is in the constraint
+  // region, so its member set, dominator counts, and matched_rows are all
+  // unchanged. Deletes still compact the surviving ids through the shift
+  // (no surviving entry can reference a deleted row: deleted rows are
+  // outside its box).
   const size_t results_erased = cache_.EditPrefix(
       prefix,
       [&](const std::string&, const std::shared_ptr<const QueryResult>& v)
@@ -1658,36 +1523,7 @@ void SkylineEngine::FixupCachesLocked(const std::string& prefix,
         for (PointId& id : remapped->ids) id -= delta.id_shift[id];
         return remapped;
       });
-  // Views and zonemap indexes live in shard-local row space: an entry
-  // survives iff its shard kept its rows (deletes of *other* shards only
-  // remap global ids, which neither stores, and the executor composes
-  // global ids from the *new* shard's ids). The pre-built block-local
-  // zonemap repairs are then installed in place of what was erased.
-  const auto untouched = [&](int source_shard) {
-    const size_t s = static_cast<size_t>(source_shard);
-    return s < delta.touched.size() && delta.touched[s] == 0;
-  };
-  const size_t views_erased = view_cache_.EditPrefix(
-      prefix,
-      [&](const std::string&, const std::shared_ptr<const QueryView>& v)
-          -> std::shared_ptr<const QueryView> {
-        return untouched(v->source_shard) ? v : nullptr;
-      });
-  const size_t zonemaps_erased = zonemap_cache_.EditPrefix(
-      prefix,
-      [&](const std::string&, const std::shared_ptr<const ZoneMapIndex>& v)
-          -> std::shared_ptr<const ZoneMapIndex> {
-        return untouched(v->source_shard) ? v : nullptr;
-      });
-  for (const RepairedZonemap& rz : delta.zonemaps) {
-    zonemap_cache_.Put(rz.first, rz.second);
-  }
-  if (config_.metrics) {
-    inst_.invalidated_results->Add(results_erased);
-    inst_.invalidated_views->Add(views_erased);
-    inst_.invalidated_zonemaps->Add(zonemaps_erased);
-    inst_.zonemap_repairs->Add(delta.zonemaps.size());
-  }
+  if (config_.metrics) inst_.invalidated_results->Add(results_erased);
 }
 
 }  // namespace sky

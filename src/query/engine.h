@@ -16,9 +16,10 @@
 //            union-then-filter operator (depth-aware for k-skybands);
 //            a lone survivor's answer is final and skips it.
 //
-// Finished results land in a byte- and entry-capped LRU; materialized
-// views are reused across specs that differ only in band_k / top_k. All
-// public methods are safe to call concurrently from many threads.
+// Finished results land in a byte- and entry-capped LRU, the engine's one
+// cache. Views are materialized per run; each shard owns its zonemap
+// index, built on first use and repaired by mutations (query/delta.h).
+// All public methods are safe to call concurrently from many threads.
 #ifndef SKY_QUERY_ENGINE_H_
 #define SKY_QUERY_ENGINE_H_
 
@@ -36,7 +37,6 @@
 #include <vector>
 
 #include "core/options.h"
-#include "index/zonemap.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/executor.h"
@@ -133,14 +133,6 @@ class SkylineEngine {
     /// counter) — for refresh-heavy workloads where stale answers are
     /// worse than recomputes.
     double result_cache_ttl = 0.0;
-    /// Max materialized views kept for reuse across specs sharing a
-    /// ViewKey (0 disables view reuse). Views are dataset-sized; keep
-    /// this small.
-    size_t view_cache_capacity = 8;
-    /// Byte budget over cached view payloads (QueryViewBytes); 0
-    /// disables the byte cap. Views are the engine's largest cached
-    /// objects, so serving deployments should set this.
-    size_t view_cache_bytes = 0;
     /// Shards per registered dataset. 1 registers a single shard that
     /// aliases the dataset — no row copy, same plan/execute path.
     size_t shards = 1;
@@ -153,8 +145,8 @@ class SkylineEngine {
     /// Feed the engine's metrics registry (query counters, latency
     /// histograms, planner / mutation / invalidation tallies). Off turns
     /// every registry update into a skipped branch — the measured-overhead
-    /// baseline of bench/perf_smoke's metrics pair. The per-cache LRU
-    /// counters are maintained by the caches regardless.
+    /// baseline of bench/perf_smoke's metrics pair. The result cache's
+    /// LRU counters are maintained by the cache regardless.
     bool metrics = true;
     /// Online cost-model recalibration (query/cost_model.h CostLearner):
     /// fresh computes whose plan executed one shard record their measured
@@ -172,13 +164,6 @@ class SkylineEngine {
     /// shard_threads budget become per-query concurrency limits against
     /// this width.
     int executor_threads = 0;
-    /// Serve queries through the shared executor (the default). Off
-    /// restores the seed's behaviour of constructing a private ThreadPool
-    /// per parallel request — kept only as the baseline arm for
-    /// bench/ablation_executor.cc and perf_smoke's concurrent-serving
-    /// gate, not a serving mode. Mutation repair always uses the shared
-    /// executor.
-    bool shared_executor = true;
     /// Admission control: max queries computing concurrently. 0 =
     /// unlimited. Cache hits are always served; a fresh compute over the
     /// cap is shed immediately with Status::kOverloaded (or answered
@@ -230,11 +215,11 @@ class SkylineEngine {
   // shifts down by the number of deleted ids below it) — after any
   // mutation the registered state is row-identical to a fresh
   // registration of the surviving rows. Each mutation bumps a per-
-  // dataset minor version and *selectively* invalidates cache entries:
-  // results whose constraint box excludes every mutated row survive —
-  // deletes remap their ids in place — and so do views and zonemap
-  // indexes of untouched shards; everything else is erased. Mutations
-  // serialize with each other; queries never block.
+  // dataset minor version and *selectively* invalidates cached results:
+  // those whose constraint box excludes every mutated row survive —
+  // deletes remap their ids in place — and the rest are erased. Touched
+  // shards carry a block-locally repaired zonemap index when the old one
+  // was built. Mutations serialize with each other; queries never block.
 
   /// Append every row of `rows` (dims must match). Returns the new minor
   /// version. Throws std::runtime_error on unknown name or dims
@@ -278,11 +263,7 @@ class SkylineEngine {
   QueryResult Execute(const std::string& name, const QuerySpec& spec,
                       const Options& opts = Options{});
 
-  void ClearCache() {
-    cache_.Clear();
-    view_cache_.Clear();
-    zonemap_cache_.Clear();
-  }
+  void ClearCache() { cache_.Clear(); }
 
   /// The learner behind Config::cost_learning (state persists across
   /// queries; exposed so tests and benches can inspect or reset it).
@@ -290,13 +271,10 @@ class SkylineEngine {
   const CostLearner& Learner() const { return learner_; }
 
   /// One coherent engine-health snapshot (EngineMetricsSnapshot, defined
-  /// below): all three cache counter sets plus the registered-dataset
-  /// count, read in one call. The per-cache accessors below are thin
-  /// shims over this.
+  /// below): the result-cache counters plus the registered-dataset count,
+  /// read in one call. cache_counters() is a thin shim over this.
   EngineMetricsSnapshot MetricsSnapshot() const;
   LruCache<QueryResult>::Counters cache_counters() const;
-  LruCache<QueryView>::Counters view_cache_counters() const;
-  LruCache<ZoneMapIndex>::Counters zonemap_cache_counters() const;
 
   /// The engine's metrics registry — every counter/histogram the serving
   /// and mutation paths feed (plus the cache-counter collector), ready
@@ -323,7 +301,7 @@ class SkylineEngine {
     size_t count = 0;    ///< current row count
   };
 
-  /// Cache inserts gated on (`version`, `minor`) still being the
+  /// Result-cache insert gated on (`version`, `minor`) still being the
   /// registered generation of `name`, checked under the registry lock so
   /// the insert cannot interleave with a re-registration's purge or a
   /// mutation's selective fixup: a replacement/mutation blocks on the
@@ -332,35 +310,18 @@ class SkylineEngine {
   /// can never leave stale entries squatting under live keys. Lock
   /// order: registry (shared) -> cache mutex; no path takes them in the
   /// other order.
-  template <typename T>
-  void PutIfCurrent(LruCache<T>& cache, const std::string& name,
-                    uint64_t version, uint64_t minor, const std::string& key,
-                    std::shared_ptr<const T> value) {
-    std::shared_lock lock(registry_mu_);
-    auto it = registry_.find(name);
-    if (it != registry_.end() && it->second.version == version &&
-        it->second.minor == minor) {
-      cache.Put(key, std::move(value));
-    }
-  }
-
-  /// A block-locally repaired zonemap index ready to replace a cache
-  /// entry the mutation invalidated, stamped with its post-mutation
-  /// epoch. Built pre-publish (outside the registry lock) by
-  /// InsertPoints / DeletePoints from the still-valid cached index.
-  using RepairedZonemap =
-      std::pair<std::string, std::shared_ptr<const ZoneMapIndex>>;
+  void PutIfCurrent(const std::string& name, uint64_t version, uint64_t minor,
+                    const std::string& key,
+                    std::shared_ptr<const QueryResult> value);
 
   /// One repaired mutation batch, ready to publish.
   struct MutationDelta {
     std::shared_ptr<const ShardMap> map;  ///< the repaired COW map
     /// Bounds of every mutated row (NaN coordinates excluded).
     std::vector<Value> lo, hi;
-    std::vector<uint8_t> touched;  ///< per shard: 1 iff repaired
     /// Delete compaction map (new id = old id - id_shift[old id]); empty
     /// for inserts.
     std::vector<uint32_t> id_shift;
-    std::vector<RepairedZonemap> zonemaps;  ///< installed by the fixup
   };
 
   /// Copy of `name`'s registry entry; throws std::runtime_error if absent.
@@ -372,20 +333,19 @@ class SkylineEngine {
                     const std::function<void(size_t, RepairStats*)>& repair);
 
   /// Install `delta` as generation (`version`, minor + 1) of `name` with
-  /// `count` rows and fix up the caches, under the exclusive registry
-  /// lock. Returns the bumped minor version, or nullopt when a
+  /// `count` rows and fix up the result cache, under the exclusive
+  /// registry lock. Returns the bumped minor version, or nullopt when a
   /// re-registration replaced `version` meanwhile (the caller retries).
   /// Throws std::runtime_error if `name` was evicted.
   std::optional<uint64_t> PublishMutation(const std::string& name,
                                           uint64_t version, size_t count,
                                           const MutationDelta& delta);
 
-  /// Selective cache fixup after a mutation, called with `registry_mu_`
-  /// held exclusively (lock order registry -> cache is the process-wide
-  /// rule). View and zonemap entries of touched shards are erased, then
-  /// the delta's repaired zonemaps are installed.
-  void FixupCachesLocked(const std::string& prefix,
-                         const MutationDelta& delta);
+  /// Selective result-cache fixup after a mutation, called with
+  /// `registry_mu_` held exclusively (lock order registry -> cache is the
+  /// process-wide rule).
+  void FixupResultsLocked(const std::string& prefix,
+                          const MutationDelta& delta);
 
   /// Hot-path instruments, interned once at construction so serving
   /// threads never touch the registry mutex (obs/metrics.h pointers are
@@ -404,8 +364,6 @@ class SkylineEngine {
     obs::Counter* sketch_rebuilds = nullptr;
     obs::Histogram* mutation_latency = nullptr;  ///< sky_mutation_seconds
     obs::Counter* invalidated_results = nullptr;
-    obs::Counter* invalidated_views = nullptr;
-    obs::Counter* invalidated_zonemaps = nullptr;
     obs::Counter* zonemap_repairs = nullptr;  ///< sky_zonemap_repairs_total
     /// sky_query_deadline_exceeded_total — queries whose deadline tripped
     /// (truncated partials included).
@@ -425,7 +383,7 @@ class SkylineEngine {
   void WireInstruments();
 
   const Config config_;
-  /// The shared work-stealing worker set (declared before the caches so
+  /// The shared work-stealing worker set (declared before the cache so
   /// it outlives any destructor-ordered teardown that might still touch
   /// it). All TaskGroups are scoped inside Execute/mutation calls, which
   /// must have returned before destruction — the usual engine-outlives-
@@ -446,36 +404,18 @@ class SkylineEngine {
   /// count).
   std::atomic<int> inflight_{0};
   LruCache<QueryResult> cache_;
-  LruCache<QueryView> view_cache_;
-  /// Lazily built per-shard block zonemap indexes (index/zonemap.h),
-  /// keyed "<version>|zm|s<idx>" and epoch-guarded like shard views: an
-  /// entry is served only when its source_epoch still matches the shard
-  /// epoch. Only default-block-size indexes are cached; explicit
-  /// Options::block_rows overrides build privately.
-  LruCache<ZoneMapIndex> zonemap_cache_;
   CostLearner learner_;  ///< behind Config::cost_learning
 };
 
-/// Unified engine-health snapshot: all three cache counter sets plus the
-/// registered-dataset count, read through one call instead of three
-/// accessors whose values could straddle concurrent traffic.
+/// Unified engine-health snapshot: the result-cache counters plus the
+/// registered-dataset count, read through one call.
 struct EngineMetricsSnapshot {
   LruCache<QueryResult>::Counters result_cache;
-  LruCache<QueryView>::Counters view_cache;
-  LruCache<ZoneMapIndex>::Counters zonemap_cache;
   size_t datasets = 0;
 };
 
 inline LruCache<QueryResult>::Counters SkylineEngine::cache_counters() const {
   return MetricsSnapshot().result_cache;
-}
-inline LruCache<QueryView>::Counters SkylineEngine::view_cache_counters()
-    const {
-  return MetricsSnapshot().view_cache;
-}
-inline LruCache<ZoneMapIndex>::Counters
-SkylineEngine::zonemap_cache_counters() const {
-  return MetricsSnapshot().zonemap_cache;
 }
 
 }  // namespace sky

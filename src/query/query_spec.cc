@@ -154,7 +154,7 @@ QuerySpec QuerySpec::Canonicalize(int dims) const {
   return canon;
 }
 
-std::string QuerySpec::ViewKey() const {
+std::string QuerySpec::CanonicalKey() const {
   std::string key = "p=";
   for (const Preference p : preferences) {
     key += (p == Preference::kMin ? '-' : p == Preference::kMax ? '+' : '_');
@@ -165,12 +165,6 @@ std::string QuerySpec::ViewKey() const {
                   static_cast<double>(c.lo), static_cast<double>(c.hi));
     key += buf;
   }
-  return key;
-}
-
-std::string QuerySpec::CanonicalKey() const {
-  std::string key = ViewKey();
-  char buf[64];
   std::snprintf(buf, sizeof(buf), ";k=%u;t=%zu", band_k, top_k);
   key += buf;
   return key;

@@ -70,12 +70,6 @@ struct QuerySpec {
   /// the mapping is exact.
   std::string CanonicalKey() const;
 
-  /// The view-determining prefix of CanonicalKey(): preferences,
-  /// projection and constraints only. Specs that differ solely in band_k
-  /// / top_k share a ViewKey — and therefore a materialized view — which
-  /// is what the engine's view cache is keyed by.
-  std::string ViewKey() const;
-
   /// True when the canonicalized spec is the library's native question:
   /// minimize everything, no projection, no constraints.
   bool IsIdentityTransform() const;

@@ -2,7 +2,6 @@
 #include "query/shard_map.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -13,13 +12,28 @@
 #include "data/partition.h"
 #include "data/working_set.h"
 #include "dominance/dominance.h"
+#include "index/zonemap.h"
 #include "parallel/thread_pool.h"
 
 namespace sky {
 
-uint64_t NextShardEpoch() {
-  static std::atomic<uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+std::shared_ptr<const ZoneMapIndex> Shard::zonemap() const {
+  std::lock_guard<std::mutex> lock(zonemap_->mu);
+  if (zonemap_->index == nullptr) {
+    zonemap_->index = std::make_shared<const ZoneMapIndex>(
+        ZoneMapIndex::Build(rows(), /*block_rows=*/0, &sketch));
+  }
+  return zonemap_->index;
+}
+
+std::shared_ptr<const ZoneMapIndex> Shard::built_zonemap() const {
+  std::lock_guard<std::mutex> lock(zonemap_->mu);
+  return zonemap_->index;
+}
+
+void Shard::set_zonemap(std::shared_ptr<const ZoneMapIndex> index) {
+  std::lock_guard<std::mutex> lock(zonemap_->mu);
+  zonemap_->index = std::move(index);
 }
 
 const char* ShardPolicyName(ShardPolicy policy) {
@@ -86,7 +100,6 @@ ShardMap ShardMap::Build(std::shared_ptr<const Dataset> data, size_t shards,
   shard.box_lo.assign(dims, -std::numeric_limits<Value>::infinity());
   shard.box_hi.assign(dims, std::numeric_limits<Value>::infinity());
   shard.sketch = ComputeSketch(*data, seed);
-  shard.epoch = NextShardEpoch();
   shard.data = std::move(data);
   map.shards_.push_back(std::make_shared<const Shard>(std::move(shard)));
   return map;
@@ -147,8 +160,7 @@ ShardMap ShardMap::Build(const Dataset& data, size_t shards,
     // Sketch each shard while its rows are hot: O(sample), so building
     // K shards stays linear in n overall.
     shard.sketch = ComputeSketch(*rows, seed + s);
-    shard.epoch = NextShardEpoch();
-    shard.data = std::move(rows);
+      shard.data = std::move(rows);
     map.shards_.push_back(std::make_shared<const Shard>(std::move(shard)));
   }
   return map;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -20,6 +21,7 @@
 namespace sky {
 
 class Executor;
+class ZoneMapIndex;
 
 /// How rows are assigned to shards at build time.
 enum class ShardPolicy : uint8_t {
@@ -61,25 +63,33 @@ struct Shard {
   /// first mutation (delta repair needs it) and consumed by the executor
   /// as a precomputed candidate set for identity band-1 queries.
   std::shared_ptr<const std::vector<PointId>> skyline;
-  /// Identity of this shard's local row content/numbering, unique across
-  /// every shard the process ever builds. Delta repairs that change the
-  /// shard's rows (inserts, deletes) stamp a fresh epoch; a pure global-id
-  /// remap keeps it — shard-local indices are untouched. Cached per-shard
-  /// views record the epoch they were cut from, so a reader holding an
-  /// older (or newer) ShardMap snapshot can detect that a cached view's
-  /// local row numbering does not match its snapshot and rebuild instead
-  /// of composing ids across generations.
-  uint64_t epoch = 0;
 
   const Dataset& rows() const { return *data; }
   /// Original dataset row of shard row `row`.
   PointId global_id(size_t row) const {
     return row_ids.empty() ? static_cast<PointId>(row) : row_ids[row];
   }
-};
 
-/// Next value of the process-wide shard epoch counter (never 0).
-uint64_t NextShardEpoch();
+  /// Default-block zonemap index over rows() (index/zonemap.h), built on
+  /// first use and kept for the life of this shard. Concurrent first uses
+  /// build it once; a build that throws leaves the slot empty, so the
+  /// next call retries.
+  std::shared_ptr<const ZoneMapIndex> zonemap() const;
+  /// The index if it was built or installed, else nullptr (never builds).
+  std::shared_ptr<const ZoneMapIndex> built_zonemap() const;
+  /// Install an index over rows() — a delta repair of the parent shard's.
+  void set_zonemap(std::shared_ptr<const ZoneMapIndex> index);
+
+ private:
+  struct ZonemapSlot {
+    std::mutex mu;
+    std::shared_ptr<const ZoneMapIndex> index;  // guarded by mu
+  };
+  /// Held by pointer so a copy of the shard shares it: the copy shares
+  /// `data` too (ShardWithRemappedIds), so the index describes its rows.
+  /// A builder that gives a shard new rows starts from a fresh Shard.
+  std::shared_ptr<ZonemapSlot> zonemap_ = std::make_shared<ZonemapSlot>();
+};
 
 /// Immutable shard decomposition of one dataset, with shards held by
 /// shared_ptr so mutation produces a cheap copy-on-write clone: the new

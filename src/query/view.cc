@@ -135,12 +135,4 @@ Value ViewRowScore(const Dataset& view, size_t row) {
   return sum;
 }
 
-size_t QueryViewBytes(const QueryView& view) {
-  return sizeof(QueryView) +
-         view.data.count() * static_cast<size_t>(view.data.stride()) *
-             sizeof(Value) +
-         view.row_ids.size() * sizeof(PointId) +
-         view.kept_dims.size() * sizeof(int);
-}
-
 }  // namespace sky

@@ -33,16 +33,6 @@ struct QueryView {
   /// Parallelism the build ran at: the request's thread budget, clamped
   /// to the executor's width and to the number of row chunks.
   int build_threads = 1;
-  /// Invalidation metadata, filled by the engine when it caches a view:
-  /// the shard the view was cut from (-1 = not cached). A mutation keeps
-  /// a cached view alive iff its shard kept its rows — see
-  /// SkylineEngine::InsertPoints/DeletePoints.
-  int source_shard = -1;
-  /// Shard::epoch of the shard this view was cut from. A reader only
-  /// composes a cached shard view with its own ShardMap snapshot when the
-  /// epochs match — the view's local row indices are meaningless against
-  /// any other generation of the shard.
-  uint64_t source_epoch = 0;
 };
 
 /// Rows per unit of work in MaterializeView: each chunk is box-tested,
@@ -65,10 +55,6 @@ QueryView MaterializeView(const Dataset& data, const QuerySpec& spec);
 /// preference-oriented) view coordinates — "best combined trade-off
 /// first". Exposed so engine and tests share one float-exact definition.
 Value ViewRowScore(const Dataset& view, size_t row);
-
-/// Payload bytes of a materialized view (padded rows + id map) — the
-/// price the engine's byte-budgeted view cache charges per entry.
-size_t QueryViewBytes(const QueryView& view);
 
 }  // namespace sky
 

@@ -15,6 +15,7 @@
 
 #include "data/generator.h"
 #include "gtest/gtest.h"
+#include "index/zonemap.h"
 #include "query/delta.h"
 #include "query/engine.h"
 #include "query_test_util.h"
@@ -423,34 +424,62 @@ TEST(IncrementalMutationTest, DuplicateRowsInOneInsertBatchAllSurvive) {
             (std::vector<OracleEntry>{{2, 0}, {3, 0}}));
 }
 
-TEST(IncrementalMutationTest, ShardEpochTracksLocalRowNumbering) {
-  // The epoch identifies a shard's local row content/numbering: fresh
-  // after any repair that changes the rows, preserved by a pure
-  // global-id remap — the property the engine's view-cache validation
-  // relies on to keep a cached view composable only with the exact
-  // shard generation it was cut from.
-  const Dataset data = MakeDataset(
-      {{0.1f, 0.9f}, {0.9f, 0.1f}, {0.5f, 0.5f}, {0.6f, 0.6f}});
+TEST(IncrementalMutationTest, ShardZonemapFollowsLocalRowNumbering) {
+  // A shard's zonemap index describes its local rows: a repair that
+  // changes them repairs a built index block-locally and counts it, an
+  // unbuilt index stays unbuilt, and a pure global-id remap shares the
+  // index with the shard it copies.
+  const Dataset data =
+      GenerateSynthetic(Distribution::kIndependent, 600, 3, 41);
   const ShardMap map = ShardMap::Build(data, 2, ShardPolicy::kRoundRobin);
-  EXPECT_NE(map.shard(0).epoch, 0u);
-  EXPECT_NE(map.shard(1).epoch, 0u);
-  EXPECT_NE(map.shard(0).epoch, map.shard(1).epoch);
+  const Shard& s0 = map.shard(0);
+  const Shard& s1 = map.shard(1);
+  const Dataset batch =
+      GenerateSynthetic(Distribution::kAnticorrelated, 20, 3, 42);
+  std::vector<size_t> all_rows(batch.count());
+  for (size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
+  // Round-robin: shard 0 local rows 0 and 2 are global ids 0 and 4.
+  const std::vector<PointId> drop_local = {0, 2};
+  std::vector<uint32_t> shift(data.count(), 0);
+  for (size_t g = 1; g < shift.size(); ++g) {
+    shift[g] = static_cast<uint32_t>((g > 0) + (g > 4));
+  }
 
-  const Dataset batch = MakeDataset({{0.05f, 0.05f}});
-  const auto inserted =
-      ShardWithInserts(map.shard(0), batch, {0}, /*base_global_id=*/4,
-                       /*sketch_seed=*/1);
-  EXPECT_NE(inserted->epoch, map.shard(0).epoch);
+  RepairStats stats;
+  EXPECT_EQ(s0.built_zonemap(), nullptr);  // nothing built at Build
+  const auto unbuilt = ShardWithInserts(s0, batch, all_rows,
+                                        /*base_global_id=*/600,
+                                        /*sketch_seed=*/1, &stats);
+  EXPECT_EQ(unbuilt->built_zonemap(), nullptr);
+  EXPECT_EQ(stats.zonemap_repairs, 0u);
 
-  std::vector<uint32_t> shift(4, 0);  // compaction map for deleting id 0
-  for (size_t i = 1; i < shift.size(); ++i) shift[i] = 1;
-  const auto deleted =
-      ShardWithDeletes(map.shard(0), {0}, shift, /*sketch_seed=*/1);
-  EXPECT_NE(deleted->epoch, map.shard(0).epoch);
-  EXPECT_NE(deleted->epoch, inserted->epoch);
+  const std::shared_ptr<const ZoneMapIndex> zm0 = s0.zonemap();
+  ASSERT_NE(zm0, nullptr);
+  EXPECT_EQ(s0.zonemap(), zm0);  // built once, then kept
+  EXPECT_TRUE(zm0->Validate(s0.rows()));
 
-  const auto remapped = ShardWithRemappedIds(map.shard(1), shift);
-  EXPECT_EQ(remapped->epoch, map.shard(1).epoch);
+  const auto inserted = ShardWithInserts(s0, batch, all_rows, 600, 1, &stats);
+  const auto ins_zm = inserted->built_zonemap();
+  ASSERT_NE(ins_zm, nullptr);
+  EXPECT_NE(ins_zm, zm0);
+  EXPECT_EQ(ins_zm->rows(), s0.rows().count() + batch.count());
+  EXPECT_TRUE(ins_zm->Validate(inserted->rows()));
+  EXPECT_EQ(stats.zonemap_repairs, 1u);
+
+  const auto deleted = ShardWithDeletes(s0, drop_local, shift, 1, &stats);
+  const auto del_zm = deleted->built_zonemap();
+  ASSERT_NE(del_zm, nullptr);
+  EXPECT_EQ(del_zm->rows(), s0.rows().count() - drop_local.size());
+  EXPECT_TRUE(del_zm->Validate(deleted->rows()));
+  EXPECT_EQ(stats.zonemap_repairs, 2u);
+
+  // A remapped copy shares the slot: an index built through either shard
+  // afterwards is the other's too.
+  const auto remapped = ShardWithRemappedIds(s1, shift);
+  EXPECT_EQ(remapped->built_zonemap(), nullptr);
+  const std::shared_ptr<const ZoneMapIndex> zm1 = s1.zonemap();
+  EXPECT_EQ(remapped->built_zonemap(), zm1);
+  EXPECT_TRUE(zm1->Validate(remapped->rows()));
 }
 
 TEST(IncrementalMutationTest, AdversarialDatasetNameCannotCorruptPeerCaches) {

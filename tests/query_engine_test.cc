@@ -307,81 +307,12 @@ TEST(SkylineEngineTest, ResultLargerThanByteBudgetIsNotRetained) {
   EXPECT_FALSE(engine.Execute("ds", QuerySpec{}).cache_hit);
 }
 
-TEST(SkylineEngineTest, ViewReusedAcrossSpecsDifferingOnlyInDepthOrCap) {
-  SkylineEngine engine;
-  const Dataset data =
-      GenerateSynthetic(Distribution::kIndependent, 300, 4, 23);
-  engine.RegisterDataset("ds", data.Clone());
-
-  QuerySpec base;
-  base.SetPreference(1, Preference::kMax).Constrain(0, 0.1f, 0.9f);
-  QuerySpec capped = base;
-  capped.top_k = 5;
-  QuerySpec banded = base;
-  banded.band_k = 3;
-
-  engine.Execute("ds", base);  // builds + caches the materialized view
-  auto views = engine.view_cache_counters();
-  EXPECT_EQ(views.misses, 1u);
-  EXPECT_EQ(views.entries, 1u);
-
-  // Same ViewKey, different band_k / top_k: result-cache misses that
-  // reuse the one materialized view instead of rebuilding it.
-  const QueryResult r1 = engine.Execute("ds", capped);
-  const QueryResult r2 = engine.Execute("ds", banded);
-  EXPECT_FALSE(r1.cache_hit);
-  EXPECT_FALSE(r2.cache_hit);
-  views = engine.view_cache_counters();
-  EXPECT_EQ(views.hits, 2u);
-  EXPECT_EQ(views.misses, 1u);
-  EXPECT_EQ(views.entries, 1u);
-  EXPECT_EQ(AsEntries(r1), ReferenceQuery(data, capped));
-  EXPECT_EQ(SortedEntries(r2), ReferenceQuery(data, banded));
-
-  // The identity transform needs no view and must not populate the cache.
-  engine.Execute("ds", QuerySpec{});
-  EXPECT_EQ(engine.view_cache_counters().entries, 1u);
-}
-
 TEST(SkylineEngineTest, InvalidSpecSurfacesAsException) {
   SkylineEngine engine;
   engine.RegisterDataset("ds", MakeDataset({{1.0f, 2.0f}}));
   QuerySpec bad;
   bad.preferences.assign(2, Preference::kIgnore);
   EXPECT_THROW(engine.Execute("ds", bad), std::runtime_error);
-}
-
-TEST(SkylineEngineTest, ViewCacheByteBudgetEvictsAndCounts) {
-  // Two views over a 600-row dataset with a budget sized for one: the
-  // second materialization must push the first out, and a budget smaller
-  // than any view retains nothing.
-  const Dataset data =
-      GenerateSynthetic(Distribution::kIndependent, 600, 4, 29);
-  QuerySpec a;
-  a.Constrain(0, 0.0f, 0.8f);
-  QuerySpec b;
-  b.Constrain(1, 0.0f, 0.8f);
-  const size_t one_view = QueryViewBytes(
-      MaterializeView(data, a.Canonicalize(data.dims())));
-
-  SkylineEngine::Config config;
-  config.view_cache_capacity = 8;  // entry cap never binds here
-  config.view_cache_bytes = one_view + one_view / 2;
-  SkylineEngine engine(config);
-  engine.RegisterDataset("ds", data.Clone());
-  engine.Execute("ds", a);
-  engine.Execute("ds", b);
-  auto views = engine.view_cache_counters();
-  EXPECT_EQ(views.entries, 1u);
-  EXPECT_GE(views.byte_evictions, 1u);
-  EXPECT_LE(views.bytes, config.view_cache_bytes);
-
-  SkylineEngine::Config tiny_config;
-  tiny_config.view_cache_bytes = 16;  // smaller than any view
-  SkylineEngine tiny(tiny_config);
-  tiny.RegisterDataset("ds", data.Clone());
-  tiny.Execute("ds", a);
-  EXPECT_EQ(tiny.view_cache_counters().entries, 0u);
 }
 
 TEST(SkylineEngineTest, ResultCacheTtlExpiresLazily) {

@@ -305,30 +305,6 @@ TEST(QueryShardPropertyTest, LoneShardViewBuildsIdenticallyAtEveryWidth) {
   EXPECT_EQ(SortedEntries(results[0]), ReferenceQuery(data, spec));
 }
 
-TEST(QueryShardPropertyTest, PerShardViewsReusedAcrossDepthSweep) {
-  SkylineEngine::Config config;
-  config.shards = 2;
-  SkylineEngine engine(config);
-  const Dataset data =
-      GenerateSynthetic(Distribution::kIndependent, 400, 4, 13);
-  engine.RegisterDataset("ds", data.Clone());
-
-  QuerySpec base;
-  base.SetPreference(0, Preference::kMax);  // non-identity, no pruning
-  engine.Execute("ds", base);
-  auto views = engine.view_cache_counters();
-  EXPECT_EQ(views.misses, 2u);  // one materialization per executed shard
-  EXPECT_EQ(views.entries, 2u);
-
-  QuerySpec deeper = base;
-  deeper.band_k = 2;
-  const QueryResult r = engine.Execute("ds", deeper);
-  views = engine.view_cache_counters();
-  EXPECT_EQ(views.hits, 2u);  // same ViewKey: both shard views reused
-  EXPECT_EQ(views.misses, 2u);
-  EXPECT_EQ(SortedEntries(r), ReferenceQuery(data, deeper));
-}
-
 TEST(QueryShardPropertyTest, ProgressiveStreamsConfirmedIdsFromMerge) {
   // Multi-shard plans report progressively from the merge stage: the
   // union of streamed batches must be exactly the final answer, in

@@ -139,8 +139,8 @@ TEST_F(RobustEngineTest, ExternalCancelTokenStopsTheQuery) {
 
 TEST_F(RobustEngineTest, CancelledTokenStopsTheViewBuild) {
   // The view build polls the query token once per row chunk, so a
-  // cancelled query stops before any view exists: nothing is built,
-  // counted or cached.
+  // cancelled query stops before any view exists: nothing is built or
+  // counted.
   SkylineEngine engine;
   const Dataset data =
       GenerateSynthetic(Distribution::kIndependent, 80'000, 4, 21);
@@ -152,7 +152,6 @@ TEST_F(RobustEngineTest, CancelledTokenStopsTheViewBuild) {
     return engine.Metrics().Snapshot().Value("sky_engine_view_builds_total");
   };
   const double builds_before = view_builds();
-  const auto views_before = engine.view_cache_counters();
 
   CancelToken token;
   token.Cancel();
@@ -163,9 +162,6 @@ TEST_F(RobustEngineTest, CancelledTokenStopsTheViewBuild) {
   EXPECT_EQ(r.status, Status::kCancelled);
   EXPECT_TRUE(r.ids.empty());
   EXPECT_EQ(view_builds(), builds_before);
-  const auto views_after = engine.view_cache_counters();
-  EXPECT_EQ(views_after.entries, views_before.entries);
-  EXPECT_EQ(views_after.bytes, views_before.bytes);
 
   Options full;
   full.threads = 4;
@@ -329,20 +325,40 @@ TEST_F(RobustEngineTest, FailpointDifferentialNoFaultProducesWrongAnswer) {
   const std::vector<PointId> oracle = OracleIds(data, boxed);
   Options opts;
   opts.threads = 2;
+  // The same box-only spec forced onto the zonemap direct path, which
+  // builds each executed shard's index on first use.
+  Options zonemap_opts = opts;
+  zonemap_opts.algorithm = Algorithm::kZonemap;
+  const auto built_indexes = [&] {
+    const std::shared_ptr<const ShardMap> map = engine.FindShards("ds");
+    size_t built = 0;
+    for (size_t s = 0; s < map->shard_count(); ++s) {
+      built += map->shard(s).built_zonemap() != nullptr;
+    }
+    return built;
+  };
 
   using Mode = FailPoints::Mode;
-  const char* sites[] = {"view_build", "shard_execute", "merge_union",
-                         "executor_task", "result_cache_put"};
+  const char* sites[] = {"view_build",  "zonemap_build", "shard_execute",
+                         "merge_union", "executor_task", "result_cache_put"};
   const Mode modes[] = {Mode::kThrow, Mode::kBadAlloc, Mode::kError,
                         Mode::kDelay};
   for (const char* site : sites) {
+    const bool zonemap = std::string(site) == "zonemap_build";
+    const Options& run = zonemap ? zonemap_opts : opts;
     for (const Mode mode : modes) {
       SCOPED_TRACE(std::string(site) + ":" + FailPoints::ModeName(mode));
       FailPoints::Instance().DisarmAll();
+      // The index is built once per shard and then kept: re-register so
+      // every mode meets unbuilt shards.
+      if (zonemap) engine.RegisterDataset("ds", data.Clone());
       FailPoints::Instance().Arm(site, mode, /*probability=*/1.0,
                                  /*delay_ms=*/5);
       engine.ClearCache();
-      const QueryResult r = engine.Execute("ds", boxed, opts);
+      const QueryResult r = engine.Execute("ds", boxed, run);
+      if (zonemap && r.status != Status::kOk) {
+        EXPECT_EQ(built_indexes(), 0u) << "a failed build leaves no index";
+      }
       if (mode == Mode::kDelay) {
         EXPECT_EQ(r.status, Status::kOk);
         EXPECT_EQ(Sorted(r.ids), oracle);
@@ -357,9 +373,12 @@ TEST_F(RobustEngineTest, FailpointDifferentialNoFaultProducesWrongAnswer) {
       // Containment check: the engine recovers without a rebuild.
       FailPoints::Instance().DisarmAll();
       engine.ClearCache();
-      const QueryResult after = engine.Execute("ds", boxed, opts);
+      const QueryResult after = engine.Execute("ds", boxed, run);
       EXPECT_EQ(after.status, Status::kOk);
       EXPECT_EQ(Sorted(after.ids), oracle);
+      if (zonemap) {
+        EXPECT_EQ(built_indexes(), after.shards_executed);
+      }
     }
   }
 }

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/failpoint.h"
 #include "core/algorithm_registry.h"
 #include "core/skyline.h"
 #include "core/zonemap_skyline.h"
@@ -471,13 +472,29 @@ TEST(ZonemapAutoSelection, DirectGateControlsCandidacy) {
   }
 }
 
+/// Disarms every failpoint when it goes out of scope, so a failed
+/// assertion cannot leave a site armed for later tests.
+struct DisarmOnExit {
+  ~DisarmOnExit() { FailPoints::Instance().DisarmAll(); }
+};
+
+double ZonemapRepairs(const SkylineEngine& engine) {
+  return engine.Metrics().Snapshot().Value("sky_zonemap_repairs_total");
+}
+
 TEST(ZonemapEngine, UnshardedIndexIsCachedAndRepairedAcrossMutations) {
+  // The shard owns its index: registration builds none, the first
+  // zonemap query builds it, later queries reuse it, and mutations
+  // repair it block-locally. zonemap_build stays armed to throw across
+  // the mutations, so any rebuild would fail the query.
   SkylineEngine::Config config;
   config.shards = 1;
-  config.result_cache_capacity = 0;  // measure the zonemap cache alone
+  config.result_cache_capacity = 0;  // every Execute reaches the index
   SkylineEngine engine(config);
   const Dataset data = MakeData("anti", 400, 4, 61);
   engine.RegisterDataset("ds", data.Clone());
+  const auto shard = [&] { return engine.FindShards("ds")->shard_ptr(0); };
+  EXPECT_EQ(shard()->built_zonemap(), nullptr);
 
   QuerySpec boxed;
   boxed.Constrain(0, 0.0f, 0.7f);
@@ -485,55 +502,59 @@ TEST(ZonemapEngine, UnshardedIndexIsCachedAndRepairedAcrossMutations) {
   opts.algorithm = Algorithm::kZonemap;
 
   const QueryResult first = engine.Execute("ds", boxed, opts);
-  auto counters = engine.zonemap_cache_counters();
-  EXPECT_EQ(counters.misses, 1u);
-  EXPECT_EQ(counters.entries, 1u);
   EXPECT_EQ(SortedEntries(first), ReferenceQuery(data, boxed));
-
+  const std::shared_ptr<const ZoneMapIndex> built = shard()->built_zonemap();
+  ASSERT_NE(built, nullptr);
+  EXPECT_TRUE(built->Validate(shard()->rows()));
   const QueryResult again = engine.Execute("ds", boxed, opts);
-  counters = engine.zonemap_cache_counters();
-  EXPECT_EQ(counters.misses, 1u);
-  EXPECT_GE(counters.hits, 1u);
+  EXPECT_EQ(shard()->built_zonemap(), built);
   EXPECT_EQ(SortedEntries(again), SortedEntries(first));
 
-  // Insert: the cached index is repaired block-locally (tail append), so
-  // the next query hits — no rebuild miss — and stays oracle-identical.
-  const Dataset extra = MakeData("indep", 60, 4, 62);
-  engine.InsertPoints("ds", extra);
-  EXPECT_EQ(engine.MinorVersion("ds"), 1u);
-  const auto pre_insert = engine.zonemap_cache_counters();
+  DisarmOnExit disarm;
+  FailPoints::Instance().Arm("zonemap_build", FailPoints::Mode::kThrow);
+
+  // Insert: the tail block is extended and fresh blocks appended.
+  engine.InsertPoints("ds", MakeData("indep", 60, 4, 62));
+  const std::shared_ptr<const ZoneMapIndex> inserted = shard()->built_zonemap();
+  ASSERT_NE(inserted, nullptr);
+  EXPECT_NE(inserted, built);
+  EXPECT_EQ(inserted->rows(), 460u);
+  EXPECT_TRUE(inserted->Validate(shard()->rows()));
+  EXPECT_EQ(ZonemapRepairs(engine), 1.0);
   const QueryResult after_insert = engine.Execute("ds", boxed, opts);
-  counters = engine.zonemap_cache_counters();
-  EXPECT_EQ(counters.misses, pre_insert.misses)
+  EXPECT_EQ(after_insert.status, Status::kOk)
       << "repair should avoid a rebuild";
-  EXPECT_GT(counters.hits, pre_insert.hits);
   EXPECT_EQ(SortedEntries(after_insert),
             ReferenceQuery(*engine.Find("ds"), boxed));
 
   // Delete: same story through WithDeletedRows.
   const std::vector<PointId> drop = {1, 7, 13, 400, 459};
   engine.DeletePoints("ds", drop);
-  EXPECT_EQ(engine.MinorVersion("ds"), 2u);
-  const auto pre_delete = engine.zonemap_cache_counters();
+  const std::shared_ptr<const ZoneMapIndex> deleted = shard()->built_zonemap();
+  ASSERT_NE(deleted, nullptr);
+  EXPECT_EQ(deleted->rows(), 455u);
+  EXPECT_TRUE(deleted->Validate(shard()->rows()));
+  EXPECT_EQ(ZonemapRepairs(engine), 2.0);
   const QueryResult after_delete = engine.Execute("ds", boxed, opts);
-  counters = engine.zonemap_cache_counters();
-  EXPECT_EQ(counters.misses, pre_delete.misses);
-  EXPECT_GT(counters.hits, pre_delete.hits);
+  EXPECT_EQ(after_delete.status, Status::kOk);
   EXPECT_EQ(SortedEntries(after_delete),
             ReferenceQuery(*engine.Find("ds"), boxed));
 
-  // A custom block size must not pollute the fixed cache keys.
+  // A custom block size builds a private index and leaves the shard's
+  // alone.
+  FailPoints::Instance().DisarmAll();
   Options custom = opts;
   custom.block_rows = 16;
-  const auto pre_custom = engine.zonemap_cache_counters();
   const QueryResult custom_r = engine.Execute("ds", boxed, custom);
-  counters = engine.zonemap_cache_counters();
-  EXPECT_EQ(counters.entries, pre_custom.entries);
-  EXPECT_EQ(counters.misses, pre_custom.misses);
+  EXPECT_EQ(shard()->built_zonemap(), deleted);
   EXPECT_EQ(SortedEntries(custom_r), SortedEntries(after_delete));
 }
 
 TEST(ZonemapEngine, ShardedIndexesAreRepairedAcrossMutations) {
+  // Touched shards get a repaired index, untouched shards keep theirs:
+  // an insert shares the untouched Shard itself, a delete remaps its ids
+  // and shares its rows and index. zonemap_build throws after the first
+  // query, so no shard may rebuild.
   SkylineEngine::Config config;
   config.shards = 3;
   config.result_cache_capacity = 0;
@@ -548,27 +569,161 @@ TEST(ZonemapEngine, ShardedIndexesAreRepairedAcrossMutations) {
 
   const QueryResult first = engine.Execute("ds", wide, opts);
   EXPECT_EQ(first.shards_executed, 3u);
-  auto counters = engine.zonemap_cache_counters();
-  EXPECT_EQ(counters.misses, 3u);  // one build per shard
-  EXPECT_EQ(counters.entries, 3u);
   EXPECT_EQ(SortedEntries(first), ReferenceQuery(data, wide));
+  std::shared_ptr<const ShardMap> before = engine.FindShards("ds");
+  for (size_t s = 0; s < 3; ++s) {
+    ASSERT_NE(before->shard(s).built_zonemap(), nullptr) << "shard " << s;
+  }
+
+  DisarmOnExit disarm;
+  FailPoints::Instance().Arm("zonemap_build", FailPoints::Mode::kThrow);
+  // Checks every shard of the current map against the one before the
+  // mutation; returns how many shards now hold a repaired index.
+  const auto check_indexes = [&]() -> size_t {
+    const std::shared_ptr<const ShardMap> after = engine.FindShards("ds");
+    size_t repaired = 0;
+    for (size_t s = 0; s < 3; ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s));
+      const Shard& old_shard = before->shard(s);
+      const Shard& new_shard = after->shard(s);
+      const auto zm = new_shard.built_zonemap();
+      if (zm == nullptr) {
+        ADD_FAILURE() << "index lost across the mutation";
+        continue;
+      }
+      EXPECT_TRUE(zm->Validate(new_shard.rows()));
+      if (new_shard.data == old_shard.data) {
+        EXPECT_EQ(zm, old_shard.built_zonemap());
+      } else {
+        EXPECT_NE(zm, old_shard.built_zonemap());
+        ++repaired;
+      }
+    }
+    before = after;
+    return repaired;
+  };
 
   engine.InsertPoints("ds", MakeData("anti", 45, 4, 68));
-  const auto pre = engine.zonemap_cache_counters();
+  const size_t inserted = check_indexes();
+  EXPECT_GE(inserted, 1u);
+  EXPECT_EQ(ZonemapRepairs(engine), static_cast<double>(inserted));
   const QueryResult after = engine.Execute("ds", wide, opts);
-  counters = engine.zonemap_cache_counters();
-  EXPECT_EQ(counters.misses, pre.misses)
+  EXPECT_EQ(after.status, Status::kOk)
       << "every touched shard's index should be repaired, not rebuilt";
   EXPECT_EQ(SortedEntries(after), ReferenceQuery(*engine.Find("ds"), wide));
 
   const std::vector<PointId> drop = {0, 100, 200, 300, 600};
   engine.DeletePoints("ds", drop);
-  const auto pre_del = engine.zonemap_cache_counters();
+  const size_t deleted = check_indexes();
+  EXPECT_GE(deleted, 1u);
+  EXPECT_EQ(ZonemapRepairs(engine), static_cast<double>(inserted + deleted));
   const QueryResult after_del = engine.Execute("ds", wide, opts);
-  counters = engine.zonemap_cache_counters();
-  EXPECT_EQ(counters.misses, pre_del.misses);
+  EXPECT_EQ(after_del.status, Status::kOk);
   EXPECT_EQ(SortedEntries(after_del),
             ReferenceQuery(*engine.Find("ds"), wide));
+}
+
+TEST(ZonemapEngine, ConcurrentFirstUsesBuildEachShardOnce) {
+  // Readers race their first zonemap queries on a fresh 4-shard
+  // registration, then keep querying while one writer inserts and
+  // deletes. Each answer must match the oracle of a dataset version the
+  // reader could have read (between the minor versions seen before and
+  // after its query). zonemap_build is armed to delay, which widens the
+  // first-use race and counts builds: the four first-generation shards
+  // build once each, and every later generation inherits a repaired
+  // index, so the count stays at four.
+  constexpr int kReaders = 3;
+  constexpr int kRounds = 6;
+  const Dataset data = MakeData("indep", 2'000, 4, 91);
+  std::vector<Dataset> inserts;
+  std::vector<std::vector<PointId>> deletes;
+  for (int r = 0; r < kRounds; ++r) {
+    inserts.push_back(MakeData("anti", 32, 4, 92 + static_cast<uint64_t>(r)));
+    const auto id = static_cast<PointId>(r);
+    deletes.push_back({5 * id, 700 + 9 * id});
+  }
+  std::vector<QuerySpec> boxes(3);  // every shard box meets each one
+  boxes[0].Constrain(0, 0.0f, 0.5f);
+  boxes[1].Constrain(0, 0.2f, 0.9f);
+  boxes[2].Constrain(0, 0.0f, 0.7f).Constrain(1, 0.1f, 1.0f);
+
+  // oracle[v][b]: box b's answer at minor version v, replayed serially.
+  std::vector<std::vector<std::vector<OracleEntry>>> oracle;
+  {
+    SkylineEngine replay;
+    replay.RegisterDataset("ds", data.Clone());
+    const auto record = [&] {
+      oracle.emplace_back();
+      for (const QuerySpec& box : boxes) {
+        oracle.back().push_back(ReferenceQuery(*replay.Find("ds"), box));
+      }
+    };
+    record();
+    for (int r = 0; r < kRounds; ++r) {
+      replay.InsertPoints("ds", inserts[static_cast<size_t>(r)]);
+      record();
+      replay.DeletePoints("ds", deletes[static_cast<size_t>(r)]);
+      record();
+    }
+  }
+
+  SkylineEngine::Config config;
+  config.shards = 4;
+  config.shard_policy = ShardPolicy::kRoundRobin;
+  config.result_cache_capacity = 0;  // every query reaches the index
+  SkylineEngine engine(config);
+  engine.RegisterDataset("ds", data.Clone());
+  DisarmOnExit disarm;
+  FailPoints::Instance().Arm("zonemap_build", FailPoints::Mode::kDelay,
+                             /*probability=*/1.0, /*delay_ms=*/20);
+
+  std::atomic<bool> go{false};
+  std::atomic<bool> stop{false};
+  std::atomic<int> first_done{0};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Options opts;
+      opts.algorithm = Algorithm::kZonemap;
+      opts.threads = 2;
+      while (!go.load()) std::this_thread::yield();
+      for (size_t q = static_cast<size_t>(t);; ++q) {
+        const size_t b = q % boxes.size();
+        const uint64_t lo = engine.MinorVersion("ds");
+        const QueryResult r = engine.Execute("ds", boxes[b], opts);
+        const uint64_t hi = engine.MinorVersion("ds");
+        const std::vector<OracleEntry> got = SortedEntries(r);
+        bool matched = r.status == Status::kOk && r.shards_executed == 4;
+        if (matched) {
+          matched = false;
+          for (uint64_t v = lo; v <= hi && !matched; ++v) {
+            matched = got == SortedById(oracle[v][b]);
+          }
+        }
+        if (!matched) mismatches.fetch_add(1);
+        if (q == static_cast<size_t>(t)) first_done.fetch_add(1);
+        if (stop.load() && q >= static_cast<size_t>(t) + boxes.size()) break;
+      }
+    });
+  }
+  go.store(true);
+  while (first_done.load() < kReaders) std::this_thread::yield();
+  for (int r = 0; r < kRounds; ++r) {
+    engine.InsertPoints("ds", inserts[static_cast<size_t>(r)]);
+    engine.DeletePoints("ds", deletes[static_cast<size_t>(r)]);
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_EQ(FailPoints::Instance().Hits("zonemap_build"), 4u);
+  const std::shared_ptr<const ShardMap> map = engine.FindShards("ds");
+  for (size_t s = 0; s < map->shard_count(); ++s) {
+    const auto zm = map->shard(s).built_zonemap();
+    ASSERT_NE(zm, nullptr) << "shard " << s;
+    EXPECT_TRUE(zm->Validate(map->shard(s).rows())) << "shard " << s;
+  }
 }
 
 TEST(ZonemapEngine, CostLearningRecordsOnlyWhenEnabled) {
