@@ -14,7 +14,7 @@
 
 #include "bench_util.h"
 #include "core/algorithm_registry.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 #include "query/engine.h"
 
 namespace sky {
@@ -51,7 +51,7 @@ void Run(const BenchConfig& cfg) {
   // more threads than exist makes it pick parallel algorithms that
   // cannot actually speed up.
   const int t =
-      cfg.max_threads > 0 ? cfg.max_threads : ThreadPool::DefaultThreads();
+      cfg.max_threads > 0 ? cfg.max_threads : Executor::DefaultThreads();
   const std::vector<Algorithm> candidates = AutoCandidates();
 
   std::printf(

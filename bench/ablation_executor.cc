@@ -9,12 +9,12 @@
 #include <atomic>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/timer.h"
 #include "parallel/executor.h"
-#include "parallel/thread_pool.h"
 #include "query/engine.h"
 #include "query/shard_map.h"
 
@@ -31,20 +31,24 @@ double CellQps(const ShardMap& map, int clients, int threads,
                Executor* executor, int queries_each, int repeats) {
   std::vector<double> qps;
   for (int rep = 0; rep < std::max(repeats, 3); ++rep) {
-    ThreadPool client_pool(clients);
     WallTimer timer;
-    client_pool.RunOnAll([&](int client) {
-      Options opts;
-      opts.threads = threads;
-      opts.executor = executor;
-      for (int q = 0; q < queries_each; ++q) {
-        QuerySpec spec;
-        const float lo =
-            0.05f + 0.01f * static_cast<float>((client * 31 + q + rep) % 80);
-        spec.Constrain(0, lo, lo + kBoxWidth);
-        RunShardedQuery(map, spec, opts);
+    {
+      std::vector<std::jthread> client_threads;  // joined at scope exit
+      for (int client = 0; client < clients; ++client) {
+        client_threads.emplace_back([&, client] {
+          Options opts;
+          opts.threads = threads;
+          opts.executor = executor;
+          for (int q = 0; q < queries_each; ++q) {
+            QuerySpec spec;
+            const float lo = 0.05f + 0.01f * static_cast<float>(
+                                             (client * 31 + q + rep) % 80);
+            spec.Constrain(0, lo, lo + kBoxWidth);
+            RunShardedQuery(map, spec, opts);
+          }
+        });
       }
-    });
+    }
     const double secs = std::max(timer.Seconds(), 1e-12);
     qps.push_back(static_cast<double>(clients) *
                   static_cast<double>(queries_each) / secs);

@@ -20,10 +20,9 @@
 //   perf_smoke [--out=PATH] [--check]
 //
 // Wall-clock entries are medians of --repeats runs (default 3). Every
-// ratio pair except the mutation one (whose insert arm changes the
-// engine's state) alternates its two arms run by run, at least 5 runs
-// each, reports each arm's median and gates on the median per-round
-// ratio; kernel runs calibrate to ~0.05s of work. Numbers are only comparable
+// ratio pair alternates its two arms run by run, at least 5 runs each,
+// reports each arm's median and gates on the median per-round ratio;
+// kernel runs calibrate to ~0.05s of work. Numbers are only comparable
 // on the same host, which is exactly what a CI trajectory needs.
 #include <cinttypes>
 #include <cstdio>
@@ -197,9 +196,11 @@ ArmPair HybridBatchPair(int repeats) {
 /// skylines in place. Reproducing the same engine state from scratch
 /// means re-registering the whole n-row dataset (shard build + sketches)
 /// AND recomputing every shard's maintained skyline — that pair is the
-/// baseline the delta path must beat by a wide margin.
-/// Returns {incremental, rebuild}; ns_per_op is the whole operation.
-std::pair<Entry, Entry> MutationPair(int repeats) {
+/// baseline the delta path must beat by a wide margin. The arms alternate
+/// (AlternatePair), each on its own engine, since inserts change the
+/// state they run on. Returns {rebuild, incremental, speedup}; ns_per_op
+/// is the whole operation.
+ArmPair MutationPair(int repeats) {
   constexpr size_t kN = 200'000;
   constexpr int kD = 8;
   constexpr size_t kBatch = 64;
@@ -207,49 +208,44 @@ std::pair<Entry, Entry> MutationPair(int repeats) {
   const Dataset& data = WorkloadCache::Instance().Get(spec);
   const Dataset batch = RandomData(kD, kBatch, 99);
 
-  SkylineEngine::Config cfg;
-  cfg.shards = 4;
-  cfg.shard_policy = ShardPolicy::kMedianPivot;
-  SkylineEngine engine(cfg);
-  engine.RegisterDataset("smoke", data.Clone());
+  std::unique_ptr<SkylineEngine> engines[2];  // [rebuild, incremental]
+  for (auto& engine : engines) {
+    SkylineEngine::Config cfg;
+    cfg.shards = 4;
+    cfg.shard_policy = ShardPolicy::kMedianPivot;
+    engine = std::make_unique<SkylineEngine>(cfg);
+    engine->RegisterDataset("smoke", data.Clone());
+  }
   // Warm-up batch: the first insert on each shard pays the one-time
   // skyline bootstrap; steady-state churn is what the row measures.
-  engine.InsertPoints("smoke", batch);
+  engines[1]->InsertPoints("smoke", batch);
 
-  const auto median = [](std::vector<double> v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  const int reps = std::max(repeats, 3);
-  std::vector<double> insert_s;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer t;
-    engine.InsertPoints("smoke", batch);
-    insert_s.push_back(std::max(t.Seconds(), 1e-12));
-  }
-  std::vector<double> reg_s;
-  for (int r = 0; r < reps; ++r) {
+  char name[128];
+  std::snprintf(name, sizeof(name), "engine/full_rebuild/anti/n=%zu/d=%d",
+                kN, kD);
+  const std::string rebuild_name = name;
+  std::snprintf(name, sizeof(name),
+                "engine/incremental_insert/anti/n=%zu/d=%d/batch=%zu", kN, kD,
+                kBatch);
+  const std::string insert_name = name;
+  return AlternatePair(repeats, [&](int arm) {
+    if (arm == 1) {
+      WallTimer t;
+      engines[1]->InsertPoints("smoke", batch);
+      return Entry{insert_name, std::max(t.Seconds(), 1e-12) * 1e9, 0.0};
+    }
     Dataset copy = data.Clone();  // clone outside the timed region
     WallTimer t;
-    engine.RegisterDataset("smoke", std::move(copy));
+    engines[0]->RegisterDataset("smoke", std::move(copy));
     const std::shared_ptr<const ShardMap> shards =
-        engine.FindShards("smoke");
+        engines[0]->FindShards("smoke");
     for (size_t s = 0; s < shards->shard_count(); ++s) {
       // The state the delta path maintains incrementally: without this,
       // the next mutation on a fresh registration pays the bootstrap.
       ComputeShardSkyline(shards->shard(s).rows());
     }
-    reg_s.push_back(std::max(t.Seconds(), 1e-12));
-  }
-  char name[128];
-  std::snprintf(name, sizeof(name),
-                "engine/incremental_insert/anti/n=%zu/d=%d/batch=%zu", kN, kD,
-                kBatch);
-  Entry inc{name, median(insert_s) * 1e9, 0.0};
-  std::snprintf(name, sizeof(name), "engine/full_rebuild/anti/n=%zu/d=%d",
-                kN, kD);
-  Entry reg{name, median(reg_s) * 1e9, 0.0};
-  return {inc, reg};
+    return Entry{rebuild_name, std::max(t.Seconds(), 1e-12) * 1e9, 0.0};
+  });
 }
 
 /// Metrics overhead on the serving hot path: the same engine-served query
@@ -499,10 +495,9 @@ int Main(int argc, char** argv) {
 
   // ---- Mutation path: incremental insert vs full re-registration.
   {
-    const auto [inc, reg] = MutationPair(repeats);
+    const auto [reg, inc, speedup] = MutationPair(repeats);
     entries.push_back(inc);
     entries.push_back(reg);
-    const double speedup = reg.ns_per_op / inc.ns_per_op;
     ratios.push_back({reg.name, speedup});
     std::printf("%-48s %12.0f ns/op\n", inc.name.c_str(), inc.ns_per_op);
     std::printf("%-48s %12.0f ns/op  (insert %.0fx faster)\n",

@@ -13,13 +13,13 @@
 #include <cstdlib>
 #include <exception>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/timer.h"
 #include "data/generator.h"
 #include "data/realistic.h"
 #include "obs/export.h"
-#include "parallel/thread_pool.h"
 #include "query/engine.h"
 
 namespace {
@@ -103,15 +103,14 @@ int main(int argc, char** argv) {
   std::atomic<size_t> shards_pruned{0};
   std::atomic<size_t> query_errors{0};
 
-  // Every pool worker is an independent "frontend thread" hammering the
+  // Every client thread is an independent "frontend thread" hammering the
   // shared engine with the mixed workload, offset so distinct queries are
   // in flight at the same time. After each round the engine's metrics
   // registry is snapshotted for a health line — exactly what a periodic
   // scraper would read off a deployment.
   sky::WallTimer wall;
-  sky::ThreadPool pool(threads);
   for (int round = 0; round < rounds; ++round) {
-    pool.RunOnAll([&](int worker) {
+    const auto client = [&](int worker) {
       sky::Options opts;
       opts.threads = 1;  // per-query parallelism off: parallel across queries
       for (size_t q = 0; q < workload.size(); ++q) {
@@ -135,7 +134,11 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "query %s failed: %s\n", name, e.what());
         }
       }
-    });
+    };
+    {
+      std::vector<std::jthread> clients;  // joined at scope exit
+      for (int w = 0; w < threads; ++w) clients.emplace_back(client, w);
+    }
     const sky::obs::MetricsSnapshot snap = engine.Metrics().Snapshot();
     const sky::obs::MetricValue* latency =
         snap.Find("sky_query_latency_seconds");

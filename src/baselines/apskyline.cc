@@ -9,7 +9,7 @@
 #include "common/cancel.h"
 #include "common/timer.h"
 #include "dominance/dominance.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -57,10 +57,11 @@ std::vector<int> GridExtents(int t, int angles) {
 std::vector<PointId> MergeSkylines(const Dataset& data,
                                    const std::vector<PointId>& a,
                                    const std::vector<PointId>& b,
-                                   const DomCtx& dom, ThreadPool& pool,
+                                   const DomCtx& dom,
+                                   Executor::TaskGroup& group,
                                    DtCounter& counter) {
   std::vector<uint8_t> b_dead(b.size(), 0);
-  pool.ParallelFor(b.size(), kMergeGrain, [&](size_t lo, size_t hi) {
+  group.ParallelFor(b.size(), kMergeGrain, [&](size_t lo, size_t hi) {
     uint64_t dts = 0;
     for (size_t i = lo; i < hi; ++i) {
       for (const PointId pa : a) {
@@ -78,7 +79,7 @@ std::vector<PointId> MergeSkylines(const Dataset& data,
     if (!b_dead[i]) b_live.push_back(b[i]);
   }
   std::vector<uint8_t> a_dead(a.size(), 0);
-  pool.ParallelFor(a.size(), kMergeGrain, [&](size_t lo, size_t hi) {
+  group.ParallelFor(a.size(), kMergeGrain, [&](size_t lo, size_t hi) {
     uint64_t dts = 0;
     for (size_t i = lo; i < hi; ++i) {
       for (const PointId pb : b_live) {
@@ -107,7 +108,7 @@ Result APSkylineCompute(const Dataset& data, const Options& opts) {
   if (data.count() == 0) return res;
   WallTimer total;
   const int t = opts.ResolvedThreads();
-  ThreadPool pool(opts.executor, t);
+  Executor::TaskGroup group(opts.ResolvedExecutor(), t);
   DomCtx dom(data.dims(), data.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
   const int d = data.dims();
@@ -124,7 +125,7 @@ Result APSkylineCompute(const Dataset& data, const Options& opts) {
     const std::vector<int> ext = GridExtents(t, num_angles);
     std::vector<std::vector<float>> angles(
         static_cast<size_t>(num_angles), std::vector<float>(n));
-    pool.ParallelForStatic(n, [&](size_t b, size_t e, int) {
+    group.ParallelForStatic(n, [&](size_t b, size_t e, int) {
       float buf[kMaxDims];
       for (size_t i = b; i < e; ++i) {
         AnglesOf(data.Row(i), mins, d, buf);
@@ -147,7 +148,7 @@ Result APSkylineCompute(const Dataset& data, const Options& opts) {
         std::nth_element(sorted.begin(), nth, sorted.end());
         bounds.push_back(*nth);
       }
-      pool.ParallelForStatic(n, [&](size_t b, size_t e, int) {
+      group.ParallelForStatic(n, [&](size_t b, size_t e, int) {
         for (size_t i = b; i < e; ++i) {
           const size_t bucket = static_cast<size_t>(
               std::upper_bound(bounds.begin(), bounds.end(), angles[k][i]) -
@@ -171,7 +172,7 @@ Result APSkylineCompute(const Dataset& data, const Options& opts) {
 
   // ---- Phase I: local skyline per angular cell, in parallel.
   std::vector<std::vector<PointId>> locals(num_cells);
-  pool.ParallelFor(num_cells, 1, [&](size_t lo, size_t hi) {
+  group.ParallelFor(num_cells, 1, [&](size_t lo, size_t hi) {
     uint64_t dts = 0;
     for (size_t c = lo; c < hi; ++c) {
       if (cells[c].empty()) continue;
@@ -192,7 +193,7 @@ Result APSkylineCompute(const Dataset& data, const Options& opts) {
     if (global.empty()) {
       global = local;
     } else {
-      global = MergeSkylines(data, global, local, dom, pool, counter);
+      global = MergeSkylines(data, global, local, dom, group, counter);
     }
   }
   st.phase2_seconds = phase.Lap();

@@ -6,7 +6,7 @@
 
 #include "baselines/skytree_common.h"
 #include "common/timer.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -204,12 +204,12 @@ Result BSkyTreeCompute(const Dataset& data, const Options& opts) {
   RunStats& st = res.stats;
   if (data.count() == 0) return res;
   WallTimer total;
-  ThreadPool pool(1);
+  Executor::TaskGroup group(nullptr, 1);
   DomCtx dom(data.dims(), data.stride(), opts.use_simd);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
   WallTimer phase;
-  ws.ComputeL1(pool);  // used by the Manhattan subset-pivot policy
+  ws.ComputeL1(group);  // used by the Manhattan subset-pivot policy
   const std::vector<Value> lo = data.MinPerDim();
   const std::vector<Value> hi = data.MaxPerDim();
   st.init_seconds = phase.Lap();

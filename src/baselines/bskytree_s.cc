@@ -9,7 +9,7 @@
 #include "data/sorting.h"
 #include "data/working_set.h"
 #include "dominance/dominance.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -18,22 +18,22 @@ Result BSkyTreeSCompute(const Dataset& data, const Options& opts) {
   RunStats& st = res.stats;
   if (data.count() == 0) return res;
   WallTimer total;
-  ThreadPool pool(1);  // sequential by design
+  Executor::TaskGroup group(nullptr, 1);  // sequential by design
   DomCtx dom(data.dims(), data.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
   WallTimer phase;
-  ws.ComputeL1(pool);
+  ws.ComputeL1(group);
   st.init_seconds += phase.Lap();
 
   // One global pivot (Balanced, per Lee & Hwang) and level-1 masks.
   const std::vector<Value> pivot =
-      SelectPivot(ws, PivotPolicy::kBalanced, pool, opts.seed);
-  AssignMasks(ws, pivot.data(), dom, pool);
+      SelectPivot(ws, PivotPolicy::kBalanced, group, opts.seed);
+  AssignMasks(ws, pivot.data(), dom, group);
   st.pivot_seconds = phase.Lap();
 
-  SortByMaskThenL1(ws, pool);
+  SortByMaskThenL1(ws, group);
   st.init_seconds += phase.Lap();
 
   // SFS-style scan over the sorted points: the window holds confirmed

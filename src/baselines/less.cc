@@ -8,7 +8,7 @@
 #include "data/sorting.h"
 #include "data/working_set.h"
 #include "dominance/dominance.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -24,13 +24,13 @@ Result LessCompute(const Dataset& data, const Options& opts) {
   RunStats& st = res.stats;
   if (data.count() == 0) return res;
   WallTimer total;
-  ThreadPool pool(1);  // LESS is sequential
+  Executor::TaskGroup group(nullptr, 1);  // LESS is sequential
   DomCtx dom(data.dims(), data.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
   WallTimer phase;
-  ws.ComputeL1(pool);
+  ws.ComputeL1(group);
 
   // ---- Pass 0: elimination-filter scan. The EF window keeps the
   // kEfWindow points with smallest L1; every point is tested against the
@@ -73,7 +73,7 @@ Result LessCompute(const Dataset& data, const Options& opts) {
   st.prefilter_seconds = phase.Lap();
 
   // ---- Sort survivors by L1, then SFS-style confirmed-window filter.
-  SortByL1(ws, pool);
+  SortByL1(ws, group);
   st.init_seconds = phase.Lap();
 
   std::vector<uint32_t> window;

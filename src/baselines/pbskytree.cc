@@ -8,8 +8,8 @@
 #include "baselines/skytree_common.h"
 #include "common/cancel.h"
 #include "common/timer.h"
+#include "parallel/executor.h"
 #include "parallel/parallel_sort.h"
-#include "parallel/thread_pool.h"
 
 namespace sky {
 
@@ -29,14 +29,14 @@ class ParallelBuilder {
  public:
   ParallelBuilder(const WorkingSet& ws, const DomCtx& dom,
                   const std::vector<Value>& lo, const std::vector<Value>& hi,
-                  ThreadPool& pool, PivotPolicy policy, uint64_t seed,
-                  const CancelToken* cancel)
+                  Executor::TaskGroup& group, PivotPolicy policy,
+                  uint64_t seed, const CancelToken* cancel)
       : ws_(ws),
         cancel_(cancel),
         dom_(dom),
         lo_(lo),
         hi_(hi),
-        pool_(pool),
+        group_(group),
         tree_(ws, dom),
         full_(FullMask(ws.dims)),
         policy_(policy),
@@ -44,8 +44,8 @@ class ParallelBuilder {
         // Batches hold whole groups only (a group split across flushes
         // could leak a dominated point into the tree), so the cap must be
         // at least the recursion-halt group size.
-        batch_cap_(std::max<size_t>(kRecursionHalt,
-                                    16 * static_cast<size_t>(pool.threads()))) {
+        batch_cap_(std::max<size_t>(
+            kRecursionHalt, 16 * static_cast<size_t>(group.parallelism()))) {
   }
 
   uint32_t Build(std::vector<uint32_t>& pts) {
@@ -77,7 +77,7 @@ class ParallelBuilder {
     };
     if (pts.size() >= kParallelPartitionThreshold) {
       std::atomic<uint64_t> par_dts{0};
-      pool_.ParallelForStatic(pts.size(), [&](size_t b, size_t e, int) {
+      group_.ParallelForStatic(pts.size(), [&](size_t b, size_t e, int) {
         uint64_t local = 0;
         for (size_t i = b; i < e; ++i) classify(i, &local);
         par_dts.fetch_add(local, std::memory_order_relaxed);
@@ -99,7 +99,7 @@ class ParallelBuilder {
       keyed.resize(w);
     }
     if (keyed.size() >= kParallelPartitionThreshold) {
-      ParallelSort(keyed, pool_);
+      ParallelSort(keyed, group_);
     } else {
       std::sort(keyed.begin(), keyed.end());
     }
@@ -183,7 +183,7 @@ class ParallelBuilder {
     std::atomic<uint64_t> par_dts{0}, par_skips{0};
 
     // Phase I: each batch point against the completed sibling subtrees.
-    pool_.ParallelFor(bn, 4, [&](size_t lo, size_t hi) {
+    group_.ParallelFor(bn, 4, [&](size_t lo, size_t hi) {
       uint64_t dts = 0, skips = 0;
       for (size_t k = lo; k < hi; ++k) {
         const uint32_t p = batch.points[k];
@@ -207,7 +207,7 @@ class ParallelBuilder {
     // filter (the (level, mask) order guarantees no backward dominance
     // across groups); same-group peers carry no such guarantee, so they
     // are tested in BOTH positions (each point scans the whole group).
-    pool_.ParallelFor(bn, 4, [&](size_t lo, size_t hi) {
+    group_.ParallelFor(bn, 4, [&](size_t lo, size_t hi) {
       uint64_t dts = 0, skips = 0;
       for (size_t k = lo; k < hi; ++k) {
         if (flags[k]) continue;
@@ -254,7 +254,7 @@ class ParallelBuilder {
   const DomCtx& dom_;
   const std::vector<Value>& lo_;
   const std::vector<Value>& hi_;
-  ThreadPool& pool_;
+  Executor::TaskGroup& group_;
   Tree tree_;
   const Mask full_;
   PivotPolicy policy_;
@@ -271,17 +271,17 @@ Result PBSkyTreeCompute(const Dataset& data, const Options& opts) {
   RunStats& st = res.stats;
   if (data.count() == 0) return res;
   WallTimer total;
-  ThreadPool pool(opts.executor, opts.ResolvedThreads());
+  Executor::TaskGroup group(opts.ResolvedExecutor(), opts.ResolvedThreads());
   DomCtx dom(data.dims(), data.stride(), opts.use_simd);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
   WallTimer phase;
-  ws.ComputeL1(pool);  // used by the Manhattan subset-pivot policy
+  ws.ComputeL1(group);  // used by the Manhattan subset-pivot policy
   const std::vector<Value> lo = data.MinPerDim();
   const std::vector<Value> hi = data.MaxPerDim();
   st.init_seconds = phase.Lap();
 
-  ParallelBuilder builder(ws, dom, lo, hi, pool, opts.pivot, opts.seed,
+  ParallelBuilder builder(ws, dom, lo, hi, group, opts.pivot, opts.seed,
                           opts.cancel);
   std::vector<uint32_t> all(ws.count);
   for (size_t i = 0; i < ws.count; ++i) all[i] = static_cast<uint32_t>(i);

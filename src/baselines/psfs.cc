@@ -10,7 +10,7 @@
 #include "data/sorting.h"
 #include "data/working_set.h"
 #include "dominance/dominance.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -19,14 +19,14 @@ Result PsfsCompute(const Dataset& data, const Options& opts) {
   RunStats& st = res.stats;
   if (data.count() == 0) return res;
   WallTimer total;
-  ThreadPool pool(opts.executor, opts.ResolvedThreads());
+  Executor::TaskGroup group(opts.ResolvedExecutor(), opts.ResolvedThreads());
   DomCtx dom(data.dims(), data.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
   WallTimer phase;
-  ws.ComputeL1(pool);
-  SortByL1(ws, pool);
+  ws.ComputeL1(group);
+  SortByL1(ws, group);
   st.init_seconds = phase.Lap();
 
   const size_t alpha = opts.AlphaFor(Algorithm::kPsfs);
@@ -47,7 +47,7 @@ Result PsfsCompute(const Dataset& data, const Options& opts) {
 
     // Parallel screen against the confirmed window.
     phase.Restart();
-    pool.ParallelFor(blen, 16, [&](size_t lo, size_t hi) {
+    group.ParallelFor(blen, 16, [&](size_t lo, size_t hi) {
       uint64_t dts = 0;
       for (size_t k = lo; k < hi; ++k) {
         const Value* q = ws.Row(b + k);

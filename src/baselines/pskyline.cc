@@ -8,7 +8,7 @@
 #include "common/cancel.h"
 #include "common/timer.h"
 #include "dominance/dominance.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -23,10 +23,11 @@ constexpr size_t kMergeGrain = 64;
 std::vector<PointId> MergeSkylines(const Dataset& data,
                                    const std::vector<PointId>& a,
                                    const std::vector<PointId>& b,
-                                   const DomCtx& dom, ThreadPool& pool,
+                                   const DomCtx& dom,
+                                   Executor::TaskGroup& group,
                                    DtCounter& counter) {
   std::vector<uint8_t> b_dead(b.size(), 0);
-  pool.ParallelFor(b.size(), kMergeGrain, [&](size_t lo, size_t hi) {
+  group.ParallelFor(b.size(), kMergeGrain, [&](size_t lo, size_t hi) {
     uint64_t dts = 0;
     for (size_t i = lo; i < hi; ++i) {
       const Value* q = data.Row(b[i]);
@@ -47,7 +48,7 @@ std::vector<PointId> MergeSkylines(const Dataset& data,
   }
 
   std::vector<uint8_t> a_dead(a.size(), 0);
-  pool.ParallelFor(a.size(), kMergeGrain, [&](size_t lo, size_t hi) {
+  group.ParallelFor(a.size(), kMergeGrain, [&](size_t lo, size_t hi) {
     uint64_t dts = 0;
     for (size_t i = lo; i < hi; ++i) {
       const Value* q = data.Row(a[i]);
@@ -79,7 +80,7 @@ Result PSkylineCompute(const Dataset& data, const Options& opts) {
   if (data.count() == 0) return res;
   WallTimer total;
   const int t = opts.ResolvedThreads();
-  ThreadPool pool(opts.executor, t);
+  Executor::TaskGroup group(opts.ResolvedExecutor(), t);
   DomCtx dom(data.dims(), data.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
 
@@ -91,7 +92,7 @@ Result PSkylineCompute(const Dataset& data, const Options& opts) {
   const size_t blocks = static_cast<size_t>(t);
   const size_t per = (n + blocks - 1) / blocks;
   std::vector<std::vector<PointId>> locals(blocks);
-  pool.ParallelFor(blocks, 1, [&](size_t lo, size_t hi) {
+  group.ParallelFor(blocks, 1, [&](size_t lo, size_t hi) {
     uint64_t dts = 0;
     for (size_t blk = lo; blk < hi; ++blk) {
       const size_t begin = std::min(n, blk * per);
@@ -115,7 +116,7 @@ Result PSkylineCompute(const Dataset& data, const Options& opts) {
     if (global.empty()) {
       global = local;
     } else if (!local.empty()) {
-      global = MergeSkylines(data, global, local, dom, pool, counter);
+      global = MergeSkylines(data, global, local, dom, group, counter);
     }
   }
   st.phase2_seconds = phase.Lap();

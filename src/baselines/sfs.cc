@@ -7,7 +7,7 @@
 #include "data/sorting.h"
 #include "data/working_set.h"
 #include "dominance/dominance.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -16,14 +16,14 @@ Result SfsCompute(const Dataset& data, const Options& opts) {
   RunStats& st = res.stats;
   if (data.count() == 0) return res;
   WallTimer total;
-  ThreadPool pool(1);  // SFS is sequential
+  Executor::TaskGroup group(nullptr, 1);  // SFS is sequential
   DomCtx dom(data.dims(), data.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
   WallTimer phase;
-  ws.ComputeL1(pool);
-  SortByL1(ws, pool);
+  ws.ComputeL1(group);
+  SortByL1(ws, group);
   st.init_seconds = phase.Lap();
 
   // Window of confirmed skyline points (indices into the sorted ws).

@@ -40,7 +40,7 @@ Result OspCompute(const Dataset& data, const Options& opts) {
 //     optimal in-place scan — cheapest per-comparison cost at d=4 —
 //     but its unmasked DTs decay fastest with d, growth 1.30);
 //   - BSkyTree wins the startup-bound and small/mid comparison-bound
-//     band past d≈5 (mask pruning, no pool or partitioning setup);
+//     band past d≈5 (mask pruning, no fork-join or partitioning setup);
 //   - Hybrid owns scale: its β-prefilter plus point-based partitioning
 //     cut dominance work *algorithmically* (lowest flat per-cmp cost,
 //     measurably faster than BSkyTree even at t=1 once n·m is large),

@@ -14,7 +14,7 @@
 #include "data/working_set.h"
 #include "dominance/batch.h"
 #include "dominance/dominance.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -98,23 +98,23 @@ Result HybridCompute(const Dataset& data, const Options& opts) {
   if (data.count() == 0) return res;
 
   WallTimer total;
-  ThreadPool pool(opts.executor, opts.ResolvedThreads());
+  Executor::TaskGroup group(opts.ResolvedExecutor(), opts.ResolvedThreads());
   DomCtx dom(data.dims(), data.stride(), opts.use_simd, opts.use_batch);
   DtCounter counter(opts.count_dts);
   DtCounter* counter_ptr = opts.count_dts ? &counter : nullptr;
 
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
   const int dims = ws.dims;
 
   // ---- Initialization part 1: L1 norms (parallel).
   WallTimer phase;
-  ws.ComputeL1(pool);
+  ws.ComputeL1(group);
   st.init_seconds += phase.Lap();
 
   // ---- Pre-filter (paper §VI-A1).
   if (opts.prefilter_beta > 0) {
     st.prefiltered_points =
-        Prefilter(ws, pool, opts.prefilter_beta, dom, counter_ptr);
+        Prefilter(ws, group, opts.prefilter_beta, dom, counter_ptr);
   }
   st.prefilter_seconds = phase.Lap();
   if (ws.count == 0) {  // degenerate: cannot happen with beta>0, but safe
@@ -124,12 +124,12 @@ Result HybridCompute(const Dataset& data, const Options& opts) {
 
   // ---- Pivot selection + level-1 partitioning (paper §VI-A2).
   const std::vector<Value> pivot =
-      SelectPivot(ws, opts.pivot, pool, opts.seed);
-  AssignMasks(ws, pivot.data(), dom, pool);
+      SelectPivot(ws, opts.pivot, group, opts.seed);
+  AssignMasks(ws, pivot.data(), dom, group);
   st.pivot_seconds = phase.Lap();
 
   // ---- Initialization part 2: composite (level, mask, L1) sort.
-  SortByMaskThenL1(ws, pool);
+  SortByMaskThenL1(ws, group);
   st.init_seconds += phase.Lap();
 
   const size_t alpha = opts.AlphaFor(Algorithm::kHybrid);
@@ -155,7 +155,7 @@ Result HybridCompute(const Dataset& data, const Options& opts) {
 
     // ---- Phase I: block points vs. M(S) (Algorithm 3).
     phase.Restart();
-    pool.ParallelFor(blen, kPhaseGrain, [&](size_t lo, size_t hi) {
+    group.ParallelFor(blen, kPhaseGrain, [&](size_t lo, size_t hi) {
       uint64_t dts = 0, skips = 0;
       for (size_t k = lo; k < hi; ++k) {
         if (sky.Dominated(ws.Row(b + k), ws.masks[b + k], dom, &dts,
@@ -193,7 +193,7 @@ Result HybridCompute(const Dataset& data, const Options& opts) {
                              : static_cast<uint32_t>(i);
       }
     }
-    pool.ParallelFor(survivors, kPhaseGrain, [&](size_t lo, size_t hi) {
+    group.ParallelFor(survivors, kPhaseGrain, [&](size_t lo, size_t hi) {
       uint64_t dts = 0, skips = 0;
       for (size_t k = lo; k < hi; ++k) {
         const bool dominated =

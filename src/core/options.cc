@@ -6,7 +6,7 @@
 #include <stdexcept>
 
 #include "core/algorithm_registry.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 namespace {
@@ -63,7 +63,12 @@ size_t Options::AlphaFor(Algorithm algo) const {
 }
 
 int Options::ResolvedThreads() const {
-  return threads > 0 ? threads : ThreadPool::DefaultThreads();
+  return threads > 0 ? threads : Executor::DefaultThreads();
+}
+
+Executor* Options::ResolvedExecutor() const {
+  if (executor != nullptr) return executor;
+  return ResolvedThreads() > 1 ? &Executor::Default() : nullptr;
 }
 
 }  // namespace sky

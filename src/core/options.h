@@ -61,17 +61,17 @@ struct Options {
   Algorithm algorithm = Algorithm::kHybrid;
 
   /// Total parallelism (including the calling thread). 0 = hardware
-  /// concurrency. Sequential algorithms ignore this. When `executor` is
-  /// set this is a concurrency *limit* (TaskGroup cap) on that shared
-  /// scheduler rather than a thread count to spawn.
+  /// concurrency. Sequential algorithms ignore this. It caps the run's
+  /// TaskGroup on the resolved executor, so a value above that executor's
+  /// width runs at its width: past Executor::DefaultThreads() a one-shot
+  /// call clamps exactly as an engine query on a narrower executor does.
   int threads = 0;
 
   /// Optional shared work-stealing scheduler (parallel/executor.h), not
-  /// owned. When set, parallel algorithms run their phase loops as capped
-  /// task groups on these borrowed workers instead of constructing a
-  /// private pool — the engine sets this so concurrent queries and
-  /// mutations share one bounded worker set. Null = standalone pool (the
-  /// CLI/library one-shot fallback).
+  /// owned. Parallel algorithms run their loops as one capped TaskGroup
+  /// on it — the engine sets this so concurrent queries and mutations
+  /// share one bounded worker set. Null = Executor::Default(), the
+  /// process-wide scheduler one-shot library and CLI calls borrow.
   Executor* executor = nullptr;
 
   /// Block size α. 0 = per-algorithm default from the paper's Fig. 7/8
@@ -138,6 +138,10 @@ struct Options {
   size_t AlphaFor(Algorithm algo) const;
   /// Resolved thread count.
   int ResolvedThreads() const;
+  /// The executor a run's TaskGroup borrows: `executor`, or
+  /// Executor::Default() when null. A run of resolved width 1 gets null —
+  /// a serial group that never constructs the default executor.
+  Executor* ResolvedExecutor() const;
 };
 
 /// A skyline result: original Dataset row indices of all skyline members

@@ -11,7 +11,7 @@
 #include "data/working_set.h"
 #include "dominance/batch.h"
 #include "dominance/dominance.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -33,16 +33,16 @@ Result QFlowCompute(const Dataset& data, const Options& opts) {
   if (data.count() == 0) return res;
 
   WallTimer total;
-  ThreadPool pool(opts.executor, opts.ResolvedThreads());
+  Executor::TaskGroup group(opts.ResolvedExecutor(), opts.ResolvedThreads());
   DomCtx dom(data.dims(), data.stride(), opts.use_simd, opts.use_batch);
   DtCounter counter(opts.count_dts);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
 
   // Initialization: parallel L1 + sort ("Init." of paper Fig. 7).
   WallTimer phase;
-  ws.ComputeL1(pool);
-  SortByL1(ws, pool);
+  ws.ComputeL1(group);
+  SortByL1(ws, group);
   st.init_seconds = phase.Lap();
 
   const size_t alpha = opts.AlphaFor(Algorithm::kQFlow);
@@ -87,7 +87,7 @@ Result QFlowCompute(const Dataset& data, const Options& opts) {
     // finds the (L1-strong) first dominators in a couple of tests, while
     // a tile pass always pays for 8 lanes.
     const bool batch_window = batch && sky_count >= kBatchWindowMin;
-    pool.ParallelFor(blen, kPhaseGrain, [&](size_t lo, size_t hi) {
+    group.ParallelFor(blen, kPhaseGrain, [&](size_t lo, size_t hi) {
       uint64_t dts = 0;
       if (batch_window) {
         dom.FilterTile(ws.Row(b + lo), hi - lo, sky_tiles, flags.data() + lo,
@@ -122,7 +122,7 @@ Result QFlowCompute(const Dataset& data, const Options& opts) {
       block_tiles.Clear();
       block_tiles.AppendRows(ws.Row(b), ws.stride, survivors);
     }
-    pool.ParallelFor(survivors, kPhaseGrain, [&](size_t lo, size_t hi) {
+    group.ParallelFor(survivors, kPhaseGrain, [&](size_t lo, size_t hi) {
       uint64_t dts = 0;
       for (size_t k = lo; k < hi; ++k) {
         const Value* q = ws.Row(b + k);

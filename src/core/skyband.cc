@@ -10,7 +10,7 @@
 #include "data/working_set.h"
 #include "dominance/batch.h"
 #include "dominance/dominance.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -36,13 +36,13 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
   if (data.count() == 0) return res;
 
   WallTimer total;
-  ThreadPool pool(opts.executor, opts.ResolvedThreads());
+  Executor::TaskGroup group(opts.ResolvedExecutor(), opts.ResolvedThreads());
   DomCtx dom(data.dims(), data.stride(), opts.use_simd, opts.use_batch);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
   WallTimer phase;
-  ws.ComputeL1(pool);
-  SortByL1(ws, pool);
+  ws.ComputeL1(group);
+  SortByL1(ws, group);
   st.init_seconds = phase.Lap();
 
   const size_t alpha = opts.AlphaFor(Algorithm::kQFlow);
@@ -83,7 +83,7 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
     // as soon as k is reached.
     phase.Restart();
     const bool batch1 = dom.batch() && band_count >= kBatchWindowMin;
-    pool.ParallelFor(blen, 16, [&](size_t lo, size_t hi) {
+    group.ParallelFor(blen, 16, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
         const Value* q = ws.Row(b + i);
         uint32_t c = 0;
@@ -120,7 +120,7 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
       block_tiles.Clear();
       block_tiles.AppendRows(ws.Row(b), ws.stride, survivors);
     }
-    pool.ParallelFor(survivors, 16, [&](size_t lo, size_t hi) {
+    group.ParallelFor(survivors, 16, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
         const Value* q = ws.Row(b + i);
         uint32_t c = counts[i];

@@ -42,11 +42,12 @@ std::vector<Value> PaddedCopy(const WorkingSet& ws, const Value* row) {
   return out;
 }
 
-std::vector<Value> MedianPivot(const WorkingSet& ws, ThreadPool& pool) {
+std::vector<Value> MedianPivot(const WorkingSet& ws,
+                               Executor::TaskGroup& group) {
   // Per-dimension medians, computed exactly via nth_element on a column
   // copy; dimensions are independent so they parallelise trivially.
   std::vector<Value> pivot(static_cast<size_t>(ws.stride), 0.0f);
-  pool.ParallelFor(static_cast<size_t>(ws.dims), 1, [&](size_t b, size_t e) {
+  group.ParallelFor(static_cast<size_t>(ws.dims), 1, [&](size_t b, size_t e) {
     std::vector<Value> column(ws.count);
     for (size_t dim = b; dim < e; ++dim) {
       for (size_t i = 0; i < ws.count; ++i) {
@@ -172,12 +173,12 @@ std::vector<Value> BalancedPivot(const WorkingSet& ws, const DomCtx& dom) {
 }  // namespace
 
 std::vector<Value> SelectPivot(const WorkingSet& ws, PivotPolicy policy,
-                               ThreadPool& pool, uint64_t seed) {
+                               Executor::TaskGroup& group, uint64_t seed) {
   SKY_CHECK(ws.count > 0);
   DomCtx dom(ws.dims, ws.stride, /*use_simd=*/true);
   switch (policy) {
     case PivotPolicy::kMedian:
-      return MedianPivot(ws, pool);
+      return MedianPivot(ws, group);
     case PivotPolicy::kBalanced:
       return BalancedPivot(ws, dom);
     case PivotPolicy::kManhattan:
@@ -187,13 +188,13 @@ std::vector<Value> SelectPivot(const WorkingSet& ws, PivotPolicy policy,
     case PivotPolicy::kRandom:
       return RandomPivot(ws, dom, seed);
   }
-  return MedianPivot(ws, pool);
+  return MedianPivot(ws, group);
 }
 
 void AssignMasks(WorkingSet& ws, const Value* pivot, const DomCtx& dom,
-                 ThreadPool& pool) {
+                 Executor::TaskGroup& group) {
   ws.masks.resize(ws.count);
-  pool.ParallelForStatic(ws.count, [&](size_t b, size_t e, int) {
+  group.ParallelForStatic(ws.count, [&](size_t b, size_t e, int) {
     for (size_t i = b; i < e; ++i) {
       ws.masks[i] = dom.PartitionMask(ws.Row(i), pivot);
     }

@@ -10,7 +10,7 @@
 
 #include "data/working_set.h"
 #include "dominance/dominance.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -29,12 +29,12 @@ PivotPolicy ParsePivotPolicy(const std::string& name);
 /// `ws.stride` entries (zero padded) so it can feed SIMD mask kernels.
 /// `seed` drives kRandom. Requires ws.l1 for kManhattan/kBalanced.
 std::vector<Value> SelectPivot(const WorkingSet& ws, PivotPolicy policy,
-                               ThreadPool& pool, uint64_t seed);
+                               Executor::TaskGroup& group, uint64_t seed);
 
 /// Fill ws.masks with each point's partition mask relative to `pivot`
 /// (bit i set iff point[i] >= pivot[i]), in parallel.
 void AssignMasks(WorkingSet& ws, const Value* pivot, const DomCtx& dom,
-                 ThreadPool& pool);
+                 Executor::TaskGroup& group);
 
 }  // namespace sky
 

@@ -38,13 +38,13 @@ struct FilterHeap {
 
 }  // namespace
 
-size_t Prefilter(WorkingSet& ws, ThreadPool& pool, int beta,
+size_t Prefilter(WorkingSet& ws, Executor::TaskGroup& group, int beta,
                  const DomCtx& dom, DtCounter* counter) {
   const size_t n = ws.count;
   if (n == 0 || beta <= 0) return 0;
   SKY_DCHECK(ws.l1.size() == n);
 
-  const int t = pool.threads();
+  const int t = group.parallelism();
   std::vector<uint8_t> flagged(n, 0);
   std::vector<FilterHeap> heaps(static_cast<size_t>(t),
                                 FilterHeap(static_cast<size_t>(beta)));
@@ -52,7 +52,7 @@ size_t Prefilter(WorkingSet& ws, ThreadPool& pool, int beta,
 
   // Pass 1: per-worker heaps of smallest-L1 points; everything else is
   // tested against the worker's current heap.
-  pool.ParallelForStatic(n, [&](size_t b, size_t e, int w) {
+  group.ParallelForStatic(n, [&](size_t b, size_t e, int w) {
     FilterHeap& heap = heaps[static_cast<size_t>(w)];
     uint64_t local_dts = 0;
     for (size_t i = b; i < e; ++i) {
@@ -72,7 +72,7 @@ size_t Prefilter(WorkingSet& ws, ThreadPool& pool, int beta,
   });
 
   // Pass 2: every surviving point against the union of all heaps.
-  pool.ParallelForStatic(n, [&](size_t b, size_t e, int w) {
+  group.ParallelForStatic(n, [&](size_t b, size_t e, int w) {
     uint64_t local_dts = 0;
     for (size_t i = b; i < e; ++i) {
       if (flagged[i]) continue;

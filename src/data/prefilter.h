@@ -10,7 +10,7 @@
 #include "common/stats.h"
 #include "data/working_set.h"
 #include "dominance/dominance.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -21,7 +21,7 @@ namespace sky {
 ///  2. every point is tested against the union of all workers' heaps.
 /// Flagged points are then compacted away. Returns the number removed.
 /// beta = 8 follows the paper's empirical setting.
-size_t Prefilter(WorkingSet& ws, ThreadPool& pool, int beta,
+size_t Prefilter(WorkingSet& ws, Executor::TaskGroup& group, int beta,
                  const DomCtx& dom, DtCounter* counter);
 
 }  // namespace sky

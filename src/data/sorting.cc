@@ -26,26 +26,26 @@ void ApplyOrder(WorkingSet& ws, std::vector<SortRec>& recs) {
 
 }  // namespace
 
-void SortByL1(WorkingSet& ws, ThreadPool& pool) {
+void SortByL1(WorkingSet& ws, Executor::TaskGroup& group) {
   SKY_DCHECK(ws.l1.size() == ws.count);
   std::vector<SortRec> recs(ws.count);
-  pool.ParallelForStatic(ws.count, [&](size_t b, size_t e, int) {
+  group.ParallelForStatic(ws.count, [&](size_t b, size_t e, int) {
     for (size_t i = b; i < e; ++i) {
       recs[i] = {static_cast<uint64_t>(ToOrderedBits(ws.l1[i])),
                  static_cast<uint32_t>(i)};
     }
   });
-  ParallelSort(recs, pool, [](const SortRec& a, const SortRec& b) {
+  ParallelSort(recs, group, [](const SortRec& a, const SortRec& b) {
     return a.primary < b.primary;
   });
   ApplyOrder(ws, recs);
 }
 
-void SortByMaskThenL1(WorkingSet& ws, ThreadPool& pool) {
+void SortByMaskThenL1(WorkingSet& ws, Executor::TaskGroup& group) {
   SKY_DCHECK(ws.l1.size() == ws.count && ws.masks.size() == ws.count);
   std::vector<SortRec> recs(ws.count);
   const int d = ws.dims;
-  pool.ParallelForStatic(ws.count, [&](size_t b, size_t e, int) {
+  group.ParallelForStatic(ws.count, [&](size_t b, size_t e, int) {
     for (size_t i = b; i < e; ++i) {
       const uint64_t key =
           (static_cast<uint64_t>(CompositeMaskKey(ws.masks[i], d)) << 32) |
@@ -53,16 +53,16 @@ void SortByMaskThenL1(WorkingSet& ws, ThreadPool& pool) {
       recs[i] = {key, static_cast<uint32_t>(i)};
     }
   });
-  ParallelSort(recs, pool, [](const SortRec& a, const SortRec& b) {
+  ParallelSort(recs, group, [](const SortRec& a, const SortRec& b) {
     return a.primary < b.primary;
   });
   ApplyOrder(ws, recs);
 }
 
-void SortByMinCoord(WorkingSet& ws, ThreadPool& pool) {
+void SortByMinCoord(WorkingSet& ws, Executor::TaskGroup& group) {
   SKY_DCHECK(ws.l1.size() == ws.count);
   std::vector<SortRec> recs(ws.count);
-  pool.ParallelForStatic(ws.count, [&](size_t b, size_t e, int) {
+  group.ParallelForStatic(ws.count, [&](size_t b, size_t e, int) {
     for (size_t i = b; i < e; ++i) {
       const Value* r = ws.Row(i);
       float mn = r[0];
@@ -72,7 +72,7 @@ void SortByMinCoord(WorkingSet& ws, ThreadPool& pool) {
       recs[i] = {key, static_cast<uint32_t>(i)};
     }
   });
-  ParallelSort(recs, pool, [](const SortRec& a, const SortRec& b) {
+  ParallelSort(recs, group, [](const SortRec& a, const SortRec& b) {
     return a.primary < b.primary;
   });
   ApplyOrder(ws, recs);

@@ -10,18 +10,18 @@
 #define SKY_DATA_SORTING_H_
 
 #include "data/working_set.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
 /// Sort ws ascending by L1 norm. Requires ws.l1.
-void SortByL1(WorkingSet& ws, ThreadPool& pool);
+void SortByL1(WorkingSet& ws, Executor::TaskGroup& group);
 
 /// Sort ws by (level(mask), mask, L1). Requires ws.l1 and ws.masks.
-void SortByMaskThenL1(WorkingSet& ws, ThreadPool& pool);
+void SortByMaskThenL1(WorkingSet& ws, Executor::TaskGroup& group);
 
 /// Sort ws ascending by min coordinate, ties by L1. Requires ws.l1.
-void SortByMinCoord(WorkingSet& ws, ThreadPool& pool);
+void SortByMinCoord(WorkingSet& ws, Executor::TaskGroup& group);
 
 /// Postcondition check used by tests: true iff for every i < j the sort
 /// key of i does not exceed that of j under ascending-L1 order.

@@ -5,7 +5,8 @@
 
 namespace sky {
 
-WorkingSet WorkingSet::FromDataset(const Dataset& data, ThreadPool& pool) {
+WorkingSet WorkingSet::FromDataset(const Dataset& data,
+                                   Executor::TaskGroup& group) {
   WorkingSet ws;
   ws.dims = data.dims();
   ws.stride = data.stride();
@@ -13,7 +14,7 @@ WorkingSet WorkingSet::FromDataset(const Dataset& data, ThreadPool& pool) {
   ws.rows.Reset(ws.count * static_cast<size_t>(ws.stride));
   ws.ids.resize(ws.count);
   const size_t row_bytes = sizeof(Value) * static_cast<size_t>(ws.stride);
-  pool.ParallelForStatic(ws.count, [&](size_t b, size_t e, int) {
+  group.ParallelForStatic(ws.count, [&](size_t b, size_t e, int) {
     for (size_t i = b; i < e; ++i) {
       std::memcpy(ws.MutableRow(i), data.Row(i), row_bytes);
       ws.ids[i] = static_cast<PointId>(i);
@@ -22,9 +23,9 @@ WorkingSet WorkingSet::FromDataset(const Dataset& data, ThreadPool& pool) {
   return ws;
 }
 
-void WorkingSet::ComputeL1(ThreadPool& pool) {
+void WorkingSet::ComputeL1(Executor::TaskGroup& group) {
   l1.resize(count);
-  pool.ParallelForStatic(count, [&](size_t b, size_t e, int) {
+  group.ParallelForStatic(count, [&](size_t b, size_t e, int) {
     for (size_t i = b; i < e; ++i) {
       const Value* r = Row(i);
       float acc = 0.0f;

@@ -12,7 +12,7 @@
 #include "common/aligned.h"
 #include "common/types.h"
 #include "data/dataset.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -26,7 +26,8 @@ struct WorkingSet {
   std::vector<Mask> masks;     ///< level-1 partition masks (after AssignMasks)
 
   /// Deep-copy the dataset. O(n d) and parallelised.
-  static WorkingSet FromDataset(const Dataset& data, ThreadPool& pool);
+  static WorkingSet FromDataset(const Dataset& data,
+                                Executor::TaskGroup& group);
 
   const Value* Row(size_t i) const {
     SKY_DCHECK(i < count);
@@ -39,7 +40,7 @@ struct WorkingSet {
 
   /// Fill `l1` with Manhattan norms, in parallel ("Init." phase of the
   /// paper's Fig. 7/8 decomposition).
-  void ComputeL1(ThreadPool& pool);
+  void ComputeL1(Executor::TaskGroup& group);
 
   /// Reorder rows/ids/l1/masks so that new position k holds old element
   /// order[k]. `order` must be a permutation of [0, count).

@@ -21,6 +21,14 @@ struct WorkerTls {
 };
 thread_local WorkerTls tls_worker;
 
+/// A group's effective parallelism: its cap (0 = the executor's width)
+/// clamped to [1, executor width]; 1 without an executor.
+int GroupWidth(const Executor* exec, int max_parallelism) {
+  if (exec == nullptr) return 1;
+  const int cap = max_parallelism <= 0 ? exec->threads() : max_parallelism;
+  return std::max(1, std::min(cap, exec->threads()));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -139,6 +147,15 @@ Executor::~Executor() {
 int Executor::DefaultThreads() {
   const unsigned hc = std::thread::hardware_concurrency();
   return hc == 0 ? 1 : static_cast<int>(hc);
+}
+
+Executor& Executor::Default() {
+  // Deliberately leaked: a static Executor would be destroyed (its
+  // workers joined) during static destruction, racing any late caller —
+  // a detached thread or another static's destructor — still running a
+  // loop on it. The parked workers end with the process.
+  static Executor* const kDefault = new Executor(DefaultThreads());
+  return *kDefault;
 }
 
 Executor::CountersSnapshot Executor::Counters() const {
@@ -270,23 +287,22 @@ void Executor::WorkerLoop(int index) {
 // TaskGroup
 // ---------------------------------------------------------------------------
 
-Executor::TaskGroup::TaskGroup(Executor& exec, int max_parallelism)
-    : exec_(exec),
-      parallelism_(std::max(
-          1, std::min(max_parallelism <= 0 ? exec.threads() : max_parallelism,
-                      exec.threads()))) {}
+Executor::TaskGroup::TaskGroup(Executor* exec, int max_parallelism)
+    : exec_(exec), parallelism_(GroupWidth(exec, max_parallelism)) {}
 
 Executor::TaskGroup::~TaskGroup() { WaitDone(); }
 
 void Executor::TaskGroup::NoteParticipant() {
   int bit = 0;  // external caller / submitting thread
-  if (tls_worker.exec == &exec_) bit = 1 + std::min(tls_worker.index, 62);
+  if (tls_worker.exec == exec_) bit = 1 + std::min(tls_worker.index, 62);
   participant_mask_.fetch_or(uint64_t{1} << bit, std::memory_order_relaxed);
 }
 
 void Executor::TaskGroup::RunInline(const std::function<void()>& fn) {
   inline_runs_.fetch_add(1, std::memory_order_relaxed);
-  exec_.inline_total_.fetch_add(1, std::memory_order_relaxed);
+  if (exec_ != nullptr) {
+    exec_->inline_total_.fetch_add(1, std::memory_order_relaxed);
+  }
   NoteParticipant();
   try {
     fn();
@@ -326,14 +342,14 @@ void Executor::TaskGroup::Run(std::function<void()> fn) {
   }
   tasks_.fetch_add(1, std::memory_order_relaxed);
   pending_.fetch_add(1, std::memory_order_acq_rel);
-  exec_.Submit(new Task{std::move(fn), this});
+  exec_->Submit(new Task{std::move(fn), this});
 }
 
 void Executor::TaskGroup::WaitDone() {
   // Help-first: drain acquirable work (any group's) while our tasks are
   // outstanding; tasks never block, so helping always makes progress.
   while (pending_.load(std::memory_order_acquire) > 0) {
-    if (!exec_.HelpOnce()) break;
+    if (!exec_->HelpOnce()) break;
   }
   std::unique_lock<std::mutex> lock(done_mu_);
   done_cv_.wait(lock, [&] {
@@ -351,26 +367,26 @@ void Executor::TaskGroup::Wait() {
   if (e != nullptr) std::rethrow_exception(e);
 }
 
-void Executor::TaskGroup::RunOnAll(const std::function<void(int)>& fn) {
-  const int p = parallelism_;
-  if (p == 1) {
-    RunInline([&fn] { fn(0); });
-    Wait();  // nothing pending, but a captured exception must surface
-    return;
+template <typename Body>
+void Executor::TaskGroup::RunSerial(const Body& body) {
+  try {
+    body();
+  } catch (...) {
+    if (cancel_ != nullptr) cancel_->Cancel(Status::kCancelled);
+    throw;
   }
-  for (int w = 1; w < p; ++w) {
-    Run([&fn, w] { fn(w); });
-  }
-  RunInline([&fn] { fn(0); });
-  Wait();
 }
 
 void Executor::TaskGroup::ParallelFor(
     size_t n, size_t grain, const std::function<void(size_t, size_t)>& fn) {
   if (n == 0) return;
-  grain = std::max<size_t>(1, grain);
   const int p = parallelism_;
-  if (p == 1 || n <= grain) {
+  if (p == 1) {
+    RunSerial([&fn, n] { fn(0, n); });
+    return;
+  }
+  grain = std::max<size_t>(1, grain);
+  if (n <= grain) {
     RunInline([&fn, n] { fn(0, n); });
     Wait();  // nothing pending, but a captured exception must surface
     return;
@@ -396,8 +412,7 @@ void Executor::TaskGroup::ParallelForStatic(
   if (n == 0) return;
   const int p = parallelism_;
   if (p == 1) {
-    RunInline([&fn, n] { fn(0, n, 0); });
-    Wait();  // nothing pending, but a captured exception must surface
+    RunSerial([&fn, n] { fn(0, n, 0); });
     return;
   }
   const size_t per =

@@ -1,10 +1,16 @@
 // Copyright (c) SkyBench-NG contributors.
-// Persistent work-stealing executor shared across queries, mutations, and
-// algorithm phases. The seed's ThreadPool made parallelism persistent
-// *within* one query (per-phase thread spawning would dwarf the work,
-// paper §VII-A2/§IV-B); this finishes that argument at the engine level:
-// N in-flight queries share one bounded worker set instead of spawning
-// N×threads OS threads per request.
+// Persistent work-stealing executor: the one scheduler every parallel
+// loop in the library runs on, standing in for the paper's OpenMP runtime
+// (§VII-A2). Q-Flow and Hybrid fork and join twice per α-block, so the
+// workers must persist across phases (per-phase thread spawning would
+// dwarf the work, §IV-B); the engine extends that to N in-flight queries
+// sharing one bounded worker set instead of spawning N×threads OS threads.
+//
+// Every loop runs on an Executor::TaskGroup. An algorithm run opens one
+// group at Options::ResolvedThreads() on Options::ResolvedExecutor(): the
+// engine's executor, or Executor::Default() for one-shot library and CLI
+// calls. A width-1 group calls its loop bodies directly and never touches
+// an executor.
 //
 // Shape: each worker owns a Chase-Lev-style deque (LIFO local pop, FIFO
 // steal); external threads submit through a small mutex-guarded injection
@@ -31,11 +37,11 @@
 
 namespace sky {
 
-/// Persistent work-stealing scheduler. `threads` counts total parallelism
-/// the same way ThreadPool does: the submitting thread participates
-/// (caller-runs), so `threads - 1` worker std::threads are spawned and
-/// `threads == 1` spawns nothing — every TaskGroup then runs fully inline
-/// with zero synchronisation, preserving the paper's t=1 baselines.
+/// Persistent work-stealing scheduler. `threads` counts total parallelism:
+/// the submitting thread participates (caller-runs), so `threads - 1`
+/// worker std::threads are spawned and `threads == 1` spawns nothing —
+/// every TaskGroup then runs fully inline, preserving the paper's t=1
+/// baselines.
 ///
 /// Lifetime: all TaskGroups must be destroyed (i.e. have completed) before
 /// the Executor is destroyed.
@@ -52,6 +58,11 @@ class Executor {
 
   /// Hardware concurrency with a sane floor of 1.
   static int DefaultThreads();
+
+  /// The process-default executor, DefaultThreads() wide, that runs the
+  /// groups of calls made without an executor (Options::executor null).
+  /// Created on first use and never destroyed.
+  static Executor& Default();
 
   /// Monotonic scheduler counters, exported by the engine as
   /// sky_executor_* metrics (obs satellite).
@@ -78,12 +89,17 @@ class Executor {
   /// the submitter (caller-runs backpressure), so a group can never occupy
   /// more than `parallelism()` workers no matter how much it forks.
   /// Effective parallelism is additionally clamped to the executor width;
-  /// at 1 every Run() is a plain inline call. Not thread-safe: one logical
-  /// owner submits and waits; the spawned tasks themselves may fork nested
-  /// groups.
+  /// at 1 every Run() is a plain inline call and every loop calls its body
+  /// directly. Not thread-safe: one logical owner submits and waits, and
+  /// no loop may be issued from inside a task of the same group; the
+  /// spawned tasks themselves may fork nested groups.
   class TaskGroup {
    public:
-    TaskGroup(Executor& exec, int max_parallelism);
+    TaskGroup(Executor& exec, int max_parallelism)
+        : TaskGroup(&exec, max_parallelism) {}
+    /// A null `exec` makes a serial group: width 1, every task and loop
+    /// inline, no executor touched (what sequential algorithms pass down).
+    TaskGroup(Executor* exec, int max_parallelism);
     /// Blocks until all submitted tasks have finished. A still-pending
     /// captured exception is dropped here (destructors cannot throw);
     /// call Wait() explicitly to observe it.
@@ -113,11 +129,17 @@ class Executor {
     /// must outlive the group.
     void set_cancel_token(const CancelToken* token) { cancel_ = token; }
 
-    /// ThreadPool-shaped loops on this group's budget. Each call is a
-    /// complete fork-join (returns after all its iterations finish).
-    void RunOnAll(const std::function<void(int)>& fn);
+    /// Dynamic-schedule loop over [0, n): participants repeatedly claim
+    /// `grain`-sized chunks from a shared cursor and invoke `fn(begin,
+    /// end)` — OpenMP `schedule(dynamic, grain)`, which the skyline phases
+    /// need because per-point work is highly skewed (points dominated
+    /// early end their scan almost at once). A complete fork-join: returns
+    /// after every iteration finished, rethrowing the first exception.
     void ParallelFor(size_t n, size_t grain,
                      const std::function<void(size_t, size_t)>& fn);
+    /// Static-schedule loop: slot w of parallelism() gets the w-th of
+    /// nearly equal contiguous ranges as `fn(begin, end, w)`. Used where
+    /// per-item cost is uniform (L1, masks) and locality matters.
     void ParallelForStatic(size_t n,
                            const std::function<void(size_t, size_t, int)>& fn);
 
@@ -128,12 +150,16 @@ class Executor {
     friend class Executor;
 
     void RunInline(const std::function<void()>& fn);
+    /// A width-1 loop body: called directly, without the accounting of
+    /// RunInline; an exception trips the attached token and propagates.
+    template <typename Body>
+    void RunSerial(const Body& body);
     void NoteParticipant();
     void FinishTask();  // called by the executor after a task of ours runs
     void CaptureException(std::exception_ptr e);
     void WaitDone();  // the drain of Wait(), without the rethrow
 
-    Executor& exec_;
+    Executor* const exec_;  // null for a serial group
     const int parallelism_;
     const CancelToken* cancel_ = nullptr;
     std::atomic<int> pending_{0};  // queued + running tasks

@@ -3,8 +3,8 @@
 
 namespace sky {
 
-void ParallelSortU64(std::vector<uint64_t>& keys, ThreadPool& pool) {
-  ParallelSort(keys, pool);
+void ParallelSortU64(std::vector<uint64_t>& keys, Executor::TaskGroup& group) {
+  ParallelSort(keys, group);
 }
 
 }  // namespace sky

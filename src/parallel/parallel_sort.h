@@ -10,19 +10,20 @@
 #include <functional>
 #include <vector>
 
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
-/// Sort `v` ascending by `less` using `pool`: the vector is cut into one
+/// Sort `v` ascending by `less` on `group`: the vector is cut into one
 /// chunk per worker, chunks are std::sort-ed in parallel, then log(t)
 /// rounds of pairwise std::inplace_merge (independent pairs merged in
 /// parallel). Not stable. Falls back to std::sort for small inputs or a
 /// single worker.
 template <typename T, typename Less = std::less<T>>
-void ParallelSort(std::vector<T>& v, ThreadPool& pool, Less less = Less{}) {
+void ParallelSort(std::vector<T>& v, Executor::TaskGroup& group,
+                  Less less = Less{}) {
   const size_t n = v.size();
-  const int t = pool.threads();
+  const int t = group.parallelism();
   if (t == 1 || n < (1u << 14)) {
     std::sort(v.begin(), v.end(), less);
     return;
@@ -32,7 +33,7 @@ void ParallelSort(std::vector<T>& v, ThreadPool& pool, Less less = Less{}) {
   for (size_t b = 0; b < n; b += per) bounds.push_back(b);
   bounds.push_back(n);
   const size_t chunks = bounds.size() - 1;
-  pool.ParallelFor(chunks, 1, [&](size_t lo, size_t hi) {
+  group.ParallelFor(chunks, 1, [&](size_t lo, size_t hi) {
     for (size_t c = lo; c < hi; ++c) {
       std::sort(v.begin() + static_cast<ptrdiff_t>(bounds[c]),
                 v.begin() + static_cast<ptrdiff_t>(bounds[c + 1]), less);
@@ -44,7 +45,7 @@ void ParallelSort(std::vector<T>& v, ThreadPool& pool, Less less = Less{}) {
       merges.push_back({bounds[i], bounds[i + step],
                         bounds[std::min(i + 2 * step, chunks)]});
     }
-    pool.ParallelFor(merges.size(), 1, [&](size_t b, size_t e) {
+    group.ParallelFor(merges.size(), 1, [&](size_t b, size_t e) {
       for (size_t m = b; m < e; ++m) {
         std::inplace_merge(v.begin() + static_cast<ptrdiff_t>(merges[m][0]),
                            v.begin() + static_cast<ptrdiff_t>(merges[m][1]),
@@ -56,7 +57,7 @@ void ParallelSort(std::vector<T>& v, ThreadPool& pool, Less less = Less{}) {
 }
 
 /// Convenience instantiation for packed uint64 keys.
-void ParallelSortU64(std::vector<uint64_t>& keys, ThreadPool& pool);
+void ParallelSortU64(std::vector<uint64_t>& keys, Executor::TaskGroup& group);
 
 }  // namespace sky
 

@@ -1,74 +1,20 @@
 // Copyright (c) SkyBench-NG contributors.
-// Fork-join pool facade over the work-stealing scheduler core
-// (parallel/executor.h), replacing the paper's OpenMP runtime (§VII-A2).
-// Workers are persistent: Q-Flow/Hybrid dispatch two parallel phases per
-// α-block, so per-phase thread spawning would dwarf the work (§IV-B).
-//
-// Two modes share one API:
-//  - standalone `ThreadPool(threads)` owns a private Executor — the
-//    non-engine/CLI fallback with the historical semantics;
-//  - borrowed `ThreadPool(executor, threads)` runs every loop as a capped
-//    TaskGroup on a shared engine-owned Executor, so concurrent queries
-//    draw from one bounded worker set instead of oversubscribing.
+// Compatibility shim. Library code opens Executor::TaskGroup directly;
+// this name exists only because bench/e2e/workloads.cc compiles against
+// sky::ThreadPool(int) and its ParallelFor.
 #ifndef SKY_PARALLEL_THREAD_POOL_H_
 #define SKY_PARALLEL_THREAD_POOL_H_
 
-#include <cstddef>
-#include <functional>
-#include <memory>
+#include "parallel/executor.h"
 
 namespace sky {
 
-class Executor;
-
-/// Fixed-size fork-join pool. `threads` counts total parallelism: the
-/// calling thread participates as worker 0. With threads == 1 every
-/// operation runs inline and no scheduler is constructed at all, so a
-/// single-threaded run carries no synchronisation overhead (the paper's
-/// t=1 baselines depend on this).
-class ThreadPool {
+/// A TaskGroup of width `threads` on Executor::Default() (serial, with no
+/// default executor constructed, when `threads` <= 1).
+class ThreadPool : public Executor::TaskGroup {
  public:
-  /// Standalone mode: owns a private Executor with `threads - 1` workers.
-  explicit ThreadPool(int threads);
-  /// Borrowed mode: loops run as TaskGroups capped at `threads` on the
-  /// shared `executor` (further clamped to the executor's width). A null
-  /// executor degrades to standalone mode.
-  ThreadPool(Executor* executor, int threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  int threads() const { return threads_; }
-
-  /// Hardware concurrency with a sane floor of 1.
-  static int DefaultThreads();
-
-  /// Run `fn(worker_index)` once per parallelism slot (0 == caller) and
-  /// block until all invocations return. This is the fork-join primitive;
-  /// all higher-level loops are built on it. Standalone pools guarantee
-  /// the slots run concurrently; borrowed pools only bound them.
-  void RunOnAll(const std::function<void(int)>& fn);
-
-  /// Dynamic-schedule parallel loop over [0, n): workers repeatedly claim
-  /// `grain`-sized chunks from a shared atomic cursor and invoke
-  /// `fn(begin, end)`. Mirrors OpenMP `schedule(dynamic, grain)`, which the
-  /// skyline phases need because per-point work is highly skewed (points
-  /// dominated early terminate their scan almost immediately).
-  void ParallelFor(size_t n, size_t grain,
-                   const std::function<void(size_t, size_t)>& fn);
-
-  /// Static-schedule variant: slot w gets the w-th of `threads` nearly
-  /// equal contiguous ranges. Used where per-item cost is uniform (L1
-  /// computation, mask computation) and locality matters.
-  void ParallelForStatic(size_t n,
-                         const std::function<void(size_t, size_t, int)>& fn);
-
- private:
-  int threads_;
-  std::unique_ptr<Executor> owned_;  // standalone multi-threaded mode
-  Executor* exec_ = nullptr;         // scheduler core (owned or borrowed);
-                                     // null when threads_ == 1
+  explicit ThreadPool(int threads)
+      : TaskGroup(threads > 1 ? &Executor::Default() : nullptr, threads) {}
 };
 
 }  // namespace sky

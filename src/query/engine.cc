@@ -19,7 +19,6 @@
 #include "dominance/batch.h"
 #include "dominance/dominance.h"
 #include "index/zonemap.h"
-#include "parallel/thread_pool.h"
 #include "query/cost_model.h"
 #include "query/delta.h"
 #include "query/view.h"
@@ -30,7 +29,7 @@ namespace {
 /// Largest candidate union the sharded merge filters directly with the
 /// batched tile kernels instead of launching a full skyline algorithm.
 /// The direct filter is O(total * m) but skips the WorkingSet copy,
-/// sort, and pool spin-up, which dominate at this scale.
+/// sort, and parallel-loop fan-out, which dominate at this scale.
 constexpr size_t kBatchMergeMaxRows = 4096;
 
 /// Top-k rank score. NaN (possible in loaded CSV data) sorts last —
@@ -225,7 +224,7 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
     // points do not dominate), so no self-exclusion is needed and the
     // surviving set is exactly SKY(union) with duplicates retained —
     // identical to what ComputeSkyline would return, minus its
-    // WorkingSet copy, sort, and thread-pool setup.
+    // WorkingSet copy, sort, and parallel-loop fan-out.
     TileBlock tiles(view_dims, total);
     tiles.AppendRows(merged.Row(0), merged.stride(), total);
     std::vector<uint8_t> dominated(total, 0);
@@ -474,32 +473,36 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
     }
     if (tb != nullptr) p.trace_seconds = tb->Now() - p.trace_start;
   };
-  Executor::GroupStats exec_stats;
-  bool used_group = false;
-  const int workers = static_cast<int>(
-      std::min(n_shards, static_cast<size_t>(opts.ResolvedThreads())));
   if (plan.shard_threads > 1 || n_shards == 1) {
     // Shards in turn, each with intra-shard parallelism: the per-shard
-    // algorithms borrow workers themselves (shard_opts carries
+    // algorithms open their own groups (shard_opts carries
     // opts.executor), so no fan-out group is needed here.
     for (size_t s = 0; s < n_shards; ++s) run_shard(s);
-  } else if (opts.executor != nullptr) {
-    // Serving path: fan the shards out as one capped task group on the
-    // engine's shared executor — zero pool constructions per request.
-    Executor::TaskGroup group(*opts.executor, workers);
+  } else {
+    // Fan the shards out as one capped task group on the run's executor:
+    // the engine's shared one, or the default for one-shot calls.
+    const int workers = static_cast<int>(
+        std::min(n_shards, static_cast<size_t>(opts.ResolvedThreads())));
+    Executor::TaskGroup group(opts.ResolvedExecutor(), workers);
     group.set_cancel_token(opts.cancel);
     group.ParallelFor(n_shards, 1, [&](size_t begin, size_t end) {
       for (size_t s = begin; s < end; ++s) run_shard(s);
     });
-    exec_stats = group.stats();
-    used_group = true;
-  } else {
-    // One-shot fallback (RunShardedQuery without an engine): a private
-    // pool scoped to this call.
-    ThreadPool pool(workers);
-    pool.ParallelFor(n_shards, 1, [&](size_t begin, size_t end) {
-      for (size_t s = begin; s < end; ++s) run_shard(s);
-    });
+    if (tb != nullptr && group.parallelism() > 1) {
+      // Scheduler accounting for the fan-out group: how many distinct
+      // participants (workers + the caller) touched this query, how many
+      // tasks it submitted or ran inline, and how many were stolen. A
+      // width-1 group ran the shards on the caller without touching the
+      // executor, so it has nothing to report.
+      const Executor::GroupStats exec_stats = group.stats();
+      tb->AttrCount(trace_parent, "executor.workers",
+                    static_cast<size_t>(exec_stats.workers_used));
+      tb->AttrCount(trace_parent, "executor.tasks",
+                    static_cast<size_t>(exec_stats.tasks +
+                                        exec_stats.inline_runs));
+      tb->AttrCount(trace_parent, "executor.steals",
+                    static_cast<size_t>(exec_stats.steals));
+    }
   }
   r.shard_algorithms.resize(n_shards);
   for (size_t s = 0; s < n_shards; ++s) r.shard_algorithms[s] = algo_of(s);
@@ -525,18 +528,6 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
         tb->AttrCount(span, "threads",
                       static_cast<uint64_t>(p.view->build_threads));
       }
-    }
-    if (used_group) {
-      // Scheduler accounting for the fan-out group: how many distinct
-      // participants (workers + the caller) touched this query, how many
-      // tasks it submitted or ran inline, and how many were stolen.
-      tb->AttrCount(trace_parent, "executor.workers",
-                    static_cast<size_t>(exec_stats.workers_used));
-      tb->AttrCount(trace_parent, "executor.tasks",
-                    static_cast<size_t>(exec_stats.tasks +
-                                        exec_stats.inline_runs));
-      tb->AttrCount(trace_parent, "executor.steals",
-                    static_cast<size_t>(exec_stats.steals));
     }
   }
 
@@ -1315,12 +1306,12 @@ void SkylineEngine::RepairShards(
   // Each touched shard's repair is an independent pure function of
   // immutable inputs, so the repairs fan out as a capped task group on
   // the engine's shared executor (a cap of 1 runs inline with no
-  // synchronisation) — no per-mutation pool construction. Each slot gets
-  // its own RepairStats; summed after the join.
+  // synchronisation). Each slot gets its own RepairStats; summed after
+  // the join.
   std::vector<RepairStats> stats(n);
-  ThreadPool pool(&executor_, std::min<int>(Executor::DefaultThreads(),
-                                            static_cast<int>(n)));
-  pool.ParallelFor(n, 1, [&](size_t lo, size_t hi) {
+  Executor::TaskGroup group(executor_, std::min<int>(Executor::DefaultThreads(),
+                                                    static_cast<int>(n)));
+  group.ParallelFor(n, 1, [&](size_t lo, size_t hi) {
     for (size_t t = lo; t < hi; ++t) {
       // A repair failure (failpoint or real) unwinds out of the join and
       // aborts the whole batch pre-publish: the registry still holds the

@@ -9,11 +9,12 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "core/options.h"
 #include "data/partition.h"
 #include "data/working_set.h"
 #include "dominance/dominance.h"
 #include "index/zonemap.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -61,12 +62,14 @@ namespace {
 /// covers a small sub-box of the space.
 std::vector<PointId> MaskOrder(const Dataset& data, uint64_t seed,
                                Executor* executor) {
-  ThreadPool pool(executor, ThreadPool::DefaultThreads());
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
+  Options run;  // full width on `executor`, or on the default executor
+  run.executor = executor;
+  Executor::TaskGroup group(run.ResolvedExecutor(), run.ResolvedThreads());
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
   const DomCtx dom(ws.dims, ws.stride, /*use_simd=*/true);
   const std::vector<Value> pivot =
-      SelectPivot(ws, PivotPolicy::kMedian, pool, seed);
-  AssignMasks(ws, pivot.data(), dom, pool);
+      SelectPivot(ws, PivotPolicy::kMedian, group, seed);
+  AssignMasks(ws, pivot.data(), dom, group);
   std::vector<PointId> order(ws.count);
   std::iota(order.begin(), order.end(), PointId{0});
   std::stable_sort(order.begin(), order.end(), [&](PointId a, PointId b) {

@@ -102,8 +102,8 @@ class ShardMap {
   /// original row lands in exactly one shard; shard sizes differ by at
   /// most one. A single shard aliases `data` itself (implicit ids,
   /// unbounded box). The median-pivot mask pass runs on `executor` when
-  /// given (the engine passes its shared scheduler), otherwise on a
-  /// one-shot standalone pool.
+  /// given (the engine passes its shared scheduler), otherwise on
+  /// Executor::Default().
   static ShardMap Build(std::shared_ptr<const Dataset> data, size_t shards,
                         ShardPolicy policy, uint64_t seed = 42,
                         Executor* executor = nullptr);

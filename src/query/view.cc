@@ -8,7 +8,7 @@
 #include "common/cancel.h"
 #include "common/failpoint.h"
 #include "common/timer.h"
-#include "parallel/thread_pool.h"
+#include "parallel/executor.h"
 
 namespace sky {
 
@@ -34,11 +34,13 @@ QueryView MaterializeView(const Dataset& data, const QuerySpec& spec,
 
   const size_t n = data.count();
   const size_t chunks = (n + kViewChunkRows - 1) / kViewChunkRows;
-  // A pool wider than the chunk count would only idle, so a view of at
-  // most one chunk builds inline (ThreadPool treats a width of 0 as 1).
+  // A group wider than the chunk count would only idle, so a view of at
+  // most one chunk builds inline.
   const size_t threads = static_cast<size_t>(opts.ResolvedThreads());
-  ThreadPool pool(opts.executor, static_cast<int>(std::min(chunks, threads)));
-  view.build_threads = pool.threads();
+  const int width =
+      static_cast<int>(std::max<size_t>(1, std::min(chunks, threads)));
+  Executor::TaskGroup group(opts.ResolvedExecutor(), width);
+  view.build_threads = group.parallelism();
   const bool constrained = !spec.constraints.empty();
 
   // Pass 1: per chunk, the survivor bitmap (one bit per row, set when the
@@ -53,7 +55,7 @@ QueryView MaterializeView(const Dataset& data, const QuerySpec& spec,
   };
   std::vector<uint64_t> bitmap(constrained ? (n + 63) / 64 : 0);
   std::vector<size_t> offsets(chunks + 1, 0);
-  pool.ParallelFor(chunks, 1, [&](size_t begin, size_t end) {
+  group.ParallelFor(chunks, 1, [&](size_t begin, size_t end) {
     for (size_t c = begin; c < end; ++c) {
       CheckCancel(opts.cancel);
       const size_t lo = c * kViewChunkRows;
@@ -102,7 +104,7 @@ QueryView MaterializeView(const Dataset& data, const QuerySpec& spec,
     }
     view.row_ids[out] = static_cast<PointId>(row);
   };
-  pool.ParallelFor(chunks, 1, [&](size_t begin, size_t end) {
+  group.ParallelFor(chunks, 1, [&](size_t begin, size_t end) {
     for (size_t c = begin; c < end; ++c) {
       const size_t lo = c * kViewChunkRows;
       const size_t hi = std::min(n, lo + kViewChunkRows);

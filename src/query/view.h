@@ -42,7 +42,7 @@ inline constexpr size_t kViewChunkRows = 4096;
 
 /// Build the view of `data` under `spec`. `spec` must already be in
 /// canonical form for `data.dims()` (see QuerySpec::Canonicalize).
-/// Runs on `opts.executor` (or a private pool) at `opts.threads`
+/// Runs as one TaskGroup on opts.ResolvedExecutor() at `opts.threads`
 /// parallelism and polls `opts.cancel` once per row chunk, throwing
 /// CancelledError when it trips. The result is identical at every width.
 QueryView MaterializeView(const Dataset& data, const QuerySpec& spec,

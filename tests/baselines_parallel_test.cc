@@ -35,6 +35,7 @@ class ParallelAlgos
   Options opts() const {
     Options o;
     o.threads = std::get<1>(GetParam());
+    o.executor = &test::FourWayExecutor();
     return o;
   }
 };
@@ -113,6 +114,7 @@ TEST(PBSkyTree, BatchBoundaryStress) {
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 4000, 12, 9);
   Options o;
   o.threads = 4;
+  o.executor = &test::FourWayExecutor();
   Result r = PBSkyTreeCompute(data, o);
   EXPECT_EQ(test::Sorted(r.skyline),
             test::Sorted(test::ReferenceSkyline(data)));
@@ -122,6 +124,7 @@ TEST(PSkyline, ManyMoreBlocksWhenOversubscribed) {
   Dataset data = GenerateSynthetic(Distribution::kAnticorrelated, 1000, 5, 10);
   Options o;
   o.threads = 32;  // 32 local skylines over 1000 points
+  o.executor = &test::FourWayExecutor();
   Result r = PSkylineCompute(data, o);
   EXPECT_EQ(test::Sorted(r.skyline),
             test::Sorted(test::ReferenceSkyline(data)));

@@ -8,7 +8,7 @@
 
 #include "common/cancel.h"
 #include "gtest/gtest.h"
-#include "parallel/thread_pool.h"
+#include "test_util.h"
 
 namespace sky {
 namespace {
@@ -86,8 +86,7 @@ TEST(CancelTokenTest, ConcurrentCancelsAgreeOnOneReason) {
   // see a single coherent winner (no torn reason, no kOk after stop).
   for (int round = 0; round < 20; ++round) {
     CancelToken token;
-    ThreadPool pool(4);
-    pool.RunOnAll([&](int worker) {
+    test::RunConcurrentClients(4, [&](int worker) {
       token.Cancel(worker % 2 == 0 ? Status::kCancelled
                                    : Status::kDeadlineExceeded);
     });

@@ -17,7 +17,6 @@
 #include "data/generator.h"
 #include "gtest/gtest.h"
 #include "parallel/executor.h"
-#include "parallel/thread_pool.h"
 #include "query/engine.h"
 #include "test_util.h"
 
@@ -33,8 +32,7 @@ TEST(ExecutorStressTest, ManyExternalSubmittersOneScheduler) {
   constexpr int kClients = 8;
   constexpr int kRounds = 40;
   std::atomic<uint64_t> grand_total{0};
-  ThreadPool clients(kClients);
-  clients.RunOnAll([&](int client) {
+  test::RunConcurrentClients(kClients, [&](int client) {
     std::mt19937 rng(static_cast<uint32_t>(client) * 97 + 11);
     for (int round = 0; round < kRounds; ++round) {
       const size_t n = 100 + rng() % 900;
@@ -162,8 +160,7 @@ TEST(ExecutorStressTest, EightShardedClientsWithConcurrentMutations) {
   });
 
   constexpr int kClients = 8;
-  ThreadPool clients(kClients);
-  clients.RunOnAll([&](int worker) {
+  test::RunConcurrentClients(kClients, [&](int worker) {
     Options opts;
     opts.threads = 2;  // per-query cap on the shared executor
     std::mt19937 pick(static_cast<uint32_t>(worker) * 41 + 3);

@@ -1,8 +1,8 @@
 // Copyright (c) SkyBench-NG contributors.
 // Unit tests for the persistent work-stealing executor
-// (parallel/executor.h): inline single-thread path, fork-join
-// equivalence with the ThreadPool facade, loop oracles, nested groups,
-// admission caps and the stats/counters surface.
+// (parallel/executor.h): inline single-thread path, serial groups,
+// fork-join equivalence with the ThreadPool shim, loop oracles, nested
+// groups, admission caps and the stats/counters surface.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -54,19 +54,32 @@ TEST(ExecutorTest, GroupCapClampsToExecutorWidth) {
   EXPECT_EQ(narrow.parallelism(), 1);
 }
 
-TEST(ExecutorTest, RunOnAllVisitsEverySlotExactlyOnce) {
-  for (int threads : {2, 3, 4, 8}) {
-    Executor exec(threads);
-    Executor::TaskGroup group(exec, 0);
-    std::vector<std::atomic<int>> visits(
-        static_cast<size_t>(group.parallelism()));
-    group.RunOnAll([&](int worker) {
-      ASSERT_GE(worker, 0);
-      ASSERT_LT(worker, group.parallelism());
-      visits[static_cast<size_t>(worker)].fetch_add(1);
-    });
-    for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-  }
+TEST(ExecutorTest, WidthOneLoopsBypassTheScheduler) {
+  // A width-1 group's loops call the body directly on the caller: no
+  // task, no inline-run accounting, nothing on the executor's counters.
+  Executor exec(4);
+  const auto before = exec.Counters();
+  Executor::TaskGroup group(exec, 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  group.ParallelFor(1000, 1, [&](size_t begin, size_t end) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 1000u);
+    ++calls;
+  });
+  group.ParallelForStatic(1000, [&](size_t begin, size_t end, int worker) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(begin, 0u);
+    EXPECT_EQ(end, 1000u);
+    EXPECT_EQ(worker, 0);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(group.stats().inline_runs, 0u);
+  const auto after = exec.Counters();
+  EXPECT_EQ(after.tasks, before.tasks);
+  EXPECT_EQ(after.inline_runs, before.inline_runs);
 }
 
 TEST(ExecutorTest, ParallelForSumMatchesSequential) {
@@ -119,8 +132,9 @@ TEST(ExecutorTest, ParallelForStaticPartitionsContiguously) {
 }
 
 TEST(ExecutorTest, ForkJoinMatchesThreadPoolFacade) {
-  // The same skewed computation through a raw TaskGroup, a borrowed
-  // ThreadPool and a standalone ThreadPool must agree bit-for-bit.
+  // The same skewed computation through a full-width TaskGroup, a capped
+  // one and the ThreadPool shim (a group on the default executor) must
+  // agree bit-for-bit.
   constexpr size_t kN = 8192;
   const auto cost = [](size_t i) {
     uint64_t acc = i;
@@ -145,31 +159,34 @@ TEST(ExecutorTest, ForkJoinMatchesThreadPoolFacade) {
     Executor::TaskGroup group(exec, 0);
     group.ParallelFor(kN, 32, body);
   });
-  const uint64_t borrowed_sum = via([&](const auto& body) {
-    ThreadPool pool(&exec, 3);
-    pool.ParallelFor(kN, 32, body);
+  const uint64_t capped_sum = via([&](const auto& body) {
+    Executor::TaskGroup group(exec, 3);
+    group.ParallelFor(kN, 32, body);
   });
-  const uint64_t standalone_sum = via([&](const auto& body) {
+  const uint64_t shim_sum = via([&](const auto& body) {
     ThreadPool pool(4);
     pool.ParallelFor(kN, 32, body);
   });
   EXPECT_EQ(group_sum, expected);
-  EXPECT_EQ(borrowed_sum, expected);
-  EXPECT_EQ(standalone_sum, expected);
+  EXPECT_EQ(capped_sum, expected);
+  EXPECT_EQ(shim_sum, expected);
 }
 
 TEST(ExecutorTest, BorrowedThreadPoolClampsToExecutorWidth) {
+  // A group borrowing an executor runs at most that executor's width.
   Executor exec(2);
-  ThreadPool pool(&exec, 16);
-  EXPECT_EQ(pool.threads(), 2);
-  ThreadPool inline_pool(&exec, 1);
-  EXPECT_EQ(inline_pool.threads(), 1);
-  // Null executor degrades to standalone mode.
-  ThreadPool fallback(static_cast<Executor*>(nullptr), 2);
-  EXPECT_EQ(fallback.threads(), 2);
+  Executor::TaskGroup group(exec, 16);
+  EXPECT_EQ(group.parallelism(), 2);
+  Executor::TaskGroup inline_group(exec, 1);
+  EXPECT_EQ(inline_group.parallelism(), 1);
+  // A group without an executor is serial whatever its cap.
+  Executor::TaskGroup serial(nullptr, 16);
+  EXPECT_EQ(serial.parallelism(), 1);
   std::atomic<int> visits{0};
-  fallback.RunOnAll([&](int) { visits.fetch_add(1); });
-  EXPECT_EQ(visits.load(), 2);
+  serial.ParallelFor(8, 1, [&](size_t begin, size_t end) {
+    visits.fetch_add(static_cast<int>(end - begin));
+  });
+  EXPECT_EQ(visits.load(), 8);
 }
 
 TEST(ExecutorTest, NestedGroupsShareTheWorkerSet) {
@@ -370,30 +387,27 @@ TEST(ExecutorTest, DestructorDropsPendingExceptionWithoutTerminating) {
 }
 
 TEST(ExecutorTest, ThreadPoolLoopsPropagateWorkerExceptions) {
-  // The facade delegates to TaskGroups, so both standalone and borrowed
-  // pools inherit the containment story.
-  ThreadPool standalone(4);
-  EXPECT_THROW(standalone.RunOnAll([](int worker) {
-    if (worker == 1) throw std::runtime_error("worker 1 died");
-  }),
-               std::runtime_error);
-  // The pool survives the failed fork-join.
-  std::atomic<int> visits{0};
-  standalone.RunOnAll([&](int) { visits.fetch_add(1); });
-  EXPECT_EQ(visits.load(), standalone.threads());
-
+  // A loop rethrows its first exception at the call, trips the attached
+  // token, and leaves the group usable — at width 4 and at width 1, where
+  // the body runs directly on the caller.
   Executor exec(4);
-  ThreadPool borrowed(&exec, 4);
-  EXPECT_THROW(borrowed.ParallelFor(100, 10,
-                                    [](size_t begin, size_t) {
-                                      if (begin >= 50) throw std::bad_alloc();
-                                    }),
-               std::bad_alloc);
-  std::atomic<uint64_t> sum{0};
-  borrowed.ParallelFor(100, 10, [&](size_t begin, size_t end) {
-    sum.fetch_add(end - begin, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(sum.load(), 100u);
+  for (int width : {4, 1}) {
+    CancelToken token;
+    Executor::TaskGroup group(exec, width);
+    group.set_cancel_token(&token);
+    EXPECT_THROW(group.ParallelFor(100, 10,
+                                   [](size_t, size_t end) {
+                                     if (end > 50) throw std::bad_alloc();
+                                   }),
+                 std::bad_alloc)
+        << "width " << width;
+    EXPECT_TRUE(token.cancelled()) << "width " << width;
+    std::atomic<uint64_t> sum{0};
+    group.ParallelFor(100, 10, [&](size_t begin, size_t end) {
+      sum.fetch_add(end - begin, std::memory_order_relaxed);
+    });
+    EXPECT_EQ(sum.load(), 100u) << "width " << width;
+  }
 }
 
 }  // namespace

@@ -9,19 +9,19 @@
 namespace sky {
 namespace {
 
-WorkingSet MakeWs(const Dataset& data, ThreadPool& pool) {
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
-  ws.ComputeL1(pool);
+WorkingSet MakeWs(const Dataset& data, Executor::TaskGroup& group) {
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  ws.ComputeL1(group);
   return ws;
 }
 
 class PivotPolicies : public ::testing::TestWithParam<PivotPolicy> {};
 
 TEST_P(PivotPolicies, ProducesFiniteInRangePivot) {
-  ThreadPool pool(2);
+  Executor::TaskGroup group(test::FourWayExecutor(), 2);
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 2000, 6, 21);
-  WorkingSet ws = MakeWs(data, pool);
-  const auto pivot = SelectPivot(ws, GetParam(), pool, 42);
+  WorkingSet ws = MakeWs(data, group);
+  const auto pivot = SelectPivot(ws, GetParam(), group, 42);
   ASSERT_EQ(pivot.size(), static_cast<size_t>(ws.stride));
   for (int j = 0; j < ws.dims; ++j) {
     EXPECT_GE(pivot[static_cast<size_t>(j)], 0.0f);
@@ -40,21 +40,21 @@ INSTANTIATE_TEST_SUITE_P(All, PivotPolicies,
                                            PivotPolicy::kRandom));
 
 TEST(Pivot, ManhattanPicksMinL1SkylinePoint) {
-  ThreadPool pool(1);
+  Executor::TaskGroup group(test::FourWayExecutor(), 1);
   Dataset data = test::MakeDataset({{5, 5}, {1, 2}, {4, 1}});
-  WorkingSet ws = MakeWs(data, pool);
-  const auto pivot = SelectPivot(ws, PivotPolicy::kManhattan, pool, 0);
+  WorkingSet ws = MakeWs(data, group);
+  const auto pivot = SelectPivot(ws, PivotPolicy::kManhattan, group, 0);
   EXPECT_EQ(pivot[0], 1.0f);
   EXPECT_EQ(pivot[1], 2.0f);
 }
 
 TEST(Pivot, RandomPivotIsSkylinePoint) {
-  ThreadPool pool(1);
+  Executor::TaskGroup group(test::FourWayExecutor(), 1);
   Dataset data = GenerateSynthetic(Distribution::kAnticorrelated, 800, 4, 9);
   const auto skyline = test::ReferenceSkyline(data);
-  WorkingSet ws = MakeWs(data, pool);
+  WorkingSet ws = MakeWs(data, group);
   for (uint64_t seed = 0; seed < 8; ++seed) {
-    const auto pivot = SelectPivot(ws, PivotPolicy::kRandom, pool, seed);
+    const auto pivot = SelectPivot(ws, PivotPolicy::kRandom, group, seed);
     bool found = false;
     for (const PointId id : skyline) {
       bool same = true;
@@ -68,11 +68,11 @@ TEST(Pivot, RandomPivotIsSkylinePoint) {
 }
 
 TEST(Pivot, BalancedPivotIsSkylinePoint) {
-  ThreadPool pool(1);
+  Executor::TaskGroup group(test::FourWayExecutor(), 1);
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 800, 4, 10);
   const auto skyline = test::ReferenceSkyline(data);
-  WorkingSet ws = MakeWs(data, pool);
-  const auto pivot = SelectPivot(ws, PivotPolicy::kBalanced, pool, 0);
+  WorkingSet ws = MakeWs(data, group);
+  const auto pivot = SelectPivot(ws, PivotPolicy::kBalanced, group, 0);
   bool found = false;
   for (const PointId id : skyline) {
     bool same = true;
@@ -85,10 +85,10 @@ TEST(Pivot, BalancedPivotIsSkylinePoint) {
 }
 
 TEST(Pivot, MedianSplitsRoughlyInHalfPerDim) {
-  ThreadPool pool(2);
+  Executor::TaskGroup group(test::FourWayExecutor(), 2);
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 4000, 3, 13);
-  WorkingSet ws = MakeWs(data, pool);
-  const auto pivot = SelectPivot(ws, PivotPolicy::kMedian, pool, 0);
+  WorkingSet ws = MakeWs(data, group);
+  const auto pivot = SelectPivot(ws, PivotPolicy::kMedian, group, 0);
   for (int j = 0; j < ws.dims; ++j) {
     size_t below = 0;
     for (size_t i = 0; i < ws.count; ++i) {
@@ -99,12 +99,12 @@ TEST(Pivot, MedianSplitsRoughlyInHalfPerDim) {
 }
 
 TEST(AssignMasks, MatchesScalarDefinition) {
-  ThreadPool pool(3);
+  Executor::TaskGroup group(test::FourWayExecutor(), 3);
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 1000, 7, 15);
-  WorkingSet ws = MakeWs(data, pool);
-  const auto pivot = SelectPivot(ws, PivotPolicy::kMedian, pool, 0);
+  WorkingSet ws = MakeWs(data, group);
+  const auto pivot = SelectPivot(ws, PivotPolicy::kMedian, group, 0);
   DomCtx dom(ws.dims, ws.stride, true);
-  AssignMasks(ws, pivot.data(), dom, pool);
+  AssignMasks(ws, pivot.data(), dom, group);
   ASSERT_EQ(ws.masks.size(), ws.count);
   for (size_t i = 0; i < ws.count; ++i) {
     Mask expect = 0;

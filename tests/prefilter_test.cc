@@ -20,11 +20,11 @@ TEST_P(PrefilterSafety, NeverRemovesSkylinePoints) {
   const auto skyline = test::ReferenceSkyline(data);
   const std::set<PointId> sky_set(skyline.begin(), skyline.end());
 
-  ThreadPool pool(threads);
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
-  ws.ComputeL1(pool);
+  Executor::TaskGroup group(test::FourWayExecutor(), threads);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  ws.ComputeL1(group);
   DomCtx dom(ws.dims, ws.stride, true);
-  const size_t removed = Prefilter(ws, pool, beta, dom, nullptr);
+  const size_t removed = Prefilter(ws, group, beta, dom, nullptr);
   EXPECT_EQ(ws.count + removed, data.count());
   // Every skyline id must still be present.
   std::set<PointId> surviving(ws.ids.begin(), ws.ids.end());
@@ -43,11 +43,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Prefilter, RemovesMostOfCorrelatedData) {
   Dataset data = GenerateSynthetic(Distribution::kCorrelated, 20000, 8, 5);
-  ThreadPool pool(2);
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
-  ws.ComputeL1(pool);
+  Executor::TaskGroup group(test::FourWayExecutor(), 2);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  ws.ComputeL1(group);
   DomCtx dom(ws.dims, ws.stride, true);
-  const size_t removed = Prefilter(ws, pool, 8, dom, nullptr);
+  const size_t removed = Prefilter(ws, group, 8, dom, nullptr);
   // The paper's point: on correlated data the pre-filter nearly produces
   // the solution by itself.
   EXPECT_GT(removed, data.count() / 2);
@@ -61,31 +61,31 @@ TEST(Prefilter, DuplicatePointsSurvive) {
     flat.push_back(2.0f);
   }
   Dataset data = Dataset::FromRowMajor(2, flat);
-  ThreadPool pool(3);
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
-  ws.ComputeL1(pool);
+  Executor::TaskGroup group(test::FourWayExecutor(), 3);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  ws.ComputeL1(group);
   DomCtx dom(ws.dims, ws.stride, true);
-  EXPECT_EQ(Prefilter(ws, pool, 8, dom, nullptr), 0u);
+  EXPECT_EQ(Prefilter(ws, group, 8, dom, nullptr), 0u);
   EXPECT_EQ(ws.count, 100u);
 }
 
 TEST(Prefilter, BetaZeroDisables) {
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 500, 4, 3);
-  ThreadPool pool(2);
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
-  ws.ComputeL1(pool);
+  Executor::TaskGroup group(test::FourWayExecutor(), 2);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  ws.ComputeL1(group);
   DomCtx dom(ws.dims, ws.stride, true);
-  EXPECT_EQ(Prefilter(ws, pool, 0, dom, nullptr), 0u);
+  EXPECT_EQ(Prefilter(ws, group, 0, dom, nullptr), 0u);
 }
 
 TEST(Prefilter, CountsDominanceTests) {
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 2000, 4, 3);
-  ThreadPool pool(2);
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
-  ws.ComputeL1(pool);
+  Executor::TaskGroup group(test::FourWayExecutor(), 2);
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  ws.ComputeL1(group);
   DomCtx dom(ws.dims, ws.stride, true);
   DtCounter counter(true);
-  Prefilter(ws, pool, 8, dom, &counter);
+  Prefilter(ws, group, 8, dom, &counter);
   EXPECT_GT(counter.tests(), 0u);
 }
 

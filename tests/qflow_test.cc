@@ -16,6 +16,7 @@ Options QFlowOpts(int threads, size_t alpha = 0) {
   Options o;
   o.algorithm = Algorithm::kQFlow;
   o.threads = threads;
+  o.executor = &test::FourWayExecutor();
   o.alpha = alpha;
   return o;
 }

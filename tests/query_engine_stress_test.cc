@@ -16,7 +16,6 @@
 #include "common/failpoint.h"
 #include "data/generator.h"
 #include "gtest/gtest.h"
-#include "parallel/thread_pool.h"
 #include "query/engine.h"
 #include "test_util.h"
 
@@ -67,8 +66,7 @@ TEST(QueryEngineStressTest, ConcurrentMixedQueriesOneDataset) {
   constexpr int kThreads = 8;
   constexpr int kRoundsPerThread = 24;
   std::atomic<int> mismatches{0};
-  ThreadPool pool(kThreads);
-  pool.RunOnAll([&](int worker) {
+  test::RunConcurrentClients(kThreads, [&](int worker) {
     Options opts;
     opts.threads = 1;
     // Deterministic per-worker sequence, offset so different specs are in
@@ -124,8 +122,7 @@ TEST(QueryEngineStressTest, ConcurrentShardedExecutionStaysExact) {
   });
 
   constexpr int kThreads = 6;
-  ThreadPool pool(kThreads);
-  pool.RunOnAll([&](int worker) {
+  test::RunConcurrentClients(kThreads, [&](int worker) {
     Options opts;
     opts.threads = 2;  // per-query shard parallelism under contention
     int round = 0;
@@ -180,8 +177,7 @@ TEST(QueryEngineStressTest, ConcurrentAutoSelectionSurvivesSketchChurn) {
   });
 
   constexpr int kThreads = 6;
-  ThreadPool pool(kThreads);
-  pool.RunOnAll([&](int worker) {
+  test::RunConcurrentClients(kThreads, [&](int worker) {
     Options opts;
     opts.threads = 2;  // per-query shard parallelism under contention
     int round = 0;
@@ -305,8 +301,7 @@ TEST(QueryEngineStressTest, ConcurrentMutationsDuringQueries) {
   });
 
   constexpr int kThreads = 4;
-  ThreadPool pool(kThreads);
-  pool.RunOnAll([&](int worker) {
+  test::RunConcurrentClients(kThreads, [&](int worker) {
     Options opts;
     opts.threads = 1;
     std::mt19937 pick(static_cast<uint32_t>(worker) * 31 + 7);
@@ -431,8 +426,7 @@ TEST(QueryEngineStressTest, FailpointChurnNeverServesWrongAnswer) {
   });
 
   constexpr int kThreads = 4;
-  ThreadPool pool(kThreads);
-  pool.RunOnAll([&](int worker) {
+  test::RunConcurrentClients(kThreads, [&](int worker) {
     Options opts;
     opts.threads = 1;
     int round = 0;

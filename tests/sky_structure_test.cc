@@ -19,21 +19,22 @@ namespace {
 /// (computed with the reference oracle) — the exact shape Hybrid appends.
 struct Fixture {
   explicit Fixture(Distribution dist, size_t n, int d, uint64_t seed)
-      : pool(2), data(GenerateSynthetic(dist, n, d, seed)) {
+      : group(test::FourWayExecutor(), 2),
+        data(GenerateSynthetic(dist, n, d, seed)) {
     const auto sky = test::ReferenceSkyline(data);
     std::vector<float> flat;
     for (const PointId id : sky) {
       for (int j = 0; j < d; ++j) flat.push_back(data.Row(id)[j]);
     }
     sky_only = Dataset::FromRowMajor(d, flat);
-    ws = WorkingSet::FromDataset(sky_only, pool);
-    ws.ComputeL1(pool);
-    const auto pivot = SelectPivot(ws, PivotPolicy::kMedian, pool, 1);
+    ws = WorkingSet::FromDataset(sky_only, group);
+    ws.ComputeL1(group);
+    const auto pivot = SelectPivot(ws, PivotPolicy::kMedian, group, 1);
     DomCtx dom(ws.dims, ws.stride, true);
-    AssignMasks(ws, pivot.data(), dom, pool);
-    SortByMaskThenL1(ws, pool);
+    AssignMasks(ws, pivot.data(), dom, group);
+    SortByMaskThenL1(ws, group);
   }
-  ThreadPool pool;
+  Executor::TaskGroup group;
   Dataset data;
   Dataset sky_only;
   WorkingSet ws;
@@ -75,7 +76,7 @@ TEST_P(SkyStructureDominance, MatchesBruteForceScan) {
   Fixture f(dist, 1500, d, 77);
   // Probe points: random grid points (some dominated, some not).
   Dataset probes = GenerateSynthetic(dist, 500, d, 123);
-  const auto pivot = SelectPivot(f.ws, PivotPolicy::kMedian, f.pool, 1);
+  const auto pivot = SelectPivot(f.ws, PivotPolicy::kMedian, f.group, 1);
   const size_t half = f.ws.count / 2;
   // Per-probe (dts, skips) of each kernel flavour: the scalar and AVX2
   // scans must count identically, lane for lane.
@@ -141,7 +142,7 @@ TEST(SkyStructure, RemoveSweepKeepsDominanceExactAndMirrorBitIdentical) {
   DomCtx scalar(f.ws.dims, f.ws.stride, /*use_simd=*/false);
   SkyStructure s(f.ws.dims, f.ws.stride, f.ws.count);
   s.Append(f.ws, 0, f.ws.count, dom);
-  const auto pivot = SelectPivot(f.ws, PivotPolicy::kMedian, f.pool, 1);
+  const auto pivot = SelectPivot(f.ws, PivotPolicy::kMedian, f.group, 1);
   const Dataset probes =
       GenerateSynthetic(Distribution::kAnticorrelated, 200, 5, 99);
 

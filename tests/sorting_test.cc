@@ -12,19 +12,19 @@
 namespace sky {
 namespace {
 
-WorkingSet MakeWs(const Dataset& data, ThreadPool& pool) {
-  WorkingSet ws = WorkingSet::FromDataset(data, pool);
-  ws.ComputeL1(pool);
+WorkingSet MakeWs(const Dataset& data, Executor::TaskGroup& group) {
+  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  ws.ComputeL1(group);
   return ws;
 }
 
 class SortThreads : public ::testing::TestWithParam<int> {};
 
 TEST_P(SortThreads, L1OrderIsNonDecreasing) {
-  ThreadPool pool(GetParam());
+  Executor::TaskGroup group(test::FourWayExecutor(), GetParam());
   Dataset data = GenerateSynthetic(Distribution::kAnticorrelated, 5000, 5, 3);
-  WorkingSet ws = MakeWs(data, pool);
-  SortByL1(ws, pool);
+  WorkingSet ws = MakeWs(data, group);
+  SortByL1(ws, group);
   EXPECT_TRUE(IsSortedByL1(ws));
   // Rows, ids and l1 must stay consistent after the permutation.
   for (size_t i = 0; i < ws.count; ++i) {
@@ -43,10 +43,10 @@ INSTANTIATE_TEST_SUITE_P(Threads, SortThreads, ::testing::Values(1, 2, 4));
 
 TEST(Sorting, L1SortGuaranteesNoBackwardDominance) {
   // Paper §V-A: if p precedes q in the sort order, q cannot dominate p.
-  ThreadPool pool(2);
+  Executor::TaskGroup group(test::FourWayExecutor(), 2);
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 1500, 4, 8);
-  WorkingSet ws = MakeWs(data, pool);
-  SortByL1(ws, pool);
+  WorkingSet ws = MakeWs(data, group);
+  SortByL1(ws, group);
   DomCtx dom(ws.dims, ws.stride, true);
   for (size_t i = 0; i < ws.count; i += 7) {
     for (size_t j = i + 1; j < ws.count; j += 13) {
@@ -57,13 +57,13 @@ TEST(Sorting, L1SortGuaranteesNoBackwardDominance) {
 }
 
 TEST(Sorting, CompositeSortOrdersByLevelMaskThenL1) {
-  ThreadPool pool(2);
+  Executor::TaskGroup group(test::FourWayExecutor(), 2);
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 3000, 6, 5);
-  WorkingSet ws = MakeWs(data, pool);
-  const auto pivot = SelectPivot(ws, PivotPolicy::kMedian, pool, 0);
+  WorkingSet ws = MakeWs(data, group);
+  const auto pivot = SelectPivot(ws, PivotPolicy::kMedian, group, 0);
   DomCtx dom(ws.dims, ws.stride, true);
-  AssignMasks(ws, pivot.data(), dom, pool);
-  SortByMaskThenL1(ws, pool);
+  AssignMasks(ws, pivot.data(), dom, group);
+  SortByMaskThenL1(ws, group);
   for (size_t i = 1; i < ws.count; ++i) {
     const uint32_t ka = CompositeMaskKey(ws.masks[i - 1], ws.dims);
     const uint32_t kb = CompositeMaskKey(ws.masks[i], ws.dims);
@@ -77,13 +77,13 @@ TEST(Sorting, CompositeSortOrdersByLevelMaskThenL1) {
 TEST(Sorting, CompositeSortKeepsNoBackwardDominance) {
   // The composite order must preserve the Q-Flow invariant: a successor
   // never dominates a predecessor (needed for block-append correctness).
-  ThreadPool pool(2);
+  Executor::TaskGroup group(test::FourWayExecutor(), 2);
   Dataset data = GenerateSynthetic(Distribution::kAnticorrelated, 1200, 5, 6);
-  WorkingSet ws = MakeWs(data, pool);
-  const auto pivot = SelectPivot(ws, PivotPolicy::kMedian, pool, 0);
+  WorkingSet ws = MakeWs(data, group);
+  const auto pivot = SelectPivot(ws, PivotPolicy::kMedian, group, 0);
   DomCtx dom(ws.dims, ws.stride, true);
-  AssignMasks(ws, pivot.data(), dom, pool);
-  SortByMaskThenL1(ws, pool);
+  AssignMasks(ws, pivot.data(), dom, group);
+  SortByMaskThenL1(ws, group);
   for (size_t i = 0; i < ws.count; i += 5) {
     for (size_t j = i + 1; j < ws.count; j += 11) {
       ASSERT_FALSE(dom.Dominates(ws.Row(j), ws.Row(i)));
@@ -92,10 +92,10 @@ TEST(Sorting, CompositeSortKeepsNoBackwardDominance) {
 }
 
 TEST(Sorting, MinCoordOrderForSalsa) {
-  ThreadPool pool(1);
+  Executor::TaskGroup group(test::FourWayExecutor(), 1);
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 2000, 3, 4);
-  WorkingSet ws = MakeWs(data, pool);
-  SortByMinCoord(ws, pool);
+  WorkingSet ws = MakeWs(data, group);
+  SortByMinCoord(ws, group);
   const auto min_of = [&](size_t i) {
     float mn = ws.Row(i)[0];
     for (int j = 1; j < ws.dims; ++j) mn = std::min(mn, ws.Row(i)[j]);
@@ -107,10 +107,10 @@ TEST(Sorting, MinCoordOrderForSalsa) {
 }
 
 TEST(Sorting, EmptyAndSingleton) {
-  ThreadPool pool(2);
+  Executor::TaskGroup group(test::FourWayExecutor(), 2);
   Dataset single = test::MakeDataset({{1, 2}});
-  WorkingSet ws = MakeWs(single, pool);
-  SortByL1(ws, pool);
+  WorkingSet ws = MakeWs(single, group);
+  SortByL1(ws, group);
   EXPECT_EQ(ws.count, 1u);
   EXPECT_EQ(ws.ids[0], 0u);
 }

@@ -4,14 +4,51 @@
 #define SKY_TESTS_TEST_UTIL_H_
 
 #include <algorithm>
+#include <exception>
 #include <initializer_list>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "core/options.h"
 #include "data/dataset.h"
 #include "dominance/dominance.h"
+#include "parallel/executor.h"
 
 namespace sky::test {
+
+/// A four-wide executor the parallel suites pass explicitly, so their
+/// loops run on real workers whatever the host's width (on a 1-core host
+/// the default executor would run every loop inline).
+inline Executor& FourWayExecutor() {
+  static Executor exec(4);
+  return exec;
+}
+
+/// Run `client(i)` for each i in [0, k) on its own std::jthread, join
+/// them all, then rethrow the first exception a client raised: clients
+/// that really race. Executor tasks would not do — the executor may run
+/// them one after another (all of them, on a 1-core host).
+template <typename Client>
+void RunConcurrentClients(int k, const Client& client) {
+  std::mutex mu;
+  std::exception_ptr first_error;  // guarded by mu
+  {
+    std::vector<std::jthread> clients;
+    clients.reserve(static_cast<size_t>(k));
+    for (int i = 0; i < k; ++i) {
+      clients.emplace_back([&, i] {
+        try {
+          client(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(mu);
+          if (first_error == nullptr) first_error = std::current_exception();
+        }
+      });
+    }
+  }  // the jthreads join here
+  if (first_error != nullptr) std::rethrow_exception(first_error);
+}
 
 /// Build a dataset from a nested initializer list of rows.
 inline Dataset MakeDataset(std::initializer_list<std::vector<float>> rows) {

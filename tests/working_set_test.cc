@@ -10,8 +10,8 @@ namespace {
 
 TEST(WorkingSet, CopiesDatasetAndIds) {
   Dataset d = test::MakeDataset({{1, 2}, {3, 4}, {5, 6}});
-  ThreadPool pool(2);
-  WorkingSet ws = WorkingSet::FromDataset(d, pool);
+  Executor::TaskGroup group(test::FourWayExecutor(), 2);
+  WorkingSet ws = WorkingSet::FromDataset(d, group);
   ASSERT_EQ(ws.count, 3u);
   EXPECT_EQ(ws.ids, (std::vector<PointId>{0, 1, 2}));
   EXPECT_EQ(ws.Row(2)[1], 6.0f);
@@ -19,18 +19,18 @@ TEST(WorkingSet, CopiesDatasetAndIds) {
 
 TEST(WorkingSet, ComputeL1) {
   Dataset d = test::MakeDataset({{1, 2}, {3, 4}});
-  ThreadPool pool(1);
-  WorkingSet ws = WorkingSet::FromDataset(d, pool);
-  ws.ComputeL1(pool);
+  Executor::TaskGroup group(test::FourWayExecutor(), 1);
+  WorkingSet ws = WorkingSet::FromDataset(d, group);
+  ws.ComputeL1(group);
   EXPECT_FLOAT_EQ(ws.l1[0], 3.0f);
   EXPECT_FLOAT_EQ(ws.l1[1], 7.0f);
 }
 
 TEST(WorkingSet, PermuteByReordersEverything) {
   Dataset d = test::MakeDataset({{1, 0}, {2, 0}, {3, 0}});
-  ThreadPool pool(1);
-  WorkingSet ws = WorkingSet::FromDataset(d, pool);
-  ws.ComputeL1(pool);
+  Executor::TaskGroup group(test::FourWayExecutor(), 1);
+  WorkingSet ws = WorkingSet::FromDataset(d, group);
+  ws.ComputeL1(group);
   ws.masks = {10, 20, 30};
   ws.PermuteBy({2, 0, 1});
   EXPECT_EQ(ws.Row(0)[0], 3.0f);
@@ -41,9 +41,9 @@ TEST(WorkingSet, PermuteByReordersEverything) {
 
 TEST(WorkingSet, CompressRangeDropsFlagged) {
   Dataset d = test::MakeDataset({{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}});
-  ThreadPool pool(1);
-  WorkingSet ws = WorkingSet::FromDataset(d, pool);
-  ws.ComputeL1(pool);
+  Executor::TaskGroup group(test::FourWayExecutor(), 1);
+  WorkingSet ws = WorkingSet::FromDataset(d, group);
+  ws.ComputeL1(group);
   // Compress the middle range [1, 4): drop offsets 0 and 2 of the range.
   const uint8_t flags[] = {1, 0, 1};
   const size_t kept = ws.CompressRange(1, 4, flags);
@@ -55,8 +55,8 @@ TEST(WorkingSet, CompressRangeDropsFlagged) {
 
 TEST(WorkingSet, CompressRangeAllSurviveOrAllDie) {
   Dataset d = test::MakeDataset({{1, 0}, {2, 0}});
-  ThreadPool pool(1);
-  WorkingSet ws = WorkingSet::FromDataset(d, pool);
+  Executor::TaskGroup group(test::FourWayExecutor(), 1);
+  WorkingSet ws = WorkingSet::FromDataset(d, group);
   const uint8_t none[] = {0, 0};
   EXPECT_EQ(ws.CompressRange(0, 2, none), 2u);
   const uint8_t all[] = {1, 1};

@@ -108,7 +108,8 @@ struct CliArgs {
       "                   sniff the binary magic, else CSV)\n"
       "  --output=PATH    write result points (*.bin = binary snapshot,\n"
       "                   else CSV)\n"
-      "  --threads=T      0 = all hardware threads\n"
+      "  --threads=T      0 = all hardware threads; clamped at the hardware\n"
+      "                   width (the engine executor's, on engine runs)\n"
       "  --alpha=A        block size (0 = paper default)\n"
       "  --block-rows=N   rows per zonemap block for --algo=zonemap\n"
       "                   (0 = default 256)\n"
