@@ -69,10 +69,10 @@ double TraceBuilder::Now() const {
       .count();
 }
 
-int TraceBuilder::AddSpan(std::string name, int parent, double start_seconds,
-                          double duration_seconds) {
+int TraceBuilder::AddSpan(std::string_view name, int parent,
+                          double start_seconds, double duration_seconds) {
   TraceSpan s;
-  s.name = std::move(name);
+  s.name = name;
   s.parent = parent;
   s.start_seconds = start_seconds;
   s.duration_seconds = duration_seconds;
@@ -80,8 +80,8 @@ int TraceBuilder::AddSpan(std::string name, int parent, double start_seconds,
   return static_cast<int>(trace_->spans.size()) - 1;
 }
 
-int TraceBuilder::Open(std::string name, int parent) {
-  return AddSpan(std::move(name), parent, Now(), 0.0);
+int TraceBuilder::Open(std::string_view name, int parent) {
+  return AddSpan(name, parent, Now(), 0.0);
 }
 
 void TraceBuilder::Close(int span) {
@@ -89,17 +89,61 @@ void TraceBuilder::Close(int span) {
   s.duration_seconds = Now() - s.start_seconds;
 }
 
-void TraceBuilder::Attr(int span, std::string key, std::string value) {
-  trace_->spans[static_cast<size_t>(span)].attrs.emplace_back(
-      std::move(key), std::move(value));
+void TraceBuilder::Attr(int span, std::string_view key,
+                        std::string_view value) {
+  trace_->spans[static_cast<size_t>(span)].attrs.emplace_back(key, value);
 }
 
-void TraceBuilder::AttrCount(int span, std::string key, uint64_t value) {
-  Attr(span, std::move(key), std::to_string(value));
+void TraceBuilder::AttrCount(int span, std::string_view key, uint64_t value) {
+  Attr(span, key, std::to_string(value));
 }
 
 std::shared_ptr<const QueryTrace> TraceBuilder::Finish() {
   return std::move(trace_);
+}
+
+TraceScope::TraceScope(bool enabled, std::string_view name) {
+  if (!enabled) return;
+  owned_ = std::make_unique<TraceBuilder>();
+  tb_ = owned_.get();
+  span_ = tb_->Open(name);
+  open_ = true;
+}
+
+TraceScope::TraceScope(const TraceScope& parent, std::string_view name)
+    : tb_(parent.tb_) {
+  if (tb_ == nullptr) return;
+  span_ = tb_->Open(name, parent.span_);
+  open_ = true;
+}
+
+TraceScope::TraceScope(const TraceScope& parent, std::string_view name,
+                       int64_t index, double start_seconds,
+                       double duration_seconds)
+    : tb_(parent.tb_) {
+  if (tb_ == nullptr) return;
+  std::string full(name);
+  if (index >= 0) full += "[" + std::to_string(index) + "]";
+  span_ = tb_->AddSpan(full, parent.span_, start_seconds, duration_seconds);
+}
+
+void TraceScope::Attr(std::string_view key, std::string_view value) {
+  if (tb_ != nullptr) tb_->Attr(span_, key, value);
+}
+
+void TraceScope::AttrCount(std::string_view key, uint64_t value) {
+  if (tb_ != nullptr) tb_->AttrCount(span_, key, value);
+}
+
+void TraceScope::Close() {
+  if (!open_) return;
+  tb_->Close(span_);
+  open_ = false;
+}
+
+std::shared_ptr<const QueryTrace> TraceScope::Finish() {
+  Close();
+  return owned_ != nullptr ? owned_->Finish() : nullptr;
 }
 
 }  // namespace obs

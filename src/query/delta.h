@@ -31,6 +31,13 @@ struct RepairStats {
   uint64_t dom_tests = 0;        ///< dominance tests the repair executed
   uint64_t sketch_rebuilds = 0;  ///< exact sketch rebuilds triggered
   uint64_t zonemap_repairs = 0;  ///< zonemap indexes repaired block-locally
+
+  RepairStats& operator+=(const RepairStats& o) {
+    dom_tests += o.dom_tests;
+    sketch_rebuilds += o.sketch_rebuilds;
+    zonemap_repairs += o.zonemap_repairs;
+    return *this;
+  }
 };
 
 /// COW replacement for `shard` with the selected batch rows appended:

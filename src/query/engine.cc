@@ -2,6 +2,7 @@
 #include "query/engine.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -63,6 +64,19 @@ void RankAndTruncate(QueryResult& r, size_t top_k,
   r.dominator_counts = std::move(counts);
 }
 
+/// `callback` behind a remap: every confirmed batch is mapped id by id
+/// through `to_caller` into the caller's row space before forwarding.
+template <typename ToCaller>
+ProgressiveCallback Remapped(ProgressiveCallback callback,
+                             ToCaller to_caller) {
+  return [callback = std::move(callback),
+          to_caller](std::span<const PointId> ids) {
+    std::vector<PointId> mapped(ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) mapped[i] = to_caller(ids[i]);
+    callback(mapped);
+  };
+}
+
 /// Execute stage on one already-rewritten target: compute the skyline /
 /// k-skyband, map target-local rows to final ids through `row_map`
 /// (nullptr = identity), and apply the top-k cap.
@@ -88,14 +102,8 @@ QueryResult RunOnTarget(const Dataset& target,
   if (opts.progressive && row_map != nullptr) {
     // Progressive ids must arrive in the caller's row space: remap each
     // confirmed batch out of the view's row numbering before forwarding.
-    const ProgressiveCallback callback = opts.progressive;
-    run_opts.progressive = [callback, row_map](std::span<const PointId> ids) {
-      std::vector<PointId> mapped(ids.size());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        mapped[i] = (*row_map)[ids[i]];
-      }
-      callback(mapped);
-    };
+    run_opts.progressive = Remapped(
+        opts.progressive, [row_map](PointId row) { return (*row_map)[row]; });
   }
 
   std::vector<PointId> view_rows;  // result ids in target-local row space
@@ -148,10 +156,9 @@ void AccumulateStats(RunStats& into, const RunStats& from) {
 }
 
 /// Per-shard execute-stage output, kept alive until the finish stage
-/// copies the candidate rows out of the shard view. The trace fields are
-/// filled only when a TraceBuilder is attached (spans are emitted
-/// post-hoc on the coordinating thread, so worker threads just record
-/// timings here).
+/// copies the candidate rows out of the shard view. Worker threads stamp
+/// the trace timings here (0 when tracing is off) and the coordinator
+/// backfills the shard spans from them after the join.
 struct ShardPartial {
   /// The shard view the candidates index; null when they index the raw
   /// shard rows (identity specs, maintained and zonemap-direct runs).
@@ -182,7 +189,7 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
                                 const QuerySpec& canon, const Options& opts,
                                 const std::vector<ShardPartial>& parts,
                                 Dataset& merged, QueryResult& r,
-                                obs::TraceBuilder* tb, int trace_parent) {
+                                obs::TraceScope& trace) {
   int view_dims = 0;
   for (const Preference pref : canon.preferences) {
     if (pref != Preference::kIgnore) ++view_dims;
@@ -193,7 +200,7 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
   // may have consumed the whole deadline budget.
   CheckCancel(opts.cancel);
   SKY_FAILPOINT("merge_union");
-  const double merge_start = tb != nullptr ? tb->Now() : 0.0;
+  obs::TraceScope span(trace, "merge");
   uint64_t merge_dts = 0;
   const char* merge_path = "empty";
   merged = Dataset(view_dims, total);
@@ -213,67 +220,59 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
     }
   }
 
+  const auto to_caller = [&merged_ids](PointId row) {
+    return merged_ids[row];
+  };
   std::vector<PointId> members;
   const DomCtx merge_dom(view_dims, merged.stride(), opts.use_simd,
                          opts.use_batch);
-  if (total > 0 && canon.band_k == 1 && merge_dom.batch() &&
-      total <= kBatchMergeMaxRows) {
+  if (total > 0 && merge_dom.batch() && total <= kBatchMergeMaxRows) {
     // Small unions skip the full algorithm run: tile the union once and
-    // dominance-filter every candidate against it with the cache-blocked
-    // batch kernel. A candidate never dominates itself (coincident
-    // points do not dominate), so no self-exclusion is needed and the
-    // surviving set is exactly SKY(union) with duplicates retained —
-    // identical to what ComputeSkyline would return, minus its
-    // WorkingSet copy, sort, and parallel-loop fan-out.
+    // test every candidate against it with the cache-blocked batch
+    // kernels, minus ComputeSkyline's WorkingSet copy, sort, and
+    // parallel-loop fan-out.
     TileBlock tiles(view_dims, total);
     tiles.AppendRows(merged.Row(0), merged.stride(), total);
-    std::vector<uint8_t> dominated(total, 0);
-    uint64_t dts = 0;
-    merge_dom.FilterTile(merged.Row(0), total, tiles, dominated.data(),
-                         &dts);
     members.reserve(total);
-    for (size_t i = 0; i < total; ++i) {
-      if (dominated[i] == 0) members.push_back(static_cast<PointId>(i));
-    }
-    if (opts.count_dts) r.stats.dominance_tests += dts;
-    merge_dts = dts;
-    merge_path = "batch-filter";
-    r.dominator_counts.assign(members.size(), 0u);
-    if (opts.progressive && !members.empty()) {
-      // The union contains the whole answer, so every survivor is a
-      // confirmed global member: stream them as one block in caller row
-      // space.
-      std::vector<PointId> mapped(members.size());
-      for (size_t i = 0; i < members.size(); ++i) {
-        mapped[i] = merged_ids[members[i]];
+    if (canon.band_k == 1) {
+      // A candidate never dominates itself (coincident points do not
+      // dominate), so no self-exclusion is needed and the surviving set
+      // is exactly SKY(union) with duplicates retained — identical to
+      // what ComputeSkyline would return.
+      std::vector<uint8_t> dominated(total, 0);
+      merge_dom.FilterTile(merged.Row(0), total, tiles, dominated.data(),
+                           &merge_dts);
+      for (size_t i = 0; i < total; ++i) {
+        if (dominated[i] == 0) members.push_back(static_cast<PointId>(i));
       }
-      opts.progressive(mapped);
-    }
-  } else if (total > 0 && canon.band_k > 1 && merge_dom.batch() &&
-             total <= kBatchMergeMaxRows) {
-    // Depth-aware twin of the batch filter above: tile the union once
-    // and count each candidate's dominators with the capped tile kernel.
-    // A count below band_k is exact (and, by the union-merge proof, the
-    // candidate's exact global count); at or above the cap the candidate
-    // is out regardless of the overshoot. Like ComputeSkyband, this path
-    // never streams — partial counts confirm nothing early.
-    TileBlock tiles(view_dims, total);
-    tiles.AppendRows(merged.Row(0), merged.stride(), total);
-    uint64_t dts = 0;
-    members.reserve(total);
-    r.dominator_counts.reserve(total);
-    for (size_t i = 0; i < total; ++i) {
-      const uint32_t c = merge_dom.CountDominators(
-          merged.Row(i), tiles, total, canon.band_k,
-          opts.count_dts ? &dts : nullptr);
-      if (c < canon.band_k) {
-        members.push_back(static_cast<PointId>(i));
-        r.dominator_counts.push_back(c);
+      merge_path = "batch-filter";
+      r.dominator_counts.assign(members.size(), 0u);
+      if (opts.progressive && !members.empty()) {
+        // The union contains the whole answer, so every survivor is a
+        // confirmed global member: stream them as one block in caller
+        // row space.
+        Remapped(opts.progressive, to_caller)(members);
       }
+    } else {
+      // Depth-aware twin: count each candidate's dominators with the
+      // capped tile kernel. A count below band_k is exact (and, by the
+      // union-merge proof, the candidate's exact global count); at or
+      // above the cap the candidate is out regardless of the overshoot.
+      // Like ComputeSkyband, this path never streams — partial counts
+      // confirm nothing early.
+      r.dominator_counts.reserve(total);
+      for (size_t i = 0; i < total; ++i) {
+        const uint32_t c = merge_dom.CountDominators(
+            merged.Row(i), tiles, total, canon.band_k,
+            opts.count_dts ? &merge_dts : nullptr);
+        if (c < canon.band_k) {
+          members.push_back(static_cast<PointId>(i));
+          r.dominator_counts.push_back(c);
+        }
+      }
+      merge_path = "batch-count";
     }
-    if (opts.count_dts) r.stats.dominance_tests += dts;
-    merge_dts = dts;
-    merge_path = "batch-count";
+    if (opts.count_dts) r.stats.dominance_tests += merge_dts;
   } else if (total > 0) {
     Options merge_opts = opts;
     if (merge_opts.algorithm == Algorithm::kAuto) {
@@ -285,16 +284,7 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
     // their partial results are not confirmed until merged.
     merge_opts.progressive = nullptr;
     if (opts.progressive) {
-      const ProgressiveCallback callback = opts.progressive;
-      const std::vector<PointId>& union_ids = merged_ids;
-      merge_opts.progressive = [callback,
-                                &union_ids](std::span<const PointId> rows) {
-        std::vector<PointId> mapped(rows.size());
-        for (size_t i = 0; i < rows.size(); ++i) {
-          mapped[i] = union_ids[rows[i]];
-        }
-        callback(mapped);
-      };
+      merge_opts.progressive = Remapped(opts.progressive, to_caller);
     }
     if (canon.band_k == 1) {
       Result run = ComputeSkyline(merged, merge_opts);
@@ -311,17 +301,11 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
     }
     merge_path = AlgorithmName(merge_opts.algorithm);
   }
-  if (tb != nullptr) {
-    const int span = tb->AddSpan("merge", trace_parent, merge_start,
-                                 tb->Now() - merge_start);
-    tb->Attr(span, "strategy", MergeStrategyName(plan.merge));
-    tb->Attr(span, "path", merge_path);
-    tb->AttrCount(span, "union", total);
-    tb->AttrCount(span, "members", members.size());
-    if (opts.count_dts || merge_dts > 0) {
-      tb->AttrCount(span, "dom_tests", merge_dts);
-    }
-  }
+  span.Attr("strategy", MergeStrategyName(plan.merge));
+  span.Attr("path", merge_path);
+  span.AttrCount("union", total);
+  span.AttrCount("members", members.size());
+  if (opts.count_dts || merge_dts > 0) span.AttrCount("dom_tests", merge_dts);
   r.ids.resize(members.size());
   for (size_t i = 0; i < members.size(); ++i) {
     r.ids[i] = merged_ids[members[i]];
@@ -350,13 +334,12 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
 /// scores are final.
 ///
 /// Every non-identity shard run materializes its own view (counted in
-/// `view_builds` when non-null); zonemap-direct runs use the shard's own
+/// `view_builds` as it is built); zonemap-direct runs use the shard's own
 /// index unless Options::block_rows asks for a private one.
 QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
                                const QuerySpec& canon, const Options& opts,
-                               obs::Counter* view_builds = nullptr,
-                               obs::TraceBuilder* tb = nullptr,
-                               int trace_parent = -1) {
+                               obs::TraceScope& trace,
+                               std::atomic<uint32_t>& view_builds) {
   WallTimer timer;
   QueryResult r;
   r.shards_executed = static_cast<uint32_t>(plan.shards.size());
@@ -409,19 +392,13 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
     SKY_FAILPOINT("shard_execute");
     const Shard& shard = map.shard(plan.shards[s]);
     ShardPartial& p = parts[s];
-    // tb->Now() only reads the immutable epoch and the steady clock, so
-    // worker threads may stamp their own slots concurrently.
-    if (tb != nullptr) p.trace_start = tb->Now();
+    p.trace_start = trace.Now();
     Options one = shard_opts;
     one.algorithm = algo_of(s);
     if (single && opts.progressive) {
-      one.progressive = [&](std::span<const PointId> rows) {
-        std::vector<PointId> mapped(rows.size());
-        for (size_t i = 0; i < rows.size(); ++i) {
-          mapped[i] = p.global_id(shard, rows[i]);
-        }
-        opts.progressive(mapped);
-      };
+      one.progressive = Remapped(opts.progressive, [&](PointId row) {
+        return p.global_id(shard, row);
+      });
     }
     if (identity && canon.band_k == 1 && shard.skyline != nullptr) {
       // The mutation path maintains exactly this shard's skyline: take
@@ -456,7 +433,7 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
       if (!identity) {
         p.view = std::make_unique<const QueryView>(
             MaterializeView(shard.rows(), canon, one));
-        if (view_builds != nullptr) view_builds->Add();
+        view_builds.fetch_add(1, std::memory_order_relaxed);
       }
       const Dataset& target = p.target(shard);
       p.matched = target.count();
@@ -471,7 +448,7 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
         p.counts = std::move(run.dominator_counts);
       }
     }
-    if (tb != nullptr) p.trace_seconds = tb->Now() - p.trace_start;
+    p.trace_seconds = trace.Now() - p.trace_start;
   };
   if (plan.shard_threads > 1 || n_shards == 1) {
     // Shards in turn, each with intra-shard parallelism: the per-shard
@@ -488,54 +465,41 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
     group.ParallelFor(n_shards, 1, [&](size_t begin, size_t end) {
       for (size_t s = begin; s < end; ++s) run_shard(s);
     });
-    if (tb != nullptr && group.parallelism() > 1) {
+    if (group.parallelism() > 1) {
       // Scheduler accounting for the fan-out group: how many distinct
       // participants (workers + the caller) touched this query, how many
       // tasks it submitted or ran inline, and how many were stolen. A
       // width-1 group ran the shards on the caller without touching the
       // executor, so it has nothing to report.
       const Executor::GroupStats exec_stats = group.stats();
-      tb->AttrCount(trace_parent, "executor.workers",
-                    static_cast<size_t>(exec_stats.workers_used));
-      tb->AttrCount(trace_parent, "executor.tasks",
-                    static_cast<size_t>(exec_stats.tasks +
-                                        exec_stats.inline_runs));
-      tb->AttrCount(trace_parent, "executor.steals",
-                    static_cast<size_t>(exec_stats.steals));
+      trace.AttrCount("executor.workers",
+                      static_cast<uint64_t>(exec_stats.workers_used));
+      trace.AttrCount("executor.tasks",
+                      exec_stats.tasks + exec_stats.inline_runs);
+      trace.AttrCount("executor.steals", exec_stats.steals);
     }
   }
+  // Fold the partials in shard order, backfilling each shard's span from
+  // the timings its (possibly parallel) run stamped into its slot.
   r.shard_algorithms.resize(n_shards);
-  for (size_t s = 0; s < n_shards; ++s) r.shard_algorithms[s] = algo_of(s);
-  if (tb != nullptr) {
-    // Spans are emitted post-hoc, in shard order, from the timings the
-    // (possibly parallel) executors stamped into their slots.
-    for (size_t s = 0; s < n_shards; ++s) {
-      const ShardPartial& p = parts[s];
-      const int span =
-          tb->AddSpan("shard[" + std::to_string(plan.shards[s]) + "]",
-                      trace_parent, p.trace_start, p.trace_seconds);
-      tb->Attr(span, "algo", AlgorithmName(algo_of(s)));
-      tb->AttrCount(span, "rows", p.matched);
-      tb->AttrCount(span, "candidates", p.cand_rows.size());
-      if (opts.count_dts) {
-        tb->AttrCount(span, "dom_tests", p.stats.dominance_tests);
-      }
-      if (p.maintained) tb->Attr(span, "maintained", "true");
-      if (p.direct) {
-        tb->Attr(span, "view", "direct");
-      } else if (p.view != nullptr) {
-        tb->Attr(span, "view", "build");
-        tb->AttrCount(span, "threads",
-                      static_cast<uint64_t>(p.view->build_threads));
-      }
-    }
-  }
-
-  for (const ShardPartial& p : parts) {
+  for (size_t s = 0; s < n_shards; ++s) {
+    const ShardPartial& p = parts[s];
+    r.shard_algorithms[s] = algo_of(s);
     r.matched_rows += p.matched;
     AccumulateStats(r.stats, p.stats);
-    if (p.view != nullptr) {
+    obs::TraceScope span(trace, "shard", plan.shards[s], p.trace_start,
+                         p.trace_seconds);
+    span.Attr("algo", AlgorithmName(algo_of(s)));
+    span.AttrCount("rows", p.matched);
+    span.AttrCount("candidates", p.cand_rows.size());
+    if (opts.count_dts) span.AttrCount("dom_tests", p.stats.dominance_tests);
+    if (p.maintained) span.Attr("maintained", "true");
+    if (p.direct) {
+      span.Attr("view", "direct");
+    } else if (p.view != nullptr) {
       r.stats.other_seconds += p.view->materialize_seconds;
+      span.Attr("view", "build");
+      span.AttrCount("threads", static_cast<uint64_t>(p.view->build_threads));
     }
   }
 
@@ -559,8 +523,7 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
       r.dominator_counts.assign(members.size(), 0u);
     }
   } else {
-    members =
-        MergeUnion(map, plan, canon, opts, parts, merged, r, tb, trace_parent);
+    members = MergeUnion(map, plan, canon, opts, parts, merged, r, trace);
     final_rows = &merged;
   }
   if (canon.top_k > 0) {
@@ -575,74 +538,66 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
   return r;
 }
 
+/// Plan stage of the plan path: plan `canon` over `map` under one "plan"
+/// span of `trace`.
+ExecutionPlan PlanStage(obs::TraceScope& trace, const ShardMap& map,
+                        const QuerySpec& canon, const Options& opts,
+                        const CostLearner* learner = nullptr) {
+  obs::TraceScope span(trace, "plan");
+  ExecutionPlan plan = PlanQuery(map, canon, opts, learner);
+  span.AttrCount("shards", plan.shards.size());
+  span.AttrCount("pruned", plan.pruned);
+  span.Attr("merge", MergeStrategyName(plan.merge));
+  span.AttrCount("shard_threads", static_cast<uint64_t>(plan.shard_threads));
+  return plan;
+}
+
 }  // namespace
 
 QueryResult RunQuery(const Dataset& data, const QuerySpec& spec,
                      const Options& opts) {
   const QuerySpec canon = spec.Canonicalize(data.dims());
-  if (!opts.trace) {
-    // Fast path: the native question needs no view at all.
-    if (canon.IsIdentityTransform()) {
-      return RunOnTarget(data, nullptr, canon, opts);
+  obs::TraceScope root = obs::TraceScope::Root(opts.trace, "query");
+  const auto execute = [&](const Dataset& target,
+                           const std::vector<PointId>* row_map) {
+    obs::TraceScope span(root, "execute");
+    QueryResult r = RunOnTarget(target, row_map, canon, opts);
+    if (!r.shard_algorithms.empty()) {
+      span.Attr("algo", AlgorithmName(r.shard_algorithms[0]));
     }
-    const QueryView view = MaterializeView(data, canon, opts);
-    QueryResult r = RunOnTarget(view.data, &view.row_ids, canon, opts);
-    r.stats.other_seconds += view.materialize_seconds;
-    r.stats.total_seconds += view.materialize_seconds;
+    span.AttrCount("rows", r.matched_rows);
     return r;
-  }
-  obs::TraceBuilder tb;
-  const int root = tb.Open("query");
+  };
   QueryResult r;
   if (canon.IsIdentityTransform()) {
-    const int ex = tb.Open("execute", root);
-    r = RunOnTarget(data, nullptr, canon, opts);
-    tb.Close(ex);
-    if (!r.shard_algorithms.empty()) {
-      tb.Attr(ex, "algo", AlgorithmName(r.shard_algorithms[0]));
-    }
-    tb.AttrCount(ex, "rows", r.matched_rows);
+    // Fast path: the native question needs no view at all.
+    r = execute(data, nullptr);
   } else {
-    const int vs = tb.Open("view.build", root);
-    const QueryView view = MaterializeView(data, canon, opts);
-    tb.Close(vs);
-    tb.AttrCount(vs, "rows", view.data.count());
-    tb.AttrCount(vs, "threads", static_cast<uint64_t>(view.build_threads));
-    const int ex = tb.Open("execute", root);
-    r = RunOnTarget(view.data, &view.row_ids, canon, opts);
-    tb.Close(ex);
-    if (!r.shard_algorithms.empty()) {
-      tb.Attr(ex, "algo", AlgorithmName(r.shard_algorithms[0]));
-    }
-    tb.AttrCount(ex, "rows", r.matched_rows);
+    const QueryView view = [&] {
+      obs::TraceScope span(root, "view.build");
+      QueryView built = MaterializeView(data, canon, opts);
+      span.AttrCount("rows", built.data.count());
+      span.AttrCount("threads", static_cast<uint64_t>(built.build_threads));
+      return built;
+    }();
+    r = execute(view.data, &view.row_ids);
     r.stats.other_seconds += view.materialize_seconds;
     r.stats.total_seconds += view.materialize_seconds;
   }
-  tb.AttrCount(root, "members", r.ids.size());
-  tb.Close(root);
-  r.trace = tb.Finish();
+  root.AttrCount("members", r.ids.size());
+  r.trace = root.Finish();
   return r;
 }
 
 QueryResult RunShardedQuery(const ShardMap& map, const QuerySpec& spec,
                             const Options& opts) {
   const QuerySpec canon = spec.Canonicalize(map.dims());
-  if (!opts.trace) {
-    return ExecuteShardedPlan(map, PlanQuery(map, canon, opts), canon, opts);
-  }
-  obs::TraceBuilder tb;
-  const int root = tb.Open("query");
-  const int ps = tb.Open("plan", root);
-  const ExecutionPlan plan = PlanQuery(map, canon, opts);
-  tb.Close(ps);
-  tb.AttrCount(ps, "shards", plan.shards.size());
-  tb.AttrCount(ps, "pruned", plan.pruned);
-  tb.Attr(ps, "merge", MergeStrategyName(plan.merge));
-  QueryResult r =
-      ExecuteShardedPlan(map, plan, canon, opts, nullptr, &tb, root);
-  tb.AttrCount(root, "members", r.ids.size());
-  tb.Close(root);
-  r.trace = tb.Finish();
+  obs::TraceScope root = obs::TraceScope::Root(opts.trace, "query");
+  std::atomic<uint32_t> view_builds{0};
+  const ExecutionPlan plan = PlanStage(root, map, canon, opts);
+  QueryResult r = ExecuteShardedPlan(map, plan, canon, opts, root, view_builds);
+  root.AttrCount("members", r.ids.size());
+  r.trace = root.Finish();
   return r;
 }
 
@@ -730,50 +685,12 @@ SkylineEngine::SkylineEngine(Config config)
   WireInstruments();
 }
 
-EngineMetricsSnapshot SkylineEngine::MetricsSnapshot() const {
-  EngineMetricsSnapshot s;
-  s.result_cache = cache_.counters();
-  std::shared_lock lock(registry_mu_);
-  s.datasets = registry_.size();
-  return s;
-}
-
 namespace {
 
-/// Append the result cache's counters as registry-style metric values —
-/// the cache keeps its own counters under its own mutex (they work even
-/// with Config::metrics off), so the registry reads them at snapshot time
-/// through a collector instead of double-counting on the hot path.
-void AppendCacheMetrics(const LruCache<QueryResult>::Counters& c,
-                        std::vector<obs::MetricValue>& out) {
-  const auto push = [&out](std::string name, const char* help,
-                           obs::MetricKind kind, double value) {
-    obs::MetricValue m;
-    m.name = std::move(name);
-    m.help = help;
-    m.kind = kind;
-    m.value = value;
-    out.push_back(std::move(m));
-  };
-  const std::string base = "sky_result_cache_";
-  using obs::MetricKind;
-  push(base + "hits_total", "Cache hits", MetricKind::kCounter,
-       static_cast<double>(c.hits));
-  push(base + "misses_total", "Cache misses", MetricKind::kCounter,
-       static_cast<double>(c.misses));
-  push(base + "evictions_total", "Evictions, any cause",
-       MetricKind::kCounter, static_cast<double>(c.evictions));
-  push(base + "byte_evictions_total", "Evictions forced by the byte budget",
-       MetricKind::kCounter, static_cast<double>(c.byte_evictions));
-  push(base + "ttl_evictions_total", "Entries lazily expired by the TTL",
-       MetricKind::kCounter, static_cast<double>(c.ttl_evictions));
-  push(base + "stale_hits_total",
-       "TTL-expired entries returned for serve-stale fallback",
-       MetricKind::kCounter, static_cast<double>(c.stale_hits));
-  push(base + "entries", "Entries currently resident", MetricKind::kGauge,
-       static_cast<double>(c.entries));
-  push(base + "bytes", "Priced payload bytes currently resident",
-       MetricKind::kGauge, static_cast<double>(c.bytes));
+/// Append one collector-sourced value to a registry snapshot.
+void PushMetric(std::vector<obs::MetricValue>& out, const char* name,
+                const char* help, obs::MetricKind kind, double value) {
+  out.push_back(obs::MetricValue{name, {}, help, kind, value, {}});
 }
 
 }  // namespace
@@ -832,45 +749,58 @@ void SkylineEngine::WireInstruments() {
         {{"algo", AlgorithmName(static_cast<Algorithm>(a))}},
         "Executed shards by resolved algorithm");
   }
+  // The result cache and the shared executor keep their own counters,
+  // maintained whatever Config::metrics says; the registry reads them at
+  // snapshot time instead of double-counting on the hot path.
   metrics_.AddCollector([this](std::vector<obs::MetricValue>& out) {
-    const EngineMetricsSnapshot s = MetricsSnapshot();
-    AppendCacheMetrics(s.result_cache, out);
-    obs::MetricValue datasets;
-    datasets.name = "sky_datasets";
-    datasets.help = "Registered datasets";
-    datasets.kind = obs::MetricKind::kGauge;
-    datasets.value = static_cast<double>(s.datasets);
-    out.push_back(std::move(datasets));
-    // Shared-scheduler counters, read from the executor's own atomics at
-    // snapshot time (the scheduler keeps them regardless of
-    // Config::metrics, like the cache counters above).
+    using obs::MetricKind;
+    const LruCache<QueryResult>::Counters c = cache_.counters();
+    PushMetric(out, "sky_result_cache_hits_total", "Cache hits",
+               MetricKind::kCounter, static_cast<double>(c.hits));
+    PushMetric(out, "sky_result_cache_misses_total", "Cache misses",
+               MetricKind::kCounter, static_cast<double>(c.misses));
+    PushMetric(out, "sky_result_cache_evictions_total", "Evictions, any cause",
+               MetricKind::kCounter, static_cast<double>(c.evictions));
+    PushMetric(out, "sky_result_cache_byte_evictions_total",
+               "Evictions forced by the byte budget", MetricKind::kCounter,
+               static_cast<double>(c.byte_evictions));
+    PushMetric(out, "sky_result_cache_ttl_evictions_total",
+               "Entries lazily expired by the TTL", MetricKind::kCounter,
+               static_cast<double>(c.ttl_evictions));
+    PushMetric(out, "sky_result_cache_stale_hits_total",
+               "TTL-expired entries returned for serve-stale fallback",
+               MetricKind::kCounter, static_cast<double>(c.stale_hits));
+    PushMetric(out, "sky_result_cache_entries", "Entries currently resident",
+               MetricKind::kGauge, static_cast<double>(c.entries));
+    PushMetric(out, "sky_result_cache_bytes",
+               "Priced payload bytes currently resident", MetricKind::kGauge,
+               static_cast<double>(c.bytes));
+    size_t datasets = 0;
+    {
+      std::shared_lock lock(registry_mu_);
+      datasets = registry_.size();
+    }
+    PushMetric(out, "sky_datasets", "Registered datasets", MetricKind::kGauge,
+               static_cast<double>(datasets));
     const Executor::CountersSnapshot ex = executor_.Counters();
-    const auto push = [&out](const char* name, const char* help,
-                             obs::MetricKind kind, double value) {
-      obs::MetricValue m;
-      m.name = name;
-      m.help = help;
-      m.kind = kind;
-      m.value = value;
-      out.push_back(std::move(m));
-    };
-    push("sky_executor_tasks_total",
-         "Tasks executed by the shared work-stealing executor",
-         obs::MetricKind::kCounter, static_cast<double>(ex.tasks));
-    push("sky_executor_steals_total",
-         "Tasks acquired from another worker's deque",
-         obs::MetricKind::kCounter, static_cast<double>(ex.steals));
-    push("sky_executor_inline_runs_total",
-         "Task-group submissions run inline on the submitter "
-         "(caller-runs admission)",
-         obs::MetricKind::kCounter, static_cast<double>(ex.inline_runs));
-    push("sky_executor_parks_total", "Worker park (sleep) events",
-         obs::MetricKind::kCounter, static_cast<double>(ex.parks));
-    push("sky_executor_queue_depth",
-         "Tasks currently queued and not yet running",
-         obs::MetricKind::kGauge, static_cast<double>(ex.queue_depth));
-    push("sky_executor_workers", "Executor width (including a caller slot)",
-         obs::MetricKind::kGauge, static_cast<double>(executor_.threads()));
+    PushMetric(out, "sky_executor_tasks_total",
+               "Tasks executed by the shared work-stealing executor",
+               MetricKind::kCounter, static_cast<double>(ex.tasks));
+    PushMetric(out, "sky_executor_steals_total",
+               "Tasks acquired from another worker's deque",
+               MetricKind::kCounter, static_cast<double>(ex.steals));
+    PushMetric(out, "sky_executor_inline_runs_total",
+               "Task-group submissions run inline on the submitter "
+               "(caller-runs admission)",
+               MetricKind::kCounter, static_cast<double>(ex.inline_runs));
+    PushMetric(out, "sky_executor_parks_total", "Worker park (sleep) events",
+               MetricKind::kCounter, static_cast<double>(ex.parks));
+    PushMetric(out, "sky_executor_queue_depth",
+               "Tasks currently queued and not yet running",
+               MetricKind::kGauge, static_cast<double>(ex.queue_depth));
+    PushMetric(out, "sky_executor_workers",
+               "Executor width (including a caller slot)", MetricKind::kGauge,
+               static_cast<double>(executor_.threads()));
   });
 }
 
@@ -1000,6 +930,8 @@ QueryResult SkylineEngine::Execute(const std::string& name,
                                    const QuerySpec& spec,
                                    const Options& opts) {
   WallTimer timer;
+  obs::TraceScope root = obs::TraceScope::Root(opts.trace, "query");
+  root.Attr("dataset", name);
   std::shared_ptr<const ShardMap> shards;
   uint64_t version = 0;
   uint64_t minor = 0;
@@ -1013,6 +945,44 @@ QueryResult SkylineEngine::Execute(const std::string& name,
     version = it->second.version;
     minor = it->second.minor;
   }
+
+  // Stage results for the outcome point: the plan once planned, and the
+  // views built (counted as built, so an aborted query reports them too).
+  std::optional<ExecutionPlan> plan;
+  std::atomic<uint32_t> view_builds{0};
+  enum class Exit { kHit, kShed, kAborted, kFresh };
+  // The one outcome point every exit returns through: it feeds the
+  // registry and stamps the root span. `cause` is the outcome before any
+  // degraded fallback (a timed-out query answered stale still timed out).
+  const auto finish = [&](QueryResult out, Exit exit, Status cause) {
+    if (config_.metrics) {
+      const double elapsed = timer.Seconds();
+      inst_.queries->Add();
+      inst_.latency->Observe(elapsed);
+      if (exit == Exit::kShed) inst_.shed->Add();
+      if (cause == Status::kDeadlineExceeded) inst_.deadline_exceeded->Add();
+      if (out.stale || out.truncated) inst_.degraded->Add();
+      if (plan.has_value()) {
+        inst_.planner.Record(*plan);
+        inst_.view_builds->Add(view_builds.load(std::memory_order_relaxed));
+      }
+      if (exit == Exit::kFresh) {
+        inst_.compute->Observe(elapsed);
+        // Planner decision tally: one bump per executed shard under the
+        // algorithm it actually ran (explicit and auto picks alike).
+        for (const Algorithm a : out.shard_algorithms) {
+          inst_.algorithm[static_cast<size_t>(a)]->Add();
+        }
+      }
+    }
+    const bool exact = out.status == Status::kOk && !out.stale;
+    if (!exact) root.Attr("status", StatusName(out.status));
+    if (out.truncated) root.Attr("truncated", "true");
+    if (out.stale) root.Attr("stale", "true");
+    if (exact) root.AttrCount("members", out.ids.size());
+    out.trace = root.Finish();
+    return out;
+  };
 
   // Serving-wide auto-selection overrides the caller's algorithm; the
   // planner then resolves it per executed shard. Every
@@ -1034,6 +1004,7 @@ QueryResult SkylineEngine::Execute(const std::string& name,
   // Lookup. Under serve_stale the keep-expired variant is used so a
   // TTL-expired entry stays resident as the degraded fallback for a shed
   // or timed-out compute below — the plain Get would erase it.
+  const double lookup_start = root.Now();
   std::shared_ptr<const QueryResult> stale_fallback;
   std::shared_ptr<const QueryResult> hit;
   if (config_.serve_stale) {
@@ -1044,27 +1015,30 @@ QueryResult SkylineEngine::Execute(const std::string& name,
   } else {
     hit = cache_.Get(key);
   }
+  root.Attr("cache", hit != nullptr ? "hit" : "miss");
   if (hit != nullptr) {
+    // Cached entries never carry the producing run's trace; a hit's tree
+    // is the root and its lookup.
+    const obs::TraceScope get(root, "cache.get", -1, lookup_start,
+                              root.Now() - lookup_start);
     QueryResult out = *hit;
     out.cache_hit = true;
-    if (config_.metrics) {
-      inst_.queries->Add();
-      inst_.latency->Observe(timer.Seconds());
-    }
-    if (eff.trace) {
-      // Cached entries never carry the producing run's trace; a hit gets
-      // a fresh two-span tree stamped post-hoc from the measured lookup.
-      obs::TraceBuilder tb;
-      const double elapsed = timer.Seconds();
-      const int root = tb.AddSpan("query", -1, 0.0, elapsed);
-      tb.Attr(root, "dataset", name);
-      tb.Attr(root, "cache", "hit");
-      tb.AttrCount(root, "members", out.ids.size());
-      tb.AddSpan("cache.get", root, 0.0, elapsed);
-      out.trace = tb.Finish();
+    return finish(std::move(out), Exit::kHit, Status::kOk);
+  }
+
+  // The degraded answer a shed or timed-out compute falls back to: the
+  // TTL-expired entry kept under serve_stale, marked stale — else an
+  // empty result with `status`.
+  const auto stale_or = [&](Status status) {
+    QueryResult out;
+    out.status = status;
+    if (stale_fallback != nullptr) {
+      out = *stale_fallback;
+      out.cache_hit = true;
+      out.stale = true;
     }
     return out;
-  }
+  };
 
   // Admission control — after the cache lookup (hits are cheap and
   // always served), before any compute resource is committed. The
@@ -1081,21 +1055,8 @@ QueryResult SkylineEngine::Execute(const std::string& name,
       !over_inflight && config_.max_queue_depth > 0 &&
       executor_.Counters().queue_depth > config_.max_queue_depth;
   if (over_inflight || over_queue) {
-    QueryResult out;
-    if (stale_fallback != nullptr) {
-      out = *stale_fallback;
-      out.cache_hit = true;
-      out.stale = true;
-      if (config_.metrics) inst_.degraded->Add();
-    } else {
-      out.status = Status::kOverloaded;
-    }
-    if (config_.metrics) {
-      inst_.queries->Add();
-      inst_.shed->Add();
-      inst_.latency->Observe(timer.Seconds());
-    }
-    return out;
+    return finish(stale_or(Status::kOverloaded), Exit::kShed,
+                  Status::kOverloaded);
   }
 
   // Per-query deadline/cancel token, armed here rather than in
@@ -1122,81 +1083,39 @@ QueryResult SkylineEngine::Execute(const std::string& name,
     };
   }
 
-  std::optional<obs::TraceBuilder> trace_builder;
-  if (eff.trace) trace_builder.emplace();
-  obs::TraceBuilder* tb =
-      trace_builder.has_value() ? &*trace_builder : nullptr;
-  int root = -1;
-  if (tb != nullptr) {
-    root = tb->Open("query");
-    tb->Attr(root, "dataset", name);
-    tb->Attr(root, "cache", "miss");
-  }
-
-  // Terminal handler for a compute that did not finish: map the cause to
-  // a status, attach a degraded answer where policy allows (truncated
-  // progressive prefix first — it is fresh — then a stale cache entry),
-  // and keep the metrics/trace accounting aligned with the success path.
-  // Nothing partial, stale, or failed is ever cached.
-  const auto finish_aborted = [&](Status status) {
+  // A compute that did not finish: a deadline overrun answers with the
+  // truncated progressive prefix (it is fresh) or else the stale entry;
+  // other causes carry no rows. Nothing partial, stale, or failed is
+  // ever cached.
+  const auto finish_aborted = [&](Status cause) {
     QueryResult out;
-    out.status = status;
-    if (status == Status::kDeadlineExceeded) {
-      if (config_.metrics) inst_.deadline_exceeded->Add();
-      if (!confirmed_prefix.empty()) {
-        // Confirmed members only: no top-k ranking, and zero dominator
-        // counts keep the parallel-array invariant.
-        out.ids = std::move(confirmed_prefix);
-        out.dominator_counts.assign(out.ids.size(), 0u);
-        out.truncated = true;
-        if (config_.metrics) inst_.degraded->Add();
-      } else if (stale_fallback != nullptr) {
-        out = *stale_fallback;
-        out.cache_hit = true;
-        out.stale = true;
-        if (config_.metrics) inst_.degraded->Add();
-      }
+    out.status = cause;
+    if (cause == Status::kDeadlineExceeded && !confirmed_prefix.empty()) {
+      // Confirmed members only: no top-k ranking, and zero dominator
+      // counts keep the parallel-array invariant.
+      out.ids = std::move(confirmed_prefix);
+      out.dominator_counts.assign(out.ids.size(), 0u);
+      out.truncated = true;
+    } else if (cause == Status::kDeadlineExceeded) {
+      out = stale_or(cause);
     }
-    if (config_.metrics) {
-      inst_.queries->Add();
-      inst_.latency->Observe(timer.Seconds());
-    }
-    if (tb != nullptr) {
-      tb->Attr(root, "status", StatusName(out.status));
-      if (out.truncated) tb->Attr(root, "truncated", "true");
-      if (out.stale) tb->Attr(root, "stale", "true");
-      tb->Close(root);
-      out.trace = tb->Finish();
-    }
-    return out;
+    return finish(std::move(out), Exit::kAborted, cause);
   };
 
+  QueryResult fresh;
   try {
-    int plan_span = -1;
-    if (tb != nullptr) plan_span = tb->Open("plan", root);
-    const ExecutionPlan plan = PlanQuery(
-        *shards, canon, eff, config_.metrics ? &inst_.planner : nullptr,
-        config_.cost_learning ? &learner_ : nullptr);
-    if (tb != nullptr) {
-      tb->Close(plan_span);
-      tb->AttrCount(plan_span, "shards", plan.shards.size());
-      tb->AttrCount(plan_span, "pruned", plan.pruned);
-      tb->Attr(plan_span, "merge", MergeStrategyName(plan.merge));
-      tb->AttrCount(plan_span, "shard_threads",
-                    static_cast<uint64_t>(plan.shard_threads));
-    }
-    obs::Counter* view_builds = config_.metrics ? inst_.view_builds : nullptr;
-    QueryResult fresh = ExecuteShardedPlan(*shards, plan, canon, eff,
-                                           view_builds, tb, root);
+    plan = PlanStage(root, *shards, canon, eff,
+                     config_.cost_learning ? &learner_ : nullptr);
+    fresh = ExecuteShardedPlan(*shards, *plan, canon, eff, root, view_builds);
     fresh.constraints = canon.constraints;
-    if (config_.cost_learning && plan.shards.size() == 1) {
+    if (config_.cost_learning && plan->shards.size() == 1) {
       // One observation per single-shard fresh compute (multi-shard runs
       // overlap several algorithms in one wall time, so they stay
       // unattributed): measured wall time against the model's prediction
       // for the executed shard at the query's *measured* selectivity, so
       // the learner corrects coefficient error rather than
       // selectivity-estimate error.
-      const StatsSketch& sketch = shards->shard(plan.shards[0]).sketch;
+      const StatsSketch& sketch = shards->shard(plan->shards[0]).sketch;
       SelectionContext rctx;
       rctx.band_k = canon.band_k;
       rctx.threads = eff.ResolvedThreads();
@@ -1210,15 +1129,7 @@ QueryResult SkylineEngine::Execute(const std::string& name,
           EstimateAlgorithmCost(fresh.shard_algorithms[0], sketch, rctx),
           fresh.stats.total_seconds);
     }
-    if (config_.metrics) {
-      inst_.queries->Add();
-      // Planner decision tally: one bump per executed shard under the
-      // algorithm it actually ran (explicit and auto picks alike).
-      for (const Algorithm a : fresh.shard_algorithms) {
-        inst_.algorithm[static_cast<size_t>(a)]->Add();
-      }
-    }
-    const int put = tb != nullptr ? tb->Open("cache.put", root) : -1;
+    const obs::TraceScope put(root, "cache.put");
     try {
       SKY_FAILPOINT("result_cache_put");
       PutIfCurrent(name, version, minor, key,
@@ -1227,18 +1138,6 @@ QueryResult SkylineEngine::Execute(const std::string& name,
       // A failed cache insert (result_cache_put failpoint) never fails
       // the query: the computed result is simply served uncached.
     }
-    if (tb != nullptr) {
-      tb->Close(put);
-      tb->AttrCount(root, "members", fresh.ids.size());
-      tb->Close(root);
-      fresh.trace = tb->Finish();
-    }
-    if (config_.metrics) {
-      const double elapsed = timer.Seconds();
-      inst_.latency->Observe(elapsed);
-      inst_.compute->Observe(elapsed);
-    }
-    return fresh;
   } catch (const CancelledError& err) {
     // Cooperative unwind: a checkpoint observed the tripped token and
     // threw; every TaskGroup on the way captured the exception,
@@ -1252,6 +1151,7 @@ QueryResult SkylineEngine::Execute(const std::string& name,
     // and invalid specs threw before this block and still propagate.
     return finish_aborted(Status::kInternalError);
   }
+  return finish(std::move(fresh), Exit::kFresh, Status::kOk);
 }
 
 namespace {
@@ -1301,7 +1201,7 @@ SkylineEngine::Registered SkylineEngine::MutationSnapshot(
   return it->second;
 }
 
-void SkylineEngine::RepairShards(
+RepairStats SkylineEngine::RepairShards(
     size_t n, const std::function<void(size_t, RepairStats*)>& repair) {
   // Each touched shard's repair is an independent pure function of
   // immutable inputs, so the repairs fan out as a capped task group on
@@ -1320,42 +1220,14 @@ void SkylineEngine::RepairShards(
       repair(t, &stats[t]);
     }
   });
-  if (config_.metrics) {
-    RepairStats sum;
-    for (const RepairStats& rs : stats) {
-      sum.dom_tests += rs.dom_tests;
-      sum.sketch_rebuilds += rs.sketch_rebuilds;
-      sum.zonemap_repairs += rs.zonemap_repairs;
-    }
-    inst_.repair_dom_tests->Add(sum.dom_tests);
-    inst_.sketch_rebuilds->Add(sum.sketch_rebuilds);
-    inst_.zonemap_repairs->Add(sum.zonemap_repairs);
-  }
+  RepairStats sum;
+  for (const RepairStats& rs : stats) sum += rs;
+  return sum;
 }
 
-std::optional<uint64_t> SkylineEngine::PublishMutation(
-    const std::string& name, uint64_t version, size_t count,
-    const MutationDelta& delta) {
-  std::unique_lock lock(registry_mu_);
-  auto it = registry_.find(name);
-  if (it == registry_.end()) {
-    throw std::runtime_error("query engine: dataset '" + name +
-                             "' evicted during a mutation");
-  }
-  if (it->second.version != version) {
-    if (config_.metrics) inst_.retries->Add();
-    return std::nullopt;
-  }
-  it->second.data = nullptr;  // Find() rebuilds it lazily from the shards
-  it->second.shards = delta.map;
-  it->second.count = count;
-  const uint64_t bumped = ++it->second.minor;
-  FixupResultsLocked(CacheKeyPrefix(version), delta);
-  return bumped;
-}
-
-uint64_t SkylineEngine::InsertPoints(const std::string& name,
-                                     const Dataset& rows) {
+uint64_t SkylineEngine::Mutate(
+    const std::string& name, obs::Counter* batches, obs::Counter* rows,
+    const std::function<size_t(const Registered&, MutationDelta&)>& repair) {
   WallTimer timer;
   std::lock_guard<std::mutex> mutation_lock(mutation_mu_);
   // The repair runs without the registry lock (every input is an
@@ -1364,17 +1236,63 @@ uint64_t SkylineEngine::InsertPoints(const std::string& name,
   // concurrent RegisterDataset can still replace the generation
   // mid-repair — the repair is then discarded and retried against the
   // new generation.
+  RepairStats work;  // every attempt's repairs, discarded ones included
+  uint64_t retries = 0;
   for (;;) {
     const Registered snap = MutationSnapshot(name);
+    MutationDelta delta;
+    const size_t mutated = repair(snap, delta);
+    if (mutated == 0) return snap.minor;  // nothing mutated: no bump, no fixup
+    work += delta.repair;
+    // Publish: install the repaired map as generation (version, minor + 1)
+    // and fix up the result cache, under the exclusive registry lock.
+    uint64_t bumped = 0;
+    size_t invalidated = 0;
+    {
+      std::unique_lock lock(registry_mu_);
+      auto it = registry_.find(name);
+      if (it == registry_.end()) {
+        throw std::runtime_error("query engine: dataset '" + name +
+                                 "' evicted during a mutation");
+      }
+      if (it->second.version != snap.version) {  // replaced: retry
+        ++retries;
+        continue;
+      }
+      it->second.data = nullptr;  // Find() rebuilds it lazily from the shards
+      it->second.shards = delta.map;
+      it->second.count = delta.count;
+      bumped = ++it->second.minor;
+      invalidated = FixupResultsLocked(CacheKeyPrefix(snap.version), delta);
+    }
+    // The mutation outcome point: every mutation series, recorded once.
+    if (config_.metrics) {
+      batches->Add();
+      rows->Add(mutated);
+      inst_.retries->Add(retries);
+      inst_.repair_dom_tests->Add(work.dom_tests);
+      inst_.sketch_rebuilds->Add(work.sketch_rebuilds);
+      inst_.zonemap_repairs->Add(work.zonemap_repairs);
+      inst_.invalidated_results->Add(invalidated);
+      inst_.mutation_latency->Observe(timer.Seconds());
+    }
+    return bumped;
+  }
+}
+
+uint64_t SkylineEngine::InsertPoints(const std::string& name,
+                                     const Dataset& rows) {
+  const auto repair = [&](const Registered& snap,
+                          MutationDelta& delta) -> size_t {
     const ShardMap& map = *snap.shards;
     if (rows.dims() != snap.dims) {
       throw std::runtime_error(
           "query engine: InsertPoints dimensionality mismatch");
     }
     const size_t add = rows.count();
-    if (add == 0) return snap.minor;  // nothing mutated: no bump, no fixup
+    if (add == 0) return 0;  // nothing mutated: no bump, no fixup
 
-    MutationDelta delta;
+    delta.count = snap.count + add;
     delta.lo = EmptyBoxLo(snap.dims);
     delta.hi = EmptyBoxHi(snap.dims);
     for (size_t b = 0; b < add; ++b) {
@@ -1395,36 +1313,28 @@ uint64_t SkylineEngine::InsertPoints(const std::string& name,
       if (!routed[s].empty()) touched_idx.push_back(s);
     }
     std::vector<std::shared_ptr<const Shard>> repaired(touched_idx.size());
-    RepairShards(touched_idx.size(), [&](size_t t, RepairStats* stats) {
-      const size_t s = touched_idx[t];
-      repaired[t] = ShardWithInserts(map.shard(s), rows, routed[s],
-                                     static_cast<PointId>(snap.count),
-                                     /*sketch_seed=*/snap.version + s, stats);
-    });
+    delta.repair =
+        RepairShards(touched_idx.size(), [&](size_t t, RepairStats* stats) {
+          const size_t s = touched_idx[t];
+          repaired[t] = ShardWithInserts(map.shard(s), rows, routed[s],
+                                         static_cast<PointId>(snap.count),
+                                         /*sketch_seed=*/snap.version + s,
+                                         stats);
+        });
     ShardMap next = map;
     for (size_t t = 0; t < touched_idx.size(); ++t) {
       next.ReplaceShard(touched_idx[t], std::move(repaired[t]));
     }
     delta.map = std::make_shared<const ShardMap>(std::move(next));
-
-    const std::optional<uint64_t> bumped =
-        PublishMutation(name, snap.version, snap.count + add, delta);
-    if (!bumped.has_value()) continue;  // replaced: retry
-    if (config_.metrics) {
-      inst_.inserts->Add();
-      inst_.rows_inserted->Add(add);
-      inst_.mutation_latency->Observe(timer.Seconds());
-    }
-    return *bumped;
-  }
+    return add;
+  };
+  return Mutate(name, inst_.inserts, inst_.rows_inserted, repair);
 }
 
 uint64_t SkylineEngine::DeletePoints(const std::string& name,
                                      std::span<const PointId> ids) {
-  WallTimer timer;
-  std::lock_guard<std::mutex> mutation_lock(mutation_mu_);
-  for (;;) {
-    const Registered snap = MutationSnapshot(name);
+  const auto repair = [&](const Registered& snap,
+                          MutationDelta& delta) -> size_t {
     const ShardMap& map = *snap.shards;
     std::vector<PointId> drop(ids.begin(), ids.end());
     std::sort(drop.begin(), drop.end());
@@ -1432,13 +1342,13 @@ uint64_t SkylineEngine::DeletePoints(const std::string& name,
     if (!drop.empty() && drop.back() >= snap.count) {
       throw std::runtime_error("query engine: DeletePoints id out of range");
     }
-    if (drop.empty()) return snap.minor;
+    if (drop.empty()) return 0;
+    delta.count = snap.count - drop.size();
 
     // Compaction map: a surviving global id shifts down by the number of
     // deleted ids below it.
     std::vector<uint8_t> deleted(snap.count, 0);
     for (const PointId id : drop) deleted[id] = 1;
-    MutationDelta delta;
     delta.id_shift.assign(snap.count, 0);
     uint32_t cum = 0;
     for (size_t i = 0; i < snap.count; ++i) {
@@ -1465,12 +1375,14 @@ uint64_t SkylineEngine::DeletePoints(const std::string& name,
       if (!drop_locals[s].empty()) touched_idx.push_back(s);
     }
     std::vector<std::shared_ptr<const Shard>> repaired(n_shards);
-    RepairShards(touched_idx.size(), [&](size_t t, RepairStats* stats) {
-      const size_t s = touched_idx[t];
-      repaired[s] = ShardWithDeletes(map.shard(s), drop_locals[s],
-                                     delta.id_shift,
-                                     /*sketch_seed=*/snap.version + s, stats);
-    });
+    delta.repair =
+        RepairShards(touched_idx.size(), [&](size_t t, RepairStats* stats) {
+          const size_t s = touched_idx[t];
+          repaired[s] = ShardWithDeletes(map.shard(s), drop_locals[s],
+                                         delta.id_shift,
+                                         /*sketch_seed=*/snap.version + s,
+                                         stats);
+        });
     ShardMap next = map;
     for (size_t s = 0; s < n_shards; ++s) {
       next.ReplaceShard(s, repaired[s] != nullptr
@@ -1479,21 +1391,13 @@ uint64_t SkylineEngine::DeletePoints(const std::string& name,
                                                       delta.id_shift));
     }
     delta.map = std::make_shared<const ShardMap>(std::move(next));
-
-    const std::optional<uint64_t> bumped =
-        PublishMutation(name, snap.version, snap.count - drop.size(), delta);
-    if (!bumped.has_value()) continue;  // replaced: retry
-    if (config_.metrics) {
-      inst_.deletes->Add();
-      inst_.rows_deleted->Add(drop.size());
-      inst_.mutation_latency->Observe(timer.Seconds());
-    }
-    return *bumped;
-  }
+    return drop.size();
+  };
+  return Mutate(name, inst_.deletes, inst_.rows_deleted, repair);
 }
 
-void SkylineEngine::FixupResultsLocked(const std::string& prefix,
-                                       const MutationDelta& delta) {
+size_t SkylineEngine::FixupResultsLocked(const std::string& prefix,
+                                         const MutationDelta& delta) {
   const bool is_delete = !delta.id_shift.empty();
   // An entry survives iff its constraint box provably excludes every
   // mutated row — then no inserted or deleted row is in the constraint
@@ -1501,7 +1405,7 @@ void SkylineEngine::FixupResultsLocked(const std::string& prefix,
   // unchanged. Deletes still compact the surviving ids through the shift
   // (no surviving entry can reference a deleted row: deleted rows are
   // outside its box).
-  const size_t results_erased = cache_.EditPrefix(
+  return cache_.EditPrefix(
       prefix,
       [&](const std::string&, const std::shared_ptr<const QueryResult>& v)
           -> std::shared_ptr<const QueryResult> {
@@ -1514,7 +1418,6 @@ void SkylineEngine::FixupResultsLocked(const std::string& prefix,
         for (PointId& id : remapped->ids) id -= delta.id_shift[id];
         return remapped;
       });
-  if (config_.metrics) inst_.invalidated_results->Add(results_erased);
 }
 
 }  // namespace sky

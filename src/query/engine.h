@@ -86,9 +86,10 @@ struct QueryResult {
   /// the mutation path's invalidation key: a cached result survives a
   /// mutation iff its box provably excludes every mutated row.
   std::vector<DimConstraint> constraints;
-  /// Per-query span tree, present iff Options::trace was set (obs/trace.h;
-  /// render with trace->Render()). Never stored in the result cache — a
-  /// cache hit carries a fresh two-span hit trace, not the producer's.
+  /// Per-query span tree, present iff Options::trace was set — on every
+  /// outcome, shed and aborted queries included (obs/trace.h; render with
+  /// trace->Render()). Never stored in the result cache — a cache hit
+  /// carries a fresh two-span hit trace, not the producer's.
   std::shared_ptr<const obs::QueryTrace> trace;
 };
 
@@ -118,8 +119,6 @@ QueryResult RunShardedQuery(const ShardMap& map, const QuerySpec& spec,
 bool VerifyQuery(const Dataset& data, const QuerySpec& spec,
                  const QueryResult& r);
 
-struct EngineMetricsSnapshot;
-
 class SkylineEngine {
  public:
   struct Config {
@@ -142,11 +141,12 @@ class SkylineEngine {
     /// request as Algorithm::kAuto, letting the cost model pick per
     /// query and per shard regardless of the caller's Options.
     bool auto_algorithm = false;
-    /// Feed the engine's metrics registry (query counters, latency
-    /// histograms, planner / mutation / invalidation tallies). Off turns
-    /// every registry update into a skipped branch — the measured-overhead
-    /// baseline of bench/perf_smoke's metrics pair. The result cache's
-    /// LRU counters are maintained by the cache regardless.
+    /// Feed the engine's metrics registry: Execute records every query
+    /// series at the one outcome point all its exits (hit, shed, aborted,
+    /// fresh) return through, and the mutation driver every mutation
+    /// series at its own. Off skips both — the measured-overhead baseline
+    /// of bench/perf_smoke's metrics pair. The result cache's and the
+    /// executor's own counters are maintained regardless.
     bool metrics = true;
     /// Online cost-model recalibration (query/cost_model.h CostLearner):
     /// fresh computes whose plan executed one shard record their measured
@@ -270,15 +270,10 @@ class SkylineEngine {
   CostLearner& Learner() { return learner_; }
   const CostLearner& Learner() const { return learner_; }
 
-  /// One coherent engine-health snapshot (EngineMetricsSnapshot, defined
-  /// below): the result-cache counters plus the registered-dataset count,
-  /// read in one call. cache_counters() is a thin shim over this.
-  EngineMetricsSnapshot MetricsSnapshot() const;
-  LruCache<QueryResult>::Counters cache_counters() const;
-
   /// The engine's metrics registry — every counter/histogram the serving
-  /// and mutation paths feed (plus the cache-counter collector), ready
-  /// for obs/export.h. Snapshotting is safe concurrently with serving.
+  /// and mutation paths feed, plus the cache, executor and dataset-count
+  /// collector — ready for obs/export.h. Snapshotting is safe
+  /// concurrently with serving.
   obs::MetricsRegistry& Metrics() { return metrics_; }
   const obs::MetricsRegistry& Metrics() const { return metrics_; }
 
@@ -317,6 +312,8 @@ class SkylineEngine {
   /// One repaired mutation batch, ready to publish.
   struct MutationDelta {
     std::shared_ptr<const ShardMap> map;  ///< the repaired COW map
+    size_t count = 0;    ///< row count once the batch is applied
+    RepairStats repair;  ///< work the shard repairs did
     /// Bounds of every mutated row (NaN coordinates excluded).
     std::vector<Value> lo, hi;
     /// Delete compaction map (new id = old id - id_shift[old id]); empty
@@ -328,24 +325,27 @@ class SkylineEngine {
   Registered MutationSnapshot(const std::string& name) const;
 
   /// Run repair(t, stats) for t in [0, n) as a capped task group on the
-  /// shared executor and feed the summed RepairStats to the metrics.
-  void RepairShards(size_t n,
-                    const std::function<void(size_t, RepairStats*)>& repair);
-
-  /// Install `delta` as generation (`version`, minor + 1) of `name` with
-  /// `count` rows and fix up the result cache, under the exclusive
-  /// registry lock. Returns the bumped minor version, or nullopt when a
-  /// re-registration replaced `version` meanwhile (the caller retries).
-  /// Throws std::runtime_error if `name` was evicted.
-  std::optional<uint64_t> PublishMutation(const std::string& name,
-                                          uint64_t version, size_t count,
-                                          const MutationDelta& delta);
+  /// shared executor; returns the summed RepairStats.
+  RepairStats RepairShards(
+      size_t n, const std::function<void(size_t, RepairStats*)>& repair);
 
   /// Selective result-cache fixup after a mutation, called with
   /// `registry_mu_` held exclusively (lock order registry -> cache is the
-  /// process-wide rule).
-  void FixupResultsLocked(const std::string& prefix,
-                          const MutationDelta& delta);
+  /// process-wide rule). Returns the number of cached results erased.
+  size_t FixupResultsLocked(const std::string& prefix,
+                            const MutationDelta& delta);
+
+  /// The one mutation driver behind InsertPoints / DeletePoints: per
+  /// attempt, `repair` builds the repaired delta against a snapshot of
+  /// `name` (throwing on invalid input) and returns the rows it mutates,
+  /// 0 for none; the driver publishes it, retries when a re-registration
+  /// replaced the snapshot's generation, and records the batch in
+  /// `batches` / `rows` and every other mutation series at its outcome
+  /// point. Returns the new minor version (the current one when nothing
+  /// was mutated). Throws std::runtime_error if `name` is or gets evicted.
+  uint64_t Mutate(
+      const std::string& name, obs::Counter* batches, obs::Counter* rows,
+      const std::function<size_t(const Registered&, MutationDelta&)>& repair);
 
   /// Hot-path instruments, interned once at construction so serving
   /// threads never touch the registry mutex (obs/metrics.h pointers are
@@ -406,17 +406,6 @@ class SkylineEngine {
   LruCache<QueryResult> cache_;
   CostLearner learner_;  ///< behind Config::cost_learning
 };
-
-/// Unified engine-health snapshot: the result-cache counters plus the
-/// registered-dataset count, read through one call.
-struct EngineMetricsSnapshot {
-  LruCache<QueryResult>::Counters result_cache;
-  size_t datasets = 0;
-};
-
-inline LruCache<QueryResult>::Counters SkylineEngine::cache_counters() const {
-  return MetricsSnapshot().result_cache;
-}
 
 }  // namespace sky
 

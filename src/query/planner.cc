@@ -78,16 +78,16 @@ ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon) {
   return plan;
 }
 
+void PlannerCounters::Record(const ExecutionPlan& plan) const {
+  plans->Add();
+  shards_executed->Add(plan.shards.size());
+  shards_pruned->Add(plan.pruned);
+  merge[static_cast<size_t>(plan.merge)]->Add();
+}
+
 ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon,
-                        const Options& opts, const PlannerCounters* counters,
-                        const CostLearner* learner) {
+                        const Options& opts, const CostLearner* learner) {
   ExecutionPlan plan = PlanQuery(map, canon);
-  if (counters != nullptr) {
-    counters->plans->Add();
-    counters->shards_executed->Add(plan.shards.size());
-    counters->shards_pruned->Add(plan.pruned);
-    counters->merge[static_cast<size_t>(plan.merge)]->Add();
-  }
   // A lone survivor's answer is final and nothing runs beside it, so it
   // gets the caller's whole budget whatever the algorithm.
   if (plan.shards.size() == 1) plan.shard_threads = opts.ResolvedThreads();

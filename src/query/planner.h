@@ -75,14 +75,17 @@ bool BoxIntersectsConstraints(const std::vector<Value>& lo,
                               const std::vector<DimConstraint>& constraints);
 
 /// The planner's decision tallies, interned once by the owner of the
-/// metrics registry (the engine, at construction) so planning never takes
-/// the registry mutex. Fill it with InternPlannerCounters.
+/// metrics registry (the engine, at construction) so recording a plan
+/// never takes the registry mutex. Fill it with InternPlannerCounters.
 struct PlannerCounters {
   obs::Counter* plans = nullptr;            ///< sky_planner_plans_total
   obs::Counter* shards_executed = nullptr;  ///< ..._shards_executed_total
   obs::Counter* shards_pruned = nullptr;    ///< ..._shards_pruned_total
   /// sky_planner_merge_total{strategy=...}, indexed by MergeStrategy.
   std::array<obs::Counter*, 3> merge{};
+
+  /// Tally one plan's decisions.
+  void Record(const ExecutionPlan& plan) const;
 };
 
 /// Intern every PlannerCounters instrument in `metrics`.
@@ -95,13 +98,11 @@ ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon);
 
 /// Adaptive variant: additionally resolves per-shard algorithms, the
 /// shard thread budget and the merge algorithm when opts.algorithm is
-/// kAuto (identical to the two-argument form otherwise). Non-null
-/// `counters` receive the planner's decision tallies at plan time, where
-/// the decisions are made. A non-null `learner` scales each candidate's
-/// model cost by its measured/predicted EMA (Config::cost_learning).
+/// kAuto (identical to the two-argument form otherwise). A non-null
+/// `learner` scales each candidate's model cost by its measured/predicted
+/// EMA (Config::cost_learning).
 ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon,
                         const Options& opts,
-                        const PlannerCounters* counters = nullptr,
                         const CostLearner* learner = nullptr);
 
 }  // namespace sky

@@ -1,15 +1,22 @@
 // Copyright (c) SkyBench-NG contributors.
 // Trace tests (obs/trace.h): FormatSeconds scaling, TraceBuilder span
-// recording and Render()'s indented tree, and the engine integration —
-// span nesting/ordering on a sharded + constrained query, the two-span
-// hit trace, and the invariant that cached results never carry the
-// producer's trace.
+// recording, TraceScope's no-op and nesting contract, Render()'s
+// indented tree, and the engine integration — span trees of Execute,
+// RunQuery and RunShardedQuery (plan / shard / merge, view build,
+// truncated and failed queries), the two-span hit trace, and the
+// invariant that cached results never carry the producer's trace.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/cancel.h"
+#include "common/failpoint.h"
 #include "data/generator.h"
 #include "query/engine.h"
 
@@ -57,6 +64,58 @@ TEST(TraceBuilderTest, NowIsMonotone) {
   const double b = tb.Now();
   EXPECT_GE(a, 0.0);
   EXPECT_GE(b, a);
+}
+
+TEST(TraceScopeTest, DisabledScopeIsANoOp) {
+  obs::TraceScope root = obs::TraceScope::Root(false, "query");
+  root.Attr("dataset", "hotels");
+  EXPECT_EQ(root.Now(), 0.0);
+  {
+    obs::TraceScope plan(root, "plan");
+    plan.AttrCount("shards", 4);
+    const obs::TraceScope shard(root, "shard", 3, 0.0, 1.0);
+    EXPECT_EQ(plan.Now(), 0.0);
+  }
+  EXPECT_EQ(root.Finish(), nullptr);
+}
+
+TEST(TraceScopeTest, NestsClosesAndBackfillsSpans) {
+  obs::TraceScope root = obs::TraceScope::Root(true, "query");
+  root.Attr("dataset", "hotels");
+  {
+    obs::TraceScope plan(root, "plan");
+    plan.AttrCount("shards", 2);
+    const obs::TraceScope inner(plan, "inner");
+  }
+  {
+    obs::TraceScope shard(root, "shard", 7, 0.25, 0.5);
+    shard.Attr("algo", "hybrid");
+  }
+  const obs::TraceScope get(root, "cache.get", -1, 0.0, 0.125);
+  const std::shared_ptr<const obs::QueryTrace> trace = root.Finish();
+  ASSERT_NE(trace, nullptr);
+  ASSERT_EQ(trace->spans.size(), 5u);
+  const std::vector<std::string> names = {"query", "plan", "inner",
+                                          "shard[7]", "cache.get"};
+  const std::vector<int> parents = {-1, 0, 1, 0, 0};
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(trace->spans[i].name, names[i]);
+    EXPECT_EQ(trace->spans[i].parent, parents[i]);
+  }
+  EXPECT_EQ(trace->spans[0].attrs.front(),
+            (std::pair<std::string, std::string>("dataset", "hotels")));
+  EXPECT_EQ(trace->spans[1].attrs.front(),
+            (std::pair<std::string, std::string>("shards", "2")));
+  EXPECT_EQ(trace->spans[3].attrs.front(),
+            (std::pair<std::string, std::string>("algo", "hybrid")));
+  EXPECT_EQ(trace->spans[3].start_seconds, 0.25);
+  EXPECT_EQ(trace->spans[3].duration_seconds, 0.5);
+  EXPECT_EQ(trace->spans[4].duration_seconds, 0.125);
+  // Scopes closed in nesting order: each parent outlasts its child.
+  EXPECT_GE(trace->spans[1].duration_seconds,
+            trace->spans[2].duration_seconds);
+  EXPECT_GE(trace->spans[0].duration_seconds,
+            trace->spans[1].duration_seconds);
 }
 
 TEST(RenderTest, IndentedTreeWithExactFormatting) {
@@ -264,6 +323,144 @@ TEST(EngineTraceTest, UnshardedViewSpanCarriesBuildWidth) {
   EXPECT_EQ(AttrOf(*direct.trace, run, "view"), "direct");
   EXPECT_EQ(AttrOf(*direct.trace, run, "rows"),
             std::to_string(direct.matched_rows));
+}
+
+TEST(EngineTraceTest, RunQueryIdentityTracesExecuteStage) {
+  const Dataset data =
+      GenerateSynthetic(Distribution::kAnticorrelated, 500, 3, /*seed=*/3);
+  Options opts;
+  opts.algorithm = Algorithm::kHybrid;
+  opts.trace = true;
+  const QueryResult r = RunQuery(data, QuerySpec{}, opts);
+  ASSERT_NE(r.trace, nullptr);
+  const obs::QueryTrace& t = *r.trace;
+  ASSERT_EQ(t.spans.size(), 2u);
+  EXPECT_EQ(t.spans[0].name, "query");
+  EXPECT_EQ(t.spans[0].parent, -1);
+  EXPECT_EQ(AttrOf(t, 0, "members"), std::to_string(r.ids.size()));
+  EXPECT_EQ(t.spans[1].name, "execute");
+  EXPECT_EQ(t.spans[1].parent, 0);
+  EXPECT_EQ(AttrOf(t, 1, "algo"), AlgorithmName(Algorithm::kHybrid));
+  EXPECT_EQ(AttrOf(t, 1, "rows"), "500");
+
+  opts.trace = false;
+  EXPECT_EQ(RunQuery(data, QuerySpec{}, opts).trace, nullptr);
+}
+
+TEST(EngineTraceTest, RunQueryViewSpecTracesViewBuildThenExecute) {
+  const Dataset data =
+      GenerateSynthetic(Distribution::kIndependent, 2'000, 4, /*seed=*/5);
+  QuerySpec spec;
+  spec.SetPreference(1, Preference::kMax);
+  spec.Constrain(0, 0.2f, 0.8f);
+  Options opts;
+  opts.algorithm = Algorithm::kQFlow;
+  opts.threads = 1;
+  opts.trace = true;
+  const QueryResult r = RunQuery(data, spec, opts);
+  ASSERT_NE(r.trace, nullptr);
+  const obs::QueryTrace& t = *r.trace;
+  ASSERT_EQ(t.spans.size(), 3u);
+  EXPECT_EQ(t.spans[0].name, "query");
+  EXPECT_EQ(AttrOf(t, 0, "members"), std::to_string(r.ids.size()));
+  EXPECT_EQ(t.spans[1].name, "view.build");
+  EXPECT_EQ(t.spans[1].parent, 0);
+  EXPECT_EQ(AttrOf(t, 1, "rows"), std::to_string(r.matched_rows));
+  EXPECT_EQ(AttrOf(t, 1, "threads"), "1");
+  EXPECT_EQ(t.spans[2].name, "execute");
+  EXPECT_EQ(t.spans[2].parent, 0);
+  EXPECT_EQ(AttrOf(t, 2, "algo"), AlgorithmName(Algorithm::kQFlow));
+  EXPECT_EQ(AttrOf(t, 2, "rows"), std::to_string(r.matched_rows));
+  EXPECT_LT(r.matched_rows, data.count());
+}
+
+TEST(EngineTraceTest, RunShardedQueryTracesPlanShardsThenMerge) {
+  const ShardMap map = ShardMap::Build(
+      GenerateSynthetic(Distribution::kIndependent, 4'000, 4, /*seed=*/11),
+      /*shards=*/4, ShardPolicy::kMedianPivot);
+  QuerySpec spec;
+  spec.Constrain(3, 0.0f, 0.4f);
+  Options opts;
+  opts.trace = true;
+  opts.threads = 2;
+  const QueryResult r = RunShardedQuery(map, spec, opts);
+  ASSERT_NE(r.trace, nullptr);
+  const obs::QueryTrace& t = *r.trace;
+  ASSERT_GT(r.shards_executed, 1u);
+  ASSERT_GT(r.shards_pruned, 0u);
+  EXPECT_EQ(t.spans[0].name, "query");
+  EXPECT_EQ(AttrOf(t, 0, "members"), std::to_string(r.ids.size()));
+
+  const int plan = FindSpan(t, "plan");
+  ASSERT_EQ(plan, 1);
+  EXPECT_EQ(t.spans[1].parent, 0);
+  EXPECT_EQ(AttrOf(t, plan, "shards"), std::to_string(r.shards_executed));
+  EXPECT_EQ(AttrOf(t, plan, "pruned"), std::to_string(r.shards_pruned));
+  EXPECT_EQ(AttrOf(t, plan, "merge"), "skyline-union");
+
+  // shard[i] spans in shard order right after the plan, then the merge.
+  size_t next = 2;
+  for (; next < t.spans.size(); ++next) {
+    if (t.spans[next].name.rfind("shard[", 0) != 0) break;
+    EXPECT_EQ(t.spans[next].parent, 0);
+    EXPECT_NE(AttrOf(t, static_cast<int>(next), "algo"), "");
+    EXPECT_NE(AttrOf(t, static_cast<int>(next), "rows"), "");
+  }
+  EXPECT_EQ(next - 2, r.shards_executed);
+  ASSERT_LT(next, t.spans.size());
+  EXPECT_EQ(t.spans[next].name, "merge");
+  EXPECT_EQ(t.spans[next].parent, 0);
+  const int merge = static_cast<int>(next);
+  EXPECT_EQ(AttrOf(t, merge, "strategy"), "skyline-union");
+  EXPECT_EQ(AttrOf(t, merge, "members"), std::to_string(r.ids.size()));
+  EXPECT_NE(AttrOf(t, merge, "union"), "");
+}
+
+TEST(EngineTraceTest, TruncatedProgressiveQueryMarksRootSpan) {
+  Dataset data =
+      GenerateSynthetic(Distribution::kAnticorrelated, 20'000, 6, /*seed=*/19);
+  SkylineEngine engine;
+  engine.RegisterDataset("ds", std::move(data));
+  CancelToken token;
+  Options opts;
+  opts.algorithm = Algorithm::kQFlow;
+  opts.alpha = 512;
+  opts.cancel = &token;
+  opts.trace = true;
+  opts.progressive = [&](std::span<const PointId>) {
+    token.Cancel(Status::kDeadlineExceeded);
+  };
+  const QueryResult r = engine.Execute("ds", QuerySpec{}, opts);
+  ASSERT_EQ(r.status, Status::kDeadlineExceeded);
+  ASSERT_TRUE(r.truncated);
+  ASSERT_NE(r.trace, nullptr);
+  const obs::QueryTrace& t = *r.trace;
+  EXPECT_EQ(t.spans[0].name, "query");
+  EXPECT_EQ(AttrOf(t, 0, "dataset"), "ds");
+  EXPECT_EQ(AttrOf(t, 0, "cache"), "miss");
+  EXPECT_EQ(AttrOf(t, 0, "status"), "deadline_exceeded");
+  EXPECT_EQ(AttrOf(t, 0, "truncated"), "true");
+  EXPECT_EQ(AttrOf(t, 0, "members"), "");
+}
+
+TEST(EngineTraceTest, ContainedShardFailureMarksRootSpan) {
+  SkylineEngine engine;
+  engine.RegisterDataset(
+      "ds", GenerateSynthetic(Distribution::kIndependent, 1'000, 4, /*seed=*/2),
+      /*shards=*/4, ShardPolicy::kRoundRobin);
+  Options opts;
+  opts.trace = true;
+  FailPoints::Instance().Arm("shard_execute", FailPoints::Mode::kThrow);
+  const QueryResult r = engine.Execute("ds", QuerySpec{}, opts);
+  FailPoints::Instance().DisarmAll();
+  ASSERT_EQ(r.status, Status::kInternalError);
+  ASSERT_NE(r.trace, nullptr);
+  const obs::QueryTrace& t = *r.trace;
+  EXPECT_EQ(t.spans[0].name, "query");
+  EXPECT_EQ(AttrOf(t, 0, "dataset"), "ds");
+  EXPECT_EQ(AttrOf(t, 0, "status"), "internal_error");
+  EXPECT_GE(FindSpan(t, "plan"), 1);
+  EXPECT_EQ(FindSpan(t, "cache.put"), -1);
 }
 
 }  // namespace

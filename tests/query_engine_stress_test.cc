@@ -83,10 +83,10 @@ TEST(QueryEngineStressTest, ConcurrentMixedQueriesOneDataset) {
   });
   EXPECT_EQ(mismatches.load(), 0);
 
-  const auto counters = engine.cache_counters();
-  EXPECT_GT(counters.hits, 0u);
-  EXPECT_GT(counters.misses, 0u);
-  EXPECT_LE(counters.entries, 4u);
+  const obs::MetricsSnapshot snap = engine.Metrics().Snapshot();
+  EXPECT_GT(snap.Value("sky_result_cache_hits_total"), 0.0);
+  EXPECT_GT(snap.Value("sky_result_cache_misses_total"), 0.0);
+  EXPECT_LE(snap.Value("sky_result_cache_entries"), 4.0);
 }
 
 TEST(QueryEngineStressTest, ConcurrentShardedExecutionStaysExact) {

@@ -5,9 +5,12 @@
 
 #include <chrono>
 #include <mutex>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
+#include "common/cancel.h"
 #include "data/generator.h"
 #include "gtest/gtest.h"
 #include "query/view.h"
@@ -158,6 +161,11 @@ TEST(SkylineEngineTest, RegistryLifecycle) {
   EXPECT_EQ(engine.DatasetNames(), (std::vector<std::string>{"b"}));
 }
 
+/// A result-cache series, read through the engine's registry.
+double CacheMetric(const SkylineEngine& engine, const std::string& series) {
+  return engine.Metrics().Snapshot().Value("sky_result_cache_" + series);
+}
+
 TEST(SkylineEngineTest, ExecuteUnknownDatasetThrows) {
   SkylineEngine engine;
   EXPECT_THROW(engine.Execute("nope", QuerySpec{}), std::runtime_error);
@@ -172,10 +180,9 @@ TEST(SkylineEngineTest, SecondIdenticalQueryIsACacheHit) {
   const QueryResult second = engine.Execute("ds", QuerySpec{});
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(SortedEntries(first), SortedEntries(second));
-  const auto counters = engine.cache_counters();
-  EXPECT_EQ(counters.hits, 1u);
-  EXPECT_EQ(counters.misses, 1u);
-  EXPECT_EQ(counters.entries, 1u);
+  EXPECT_EQ(CacheMetric(engine, "hits_total"), 1.0);
+  EXPECT_EQ(CacheMetric(engine, "misses_total"), 1.0);
+  EXPECT_EQ(CacheMetric(engine, "entries"), 1.0);
 }
 
 TEST(SkylineEngineTest, EquivalentSpellingsHitTheSameEntry) {
@@ -198,7 +205,7 @@ TEST(SkylineEngineTest, ReRegisteringInvalidatesCachedResults) {
   engine.RegisterDataset(
       "ds", MakeDataset({{0.1f, 0.1f}, {0.9f, 0.9f}, {0.5f, 0.5f}}));
   // The old generation's entry is purged, not just unreachable.
-  EXPECT_EQ(engine.cache_counters().entries, 0u);
+  EXPECT_EQ(CacheMetric(engine, "entries"), 0.0);
   const QueryResult after = engine.Execute("ds", QuerySpec{});
   EXPECT_FALSE(after.cache_hit);
   EXPECT_EQ(after.ids, (std::vector<PointId>{0}));
@@ -213,9 +220,9 @@ TEST(SkylineEngineTest, EvictPurgesTheDatasetsCachedResults) {
   engine.Execute("keep", QuerySpec{});
   engine.Execute("drop", QuerySpec{});
   engine.Execute("drop", band);
-  EXPECT_EQ(engine.cache_counters().entries, 3u);
+  EXPECT_EQ(CacheMetric(engine, "entries"), 3.0);
   EXPECT_TRUE(engine.EvictDataset("drop"));
-  EXPECT_EQ(engine.cache_counters().entries, 1u);
+  EXPECT_EQ(CacheMetric(engine, "entries"), 1.0);
   // The survivor is still served from cache.
   EXPECT_TRUE(engine.Execute("keep", QuerySpec{}).cache_hit);
 }
@@ -226,7 +233,7 @@ TEST(SkylineEngineTest, ZeroCapacityDisablesCaching) {
   engine.Execute("ds", QuerySpec{});
   const QueryResult again = engine.Execute("ds", QuerySpec{});
   EXPECT_FALSE(again.cache_hit);
-  EXPECT_EQ(engine.cache_counters().entries, 0u);
+  EXPECT_EQ(CacheMetric(engine, "entries"), 0.0);
 }
 
 TEST(SkylineEngineTest, LruEvictsLeastRecentlyUsed) {
@@ -243,7 +250,7 @@ TEST(SkylineEngineTest, LruEvictsLeastRecentlyUsed) {
   engine.Execute("ds", band3);       // C evicts B — {C, A}
   EXPECT_TRUE(engine.Execute("ds", QuerySpec{}).cache_hit);
   EXPECT_FALSE(engine.Execute("ds", band2).cache_hit);  // was evicted
-  EXPECT_EQ(engine.cache_counters().evictions, 2u);     // B, then C
+  EXPECT_EQ(CacheMetric(engine, "evictions_total"), 2.0);  // B, then C
 }
 
 TEST(SkylineEngineTest, ClearCacheForcesRecompute) {
@@ -276,17 +283,16 @@ TEST(SkylineEngineTest, ByteBudgetEvictsLruFirst) {
   band3.band_k = 3;
   engine.Execute("ds", QuerySpec{});  // A
   engine.Execute("ds", band2);        // B — {B, A}, at budget
-  auto counters = engine.cache_counters();
-  EXPECT_EQ(counters.entries, 2u);
-  EXPECT_EQ(counters.bytes, 2 * one);
-  EXPECT_EQ(counters.byte_evictions, 0u);
+  EXPECT_EQ(CacheMetric(engine, "entries"), 2.0);
+  EXPECT_EQ(CacheMetric(engine, "bytes"), static_cast<double>(2 * one));
+  EXPECT_EQ(CacheMetric(engine, "byte_evictions_total"), 0.0);
 
   engine.Execute("ds", band3);  // C — evicts A, the LRU entry
-  counters = engine.cache_counters();
-  EXPECT_EQ(counters.entries, 2u);
-  EXPECT_LE(counters.bytes, config.result_cache_bytes);
-  EXPECT_EQ(counters.byte_evictions, 1u);
-  EXPECT_EQ(counters.evictions, 1u);
+  EXPECT_EQ(CacheMetric(engine, "entries"), 2.0);
+  EXPECT_LE(CacheMetric(engine, "bytes"),
+            static_cast<double>(config.result_cache_bytes));
+  EXPECT_EQ(CacheMetric(engine, "byte_evictions_total"), 1.0);
+  EXPECT_EQ(CacheMetric(engine, "evictions_total"), 1.0);
   EXPECT_TRUE(engine.Execute("ds", band3).cache_hit);
   EXPECT_TRUE(engine.Execute("ds", band2).cache_hit);
   EXPECT_FALSE(engine.Execute("ds", QuerySpec{}).cache_hit);  // was evicted
@@ -301,9 +307,8 @@ TEST(SkylineEngineTest, ResultLargerThanByteBudgetIsNotRetained) {
   SkylineEngine engine(config);
   engine.RegisterDataset("ds", ThreeIncomparable());
   engine.Execute("ds", QuerySpec{});
-  const auto counters = engine.cache_counters();
-  EXPECT_EQ(counters.entries, 0u);
-  EXPECT_EQ(counters.bytes, 0u);
+  EXPECT_EQ(CacheMetric(engine, "entries"), 0.0);
+  EXPECT_EQ(CacheMetric(engine, "bytes"), 0.0);
   EXPECT_FALSE(engine.Execute("ds", QuerySpec{}).cache_hit);
 }
 
@@ -326,9 +331,8 @@ TEST(SkylineEngineTest, ResultCacheTtlExpiresLazily) {
   std::this_thread::sleep_for(std::chrono::milliseconds(120));
   // Expired now: Get lazily erases the entry, counts it, and recomputes.
   EXPECT_FALSE(engine.Execute("ds", QuerySpec{}).cache_hit);
-  const auto counters = engine.cache_counters();
-  EXPECT_EQ(counters.ttl_evictions, 1u);
-  EXPECT_GE(counters.evictions, 1u);
+  EXPECT_EQ(CacheMetric(engine, "ttl_evictions_total"), 1.0);
+  EXPECT_GE(CacheMetric(engine, "evictions_total"), 1.0);
   // The recompute re-populated the cache; it serves again until expiry.
   EXPECT_TRUE(engine.Execute("ds", QuerySpec{}).cache_hit);
 }
@@ -339,7 +343,159 @@ TEST(SkylineEngineTest, ZeroTtlNeverExpires) {
   engine.Execute("ds", QuerySpec{});
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_TRUE(engine.Execute("ds", QuerySpec{}).cache_hit);
-  EXPECT_EQ(engine.cache_counters().ttl_evictions, 0u);
+  EXPECT_EQ(CacheMetric(engine, "ttl_evictions_total"), 0.0);
+}
+
+/// Registry snapshot after one fixed serving sequence — a miss on a
+/// 4-shard map, its cache hit, a shed probe, a deadline-truncated
+/// progressive query, an insert and a delete — plus the plan the miss
+/// ran, so the planner tallies can be checked against it.
+struct PinnedRun {
+  obs::MetricsSnapshot snap;
+  ExecutionPlan plan;
+};
+
+PinnedRun RunPinnedSequence(bool metrics) {
+  SkylineEngine::Config config;
+  config.metrics = metrics;
+  config.max_inflight = 1;
+  config.executor_threads = 2;
+  SkylineEngine engine(config);
+  engine.RegisterDataset(
+      "ds", GenerateSynthetic(Distribution::kIndependent, 2'000, 4, 7),
+      /*shards=*/4, ShardPolicy::kMedianPivot);
+  engine.RegisterDataset(
+      "flat", GenerateSynthetic(Distribution::kAnticorrelated, 20'000, 6, 19));
+
+  QuerySpec boxed;
+  boxed.Constrain(3, 0.0f, 0.4f);
+  PinnedRun run;
+  run.plan = PlanQuery(*engine.FindShards("ds"), boxed.Canonicalize(4));
+  Options hybrid;
+  hybrid.algorithm = Algorithm::kHybrid;
+  hybrid.threads = 2;
+  EXPECT_FALSE(engine.Execute("ds", boxed, hybrid).cache_hit);
+  EXPECT_TRUE(engine.Execute("ds", boxed, hybrid).cache_hit);
+
+  // The progressive query holds the only admission slot while its
+  // callback runs, so the probe issued from there is shed; the callback
+  // then trips the query's own budget, truncating it after one batch.
+  CancelToken token;
+  bool probed = false;
+  Options progressive;
+  progressive.algorithm = Algorithm::kQFlow;
+  progressive.alpha = 512;
+  progressive.threads = 1;
+  progressive.cancel = &token;
+  progressive.progressive = [&](std::span<const PointId>) {
+    if (!probed) {
+      probed = true;
+      QuerySpec probe;
+      probe.Constrain(0, 0.0f, 0.7f);
+      EXPECT_EQ(engine.Execute("ds", probe).status, Status::kOverloaded);
+    }
+    token.Cancel(Status::kDeadlineExceeded);
+  };
+  const QueryResult cut = engine.Execute("flat", QuerySpec{}, progressive);
+  EXPECT_TRUE(probed);
+  EXPECT_EQ(cut.status, Status::kDeadlineExceeded);
+  EXPECT_TRUE(cut.truncated);
+
+  // Inserted rows fall inside the miss's box, so its entry is erased.
+  Dataset rows = GenerateSynthetic(Distribution::kIndependent, 16, 4, 8);
+  for (size_t i = 0; i < rows.count(); ++i) rows.MutableRow(i)[3] *= 0.4f;
+  engine.InsertPoints("ds", rows);
+  const std::vector<PointId> drop = {0, 1, 2};
+  engine.DeletePoints("ds", drop);
+  run.snap = engine.Metrics().Snapshot();
+  return run;
+}
+
+uint64_t HistogramCount(const obs::MetricsSnapshot& snap,
+                        const std::string& name) {
+  const obs::MetricValue* m = snap.Find(name);
+  return m == nullptr ? 0 : m->histogram.count;
+}
+
+/// The series every engine reports whatever Config::metrics says: the
+/// result cache's and the executor's own counters, and the dataset gauge.
+bool AlwaysReported(const std::string& name) {
+  return name.rfind("sky_result_cache_", 0) == 0 ||
+         name.rfind("sky_executor_", 0) == 0 || name == "sky_datasets";
+}
+
+void ExpectAlwaysReportedSeries(const obs::MetricsSnapshot& snap) {
+  EXPECT_EQ(snap.Value("sky_result_cache_hits_total"), 1.0);
+  EXPECT_EQ(snap.Value("sky_result_cache_misses_total"), 3.0);
+  EXPECT_EQ(snap.Value("sky_result_cache_entries"), 0.0);
+  EXPECT_EQ(snap.Value("sky_datasets"), 2.0);
+  EXPECT_EQ(snap.Value("sky_executor_workers"), 2.0);
+  EXPECT_GT(snap.Value("sky_executor_tasks_total") +
+                snap.Value("sky_executor_inline_runs_total"),
+            0.0);
+}
+
+TEST(EngineMetricsTest, ServingSequenceFeedsExactSeries) {
+  const PinnedRun run = RunPinnedSequence(/*metrics=*/true);
+  const obs::MetricsSnapshot& snap = run.snap;
+  const size_t executed = run.plan.shards.size();
+  ASSERT_GT(executed, 1u);  // the miss merges several shards...
+  ASSERT_GT(run.plan.pruned, 0u);  // ...after pruning some
+
+  // Miss, hit, shed probe, truncated query.
+  EXPECT_EQ(snap.Value("sky_engine_queries_total"), 4.0);
+  EXPECT_EQ(HistogramCount(snap, "sky_query_latency_seconds"), 4u);
+  EXPECT_EQ(HistogramCount(snap, "sky_query_compute_seconds"), 1u);
+  EXPECT_EQ(snap.Value("sky_query_shed_total"), 1.0);
+  EXPECT_EQ(snap.Value("sky_query_degraded_total"), 1.0);
+  EXPECT_EQ(snap.Value("sky_query_deadline_exceeded_total"), 1.0);
+
+  // Only the fresh compute tallies algorithms: one per executed shard.
+  double algorithm_total = 0.0;
+  for (const obs::MetricValue& m : snap.metrics) {
+    if (m.name == "sky_engine_algorithm_total") algorithm_total += m.value;
+  }
+  EXPECT_EQ(algorithm_total, static_cast<double>(executed));
+  EXPECT_EQ(snap.Value("sky_engine_algorithm_total",
+                       {{"algo", AlgorithmName(Algorithm::kHybrid)}}),
+            static_cast<double>(executed));
+
+  // Both computes planned: the 4-shard miss and the one-shard
+  // truncated query (shed probes never reach the planner).
+  EXPECT_EQ(snap.Value("sky_planner_plans_total"), 2.0);
+  EXPECT_EQ(snap.Value("sky_planner_shards_executed_total"),
+            static_cast<double>(executed + 1));
+  EXPECT_EQ(snap.Value("sky_planner_shards_pruned_total"),
+            static_cast<double>(run.plan.pruned));
+  EXPECT_EQ(snap.Value("sky_planner_merge_total",
+                       {{"strategy", "skyline-union"}}),
+            1.0);
+  EXPECT_EQ(snap.Value("sky_planner_merge_total", {{"strategy", "none"}}),
+            1.0);
+  EXPECT_EQ(snap.Value("sky_planner_merge_total",
+                       {{"strategy", "skyband-union"}}),
+            0.0);
+
+  EXPECT_EQ(snap.Value("sky_mutation_inserts_total"), 1.0);
+  EXPECT_EQ(snap.Value("sky_mutation_deletes_total"), 1.0);
+  EXPECT_EQ(snap.Value("sky_mutation_rows_inserted_total"), 16.0);
+  EXPECT_EQ(snap.Value("sky_mutation_rows_deleted_total"), 3.0);
+  EXPECT_EQ(HistogramCount(snap, "sky_mutation_seconds"), 2u);
+  EXPECT_EQ(snap.Value("sky_invalidated_results_total"), 1.0);
+  ExpectAlwaysReportedSeries(snap);
+}
+
+TEST(EngineMetricsTest, MetricsOffLeavesEngineSeriesAtZero) {
+  const PinnedRun run = RunPinnedSequence(/*metrics=*/false);
+  size_t engine_series = 0;
+  for (const obs::MetricValue& m : run.snap.metrics) {
+    if (AlwaysReported(m.name)) continue;
+    ++engine_series;
+    EXPECT_EQ(m.value, 0.0) << m.name;
+    EXPECT_EQ(m.histogram.count, 0u) << m.name;
+  }
+  EXPECT_GT(engine_series, 20u);  // the interned series are all present
+  ExpectAlwaysReportedSeries(run.snap);
 }
 
 }  // namespace

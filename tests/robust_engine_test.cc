@@ -226,20 +226,38 @@ TEST_F(RobustEngineTest, AdmissionControlShedsOverCapQueries) {
   blocked.Constrain(0, 0.0f, 0.8f);
   std::thread blocker([&] { engine.Execute("ds", blocked, Options{}); });
 
+  // Probes ask for a trace: a shed query still carries its root span.
+  Options traced;
+  traced.trace = true;
   bool shed = false;
+  std::shared_ptr<const obs::QueryTrace> shed_trace;
   for (int attempt = 0; attempt < 15 && !shed; ++attempt) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     QuerySpec probe;  // distinct constraint per attempt: no cache hits
     probe.Constrain(0, 0.0f, 0.5f + 0.01f * static_cast<float>(attempt));
-    const QueryResult r = engine.Execute("ds", probe, Options{});
+    const QueryResult r = engine.Execute("ds", probe, traced);
     if (r.status == Status::kOverloaded) {
       EXPECT_TRUE(r.ids.empty());
+      shed_trace = r.trace;
       shed = true;
     }
   }
   blocker.join();
   EXPECT_TRUE(shed) << "no probe was shed while the slot was held";
   EXPECT_GE(engine.Metrics().Snapshot().Value("sky_query_shed_total"), 1.0);
+  ASSERT_NE(shed_trace, nullptr);
+  ASSERT_FALSE(shed_trace->spans.empty());
+  const obs::TraceSpan& root = shed_trace->spans[0];
+  EXPECT_EQ(root.name, "query");
+  EXPECT_EQ(root.parent, -1);
+  const auto attr = [&root](const std::string& key) {
+    for (const auto& [k, v] : root.attrs) {
+      if (k == key) return v;
+    }
+    return std::string();
+  };
+  EXPECT_EQ(attr("dataset"), "ds");
+  EXPECT_EQ(attr("status"), "overloaded");
 
   // Capacity released: the engine serves exactly again.
   FailPoints::Instance().DisarmAll();
