@@ -12,10 +12,7 @@
 // engine state from scratch (re-register + per-shard skyline bootstrap).
 // A third gate covers the zonemap index: a 1%-box constrained query at
 // anti n=200k d=8 served through the shard's index must be >= 2x faster
-// than the materialize-view + sequential-scan baseline. The algorithm
-// layer has a gate too: batched Hybrid at anti n=20000 d=8 must run
-// >= 1.5x faster than its own use_batch=false path (skipped without
-// AVX2).
+// than the materialize-view + sequential-scan baseline.
 //
 //   perf_smoke [--out=PATH] [--check]
 //
@@ -160,35 +157,22 @@ ArmPair KernelPair(int d, int repeats) {
 }
 
 /// Median-of-repeats wall clock for one algorithm cell of the fixed
-/// grid, with dominance-test counting on. `use_batch=false` runs the
-/// one-vs-one paths and appends "/nobatch" to the name.
+/// grid, with dominance-test counting on.
 Entry AlgoCell(Algorithm algo, Distribution dist, const char* dist_name,
-               size_t n, int d, bool use_batch, int repeats) {
+               size_t n, int d, int repeats) {
   WorkloadSpec spec{dist, n, d, 42};
   const Dataset& data = WorkloadCache::Instance().Get(spec);
   Options o;
   o.algorithm = algo;
   o.threads = 1;
   o.count_dts = true;
-  o.use_batch = use_batch;
   const RunStats st = RunTimed(data, o, repeats, /*verify=*/false).stats;
   char name[128];
-  std::snprintf(name, sizeof(name), "%s/%s/n=%zu/d=%d%s",
-                AlgorithmName(algo), dist_name, n, d,
-                use_batch ? "" : "/nobatch");
+  std::snprintf(name, sizeof(name), "%s/%s/n=%zu/d=%d", AlgorithmName(algo),
+                dist_name, n, d);
   const double secs = std::max(st.total_seconds, 1e-12);
   return {name, secs * 1e9,
           static_cast<double>(st.dominance_tests) / secs};
-}
-
-/// Batched Hybrid vs the same run with use_batch=false (anti n=20000
-/// d=8, t=1); the arms alternate (AlternatePair). Returns {nobatch,
-/// batched, speedup}.
-ArmPair HybridBatchPair(int repeats) {
-  return AlternatePair(repeats, [](int arm) {
-    return AlgoCell(Algorithm::kHybrid, Distribution::kAnticorrelated, "anti",
-                    20000, 8, /*use_batch=*/arm == 1, /*repeats=*/1);
-  });
 }
 
 /// Incremental mutation vs full rebuild on the serving layer: a 64-row
@@ -461,36 +445,15 @@ int Main(int argc, char** argv) {
       {Algorithm::kHybrid, Distribution::kIndependent, "indep", 20000, 4},
       {Algorithm::kHybrid, Distribution::kIndependent, "indep", 20000, 8},
       {Algorithm::kHybrid, Distribution::kIndependent, "indep", 50000, 8},
+      {Algorithm::kHybrid, Distribution::kAnticorrelated, "anti", 20000, 8},
       {Algorithm::kQFlow, Distribution::kAnticorrelated, "anti", 20000, 8},
   };
   for (const Cell& c : cells) {
-    entries.push_back(AlgoCell(c.algo, c.dist, c.dist_name, c.n, c.d,
-                               /*use_batch=*/true, repeats));
+    entries.push_back(
+        AlgoCell(c.algo, c.dist, c.dist_name, c.n, c.d, repeats));
     const Entry& e = entries.back();
     std::printf("%-32s %10.0f ns/op  %10.3e tests/s\n", e.name.c_str(),
                 e.ns_per_op, e.dom_tests_per_s);
-  }
-
-  // ---- Algorithm layer: batched Hybrid (the fused masked-range M(S)
-  // scans) vs its own one-vs-one path. Skipped without AVX2, like the
-  // kernel gate.
-  {
-    const auto [nobatch, batched, speedup] = HybridBatchPair(repeats);
-    entries.push_back(batched);
-    entries.push_back(nobatch);
-    ratios.push_back({batched.name, speedup});
-    std::printf("%-32s %10.0f ns/op  %10.3e tests/s\n", nobatch.name.c_str(),
-                nobatch.ns_per_op, nobatch.dom_tests_per_s);
-    std::printf("%-32s %10.0f ns/op  %10.3e tests/s  (%.2fx)\n",
-                batched.name.c_str(), batched.ns_per_op,
-                batched.dom_tests_per_s, speedup);
-    if (check && CpuHasAvx2() && speedup < 1.5) {
-      std::fprintf(stderr,
-                   "perf_smoke: GATE FAILED: batched Hybrid only %.2fx its "
-                   "one-vs-one path at anti n=20000 d=8 (need >= 1.5x)\n",
-                   speedup);
-      gate_ok = false;
-    }
   }
 
   // ---- Mutation path: incremental insert vs full re-registration.

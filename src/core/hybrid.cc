@@ -27,59 +27,21 @@ constexpr size_t kPhaseGrain = 16;
 /// (level, mask, L1), so the predecessors decompose into three runs:
 /// lower levels (mask-filtered DTs), same level with a different mask
 /// (provably incomparable — skipped), and the same partition
-/// (unconditional DTs).
+/// (unconditional DTs). The runs are resolved from per-block run-start
+/// tables — the lower-level run is exactly [0, level_start[me]) and the
+/// same-partition run is [mask_start[me], me) — and each is scanned 8
+/// peers per compare over the block's SoA tiles.
 bool DominatedByPeer(const WorkingSet& ws, size_t block_begin, size_t me,
-                     const DomCtx& dom, std::vector<uint8_t>& flags,
-                     uint64_t* dts, uint64_t* skips) {
-  const Value* q = ws.Row(block_begin + me);
-  const Mask my_mask = ws.masks[block_begin + me];
-  const int my_level = MaskLevel(my_mask);
-  size_t i = 0;
-  // Loop 1: predecessors in strictly lower levels.
-  while (i < me && MaskLevel(ws.masks[block_begin + i]) < my_level) {
-    // Reading a concurrently written flag is a benign optimisation race:
-    // a stale 0 only costs one extra dominance test.
-    const bool pruned = std::atomic_ref<uint8_t>(flags[i]).load(
-                            std::memory_order_relaxed) != 0;
-    if (!pruned) {
-      if (MaskIncomparable(ws.masks[block_begin + i], my_mask)) {
-        ++*skips;
-      } else {
-        ++*dts;
-        if (dom.Dominates(ws.Row(block_begin + i), q)) return true;
-      }
-    }
-    ++i;
-  }
-  // Loop 2: same level, smaller mask — incomparable by §VI-A2 property 1.
-  while (i < me && ws.masks[block_begin + i] != my_mask) ++i;
-  // Loop 3: same partition — no assumption possible.
-  while (i < me) {
-    ++*dts;
-    if (dom.Dominates(ws.Row(block_begin + i), q)) return true;
-    ++i;
-  }
-  return false;
-}
-
-/// Batched compareToPeers: identical decomposition to DominatedByPeer,
-/// but the three predecessor runs are resolved from per-block run-start
-/// tables (the block is sorted by composite (level, mask) key, so the
-/// lower-level run is exactly [0, level_start[me]) and the same-partition
-/// run is [mask_start[me], me)), and each run is scanned 8 peers per
-/// compare over the block's SoA tiles.
-bool DominatedByPeerBatched(const WorkingSet& ws, size_t block_begin,
-                            size_t me, const DomCtx& dom,
-                            const TileBlock& tiles,
-                            const std::vector<uint32_t>& level_start,
-                            const std::vector<uint32_t>& mask_start,
-                            std::vector<uint8_t>& flags, uint64_t* dts,
-                            uint64_t* skips) {
+                     const DomCtx& dom, const TileBlock& tiles,
+                     const std::vector<uint32_t>& level_start,
+                     const std::vector<uint32_t>& mask_start,
+                     std::vector<uint8_t>& flags, uint64_t* dts,
+                     uint64_t* skips) {
   const Value* q = ws.Row(block_begin + me);
   const Mask* masks = ws.masks.data() + block_begin;
-  // Run 1: strictly lower levels — pruned peers skipped (same benign
-  // stale-flag race as the scalar path), survivors mask-filtered 8 at a
-  // time.
+  // Run 1: strictly lower levels — survivors mask-filtered 8 at a time,
+  // pruned peers skipped. Reading flags that other workers are writing is
+  // a benign optimisation race: a stale 0 only costs extra tests.
   if (dom.DominatedInMaskedRange(q, tiles, masks, masks[me], 0,
                                  level_start[me], flags.data(), dts, skips)) {
     return true;
@@ -99,7 +61,7 @@ Result HybridCompute(const Dataset& data, const Options& opts) {
 
   WallTimer total;
   Executor::TaskGroup group(opts.ResolvedExecutor(), opts.ResolvedThreads());
-  DomCtx dom(data.dims(), data.stride(), opts.use_simd, opts.use_batch);
+  DomCtx dom(data.dims(), data.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
   DtCounter* counter_ptr = opts.count_dts ? &counter : nullptr;
 
@@ -136,14 +98,12 @@ Result HybridCompute(const Dataset& data, const Options& opts) {
   SkyStructure sky(dims, ws.stride, ws.count);
   std::vector<uint8_t> flags(std::min(alpha, ws.count));
 
-  // Batch-mode Phase II state, rebuilt per block: SoA tiles over the
-  // block's Phase-I survivors plus the run-start tables that replace
-  // DominatedByPeer's per-candidate predecessor scans.
-  const bool batch = dom.batch();
-  TileBlock peer_tiles;
+  // Phase II state, rebuilt per block: SoA tiles over the block's
+  // Phase-I survivors plus the run-start tables that locate each
+  // candidate's predecessor runs.
+  TileBlock peer_tiles(dims, std::min(alpha, ws.count));
   std::vector<uint32_t> level_start;
   std::vector<uint32_t> mask_start;
-  if (batch) peer_tiles.Reset(dims, std::min(alpha, ws.count));
 
   for (size_t b = 0; b < ws.count; b += alpha) {
     // Deadline / cancellation checkpoint, once per α-block: S holds only
@@ -174,34 +134,27 @@ Result HybridCompute(const Dataset& data, const Options& opts) {
     // ---- Phase II: survivors vs. preceding in-block survivors
     // (Algorithm 4).
     std::fill_n(flags.begin(), survivors, uint8_t{0});
-    if (batch) {
-      peer_tiles.Clear();
-      peer_tiles.AppendRows(ws.Row(b), ws.stride, survivors);
-      level_start.resize(survivors);
-      mask_start.resize(survivors);
-      for (size_t i = 0; i < survivors; ++i) {
-        if (i == 0) {
-          level_start[0] = mask_start[0] = 0;
-          continue;
-        }
-        const Mask m = ws.masks[b + i];
-        const Mask pm = ws.masks[b + i - 1];
-        mask_start[i] = m == pm ? mask_start[i - 1]
-                                : static_cast<uint32_t>(i);
-        level_start[i] = MaskLevel(m) == MaskLevel(pm)
-                             ? level_start[i - 1]
-                             : static_cast<uint32_t>(i);
+    peer_tiles.Clear();
+    peer_tiles.AppendRows(ws.Row(b), ws.stride, survivors);
+    level_start.resize(survivors);
+    mask_start.resize(survivors);
+    for (size_t i = 0; i < survivors; ++i) {
+      if (i == 0) {
+        level_start[0] = mask_start[0] = 0;
+        continue;
       }
+      const Mask m = ws.masks[b + i];
+      const Mask pm = ws.masks[b + i - 1];
+      mask_start[i] = m == pm ? mask_start[i - 1] : static_cast<uint32_t>(i);
+      level_start[i] = MaskLevel(m) == MaskLevel(pm)
+                           ? level_start[i - 1]
+                           : static_cast<uint32_t>(i);
     }
     group.ParallelFor(survivors, kPhaseGrain, [&](size_t lo, size_t hi) {
       uint64_t dts = 0, skips = 0;
       for (size_t k = lo; k < hi; ++k) {
-        const bool dominated =
-            batch ? DominatedByPeerBatched(ws, b, k, dom, peer_tiles,
-                                           level_start, mask_start, flags,
-                                           &dts, &skips)
-                  : DominatedByPeer(ws, b, k, dom, flags, &dts, &skips);
-        if (dominated) {
+        if (DominatedByPeer(ws, b, k, dom, peer_tiles, level_start,
+                            mask_start, flags, &dts, &skips)) {
           std::atomic_ref<uint8_t>(flags[k]).store(
               1, std::memory_order_relaxed);
         }

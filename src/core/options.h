@@ -85,15 +85,10 @@ struct Options {
   /// 0 disables the pre-filter.
   int prefilter_beta = 8;
 
-  /// Use the AVX2 dominance kernels when the CPU supports them.
+  /// Use the AVX2 dominance kernels when the CPU supports them. Off runs
+  /// the scalar kernels, the batched window scans included (the tile
+  /// kernels of dominance/batch.h exist in both flavours).
   bool use_simd = true;
-
-  /// Route the hot window scans through the batched SoA tile kernels
-  /// (dominance/batch.h): one candidate vs 8 window points per compare,
-  /// cache-blocked over the window. Honored by Q-Flow, Hybrid (M(S) and
-  /// peer scans) and the sharded merge; off restores the one-vs-one
-  /// paths for ablation.
-  bool use_batch = true;
 
   /// Collect dominance-test counters (small overhead).
   bool count_dts = false;

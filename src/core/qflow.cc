@@ -34,7 +34,7 @@ Result QFlowCompute(const Dataset& data, const Options& opts) {
 
   WallTimer total;
   Executor::TaskGroup group(opts.ResolvedExecutor(), opts.ResolvedThreads());
-  DomCtx dom(data.dims(), data.stride(), opts.use_simd, opts.use_batch);
+  DomCtx dom(data.dims(), data.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
 
   WorkingSet ws = WorkingSet::FromDataset(data, group);
@@ -49,22 +49,17 @@ Result QFlowCompute(const Dataset& data, const Options& opts) {
   const size_t stride = static_cast<size_t>(ws.stride);
   const size_t row_bytes = sizeof(Value) * stride;
 
-  // Global skyline S: contiguous rows + original ids, append-only. In
-  // batch mode a transposed SoA mirror of S (and a per-block tile set of
-  // Phase II survivors) feeds the 8-lane window kernels.
+  // Global skyline S: contiguous rows + original ids, append-only. A
+  // transposed SoA mirror of S (and a per-block tile set of Phase II
+  // survivors) feeds the 8-lane window kernels.
   AlignedBuffer<Value> sky_rows(ws.count * stride);
   std::vector<PointId> sky_ids;
   sky_ids.reserve(1024);
   size_t sky_count = 0;
   const auto sky_row = [&](size_t i) { return sky_rows.data() + i * stride; };
 
-  const bool batch = dom.batch();
-  TileBlock sky_tiles;
-  TileBlock block_tiles;
-  if (batch) {
-    sky_tiles.Reset(ws.dims, ws.count);
-    block_tiles.Reset(ws.dims, std::min(alpha, ws.count));
-  }
+  TileBlock sky_tiles(ws.dims, ws.count);
+  TileBlock block_tiles(ws.dims, std::min(alpha, ws.count));
 
   std::vector<uint8_t> flags(std::min(alpha, ws.count));
 
@@ -79,14 +74,14 @@ Result QFlowCompute(const Dataset& data, const Options& opts) {
 
     // ---- Phase I: each block point vs. the known global skyline, in the
     // exact order a sequential algorithm would use (Algorithm 1 l.6-8).
-    // Batch mode filters each candidate run against the SoA mirror of S
-    // with the cache-blocked tile scan; the verdict per point is
-    // identical, only the evaluation width changes.
+    // Each candidate run is filtered against the SoA mirror of S with the
+    // cache-blocked tile scan; the verdict per point is that of the
+    // one-vs-one test, only the evaluation width changes.
     phase.Restart();
     // Tiny windows favour the one-vs-one scan: its per-point early exit
     // finds the (L1-strong) first dominators in a couple of tests, while
     // a tile pass always pays for 8 lanes.
-    const bool batch_window = batch && sky_count >= kBatchWindowMin;
+    const bool batch_window = sky_count >= kBatchWindowMin;
     group.ParallelFor(blen, kPhaseGrain, [&](size_t lo, size_t hi) {
       uint64_t dts = 0;
       if (batch_window) {
@@ -114,19 +109,17 @@ Result QFlowCompute(const Dataset& data, const Options& opts) {
 
     // ---- Phase II: survivors vs. preceding in-block survivors
     // (Algorithm 1 l.10-12). If Q[j] dominates Q[k], Q[k] is dominated
-    // regardless of Q[j]'s own (still unsettled) fate. Batch mode tiles
-    // the survivor range once, then each point scans its prefix of tiles
-    // (the ragged head tile handled by a lane mask).
+    // regardless of Q[j]'s own (still unsettled) fate. The survivor range
+    // is tiled once, then each point scans its prefix of tiles (the
+    // ragged head tile handled by a lane mask).
     std::fill_n(flags.begin(), survivors, uint8_t{0});
-    if (batch) {
-      block_tiles.Clear();
-      block_tiles.AppendRows(ws.Row(b), ws.stride, survivors);
-    }
+    block_tiles.Clear();
+    block_tiles.AppendRows(ws.Row(b), ws.stride, survivors);
     group.ParallelFor(survivors, kPhaseGrain, [&](size_t lo, size_t hi) {
       uint64_t dts = 0;
       for (size_t k = lo; k < hi; ++k) {
         const Value* q = ws.Row(b + k);
-        if (batch && k >= kBatchPrefixMin) {
+        if (k >= kBatchPrefixMin) {
           if (dom.DominatedByAny(q, block_tiles, k, &dts)) flags[k] = 1;
           continue;
         }
@@ -148,7 +141,7 @@ Result QFlowCompute(const Dataset& data, const Options& opts) {
       std::memcpy(sky_row(sky_count + k), ws.Row(b + k), row_bytes);
       sky_ids.push_back(ws.ids[b + k]);
     }
-    if (batch) sky_tiles.AppendRows(ws.Row(b), ws.stride, confirmed);
+    sky_tiles.AppendRows(ws.Row(b), ws.stride, confirmed);
     sky_count += confirmed;
     st.compress_seconds += phase.Lap();
 

@@ -153,28 +153,13 @@ bool SkyStructure::Dominated(const Value* q, Mask qmask, const DomCtx& dom,
       dominated = true;  // the pivot itself dominates q (line 6)
       break;
     }
-    if (dom.batch()) {
-      // Batched member scan: the partition range [s+1, t) maps onto the
-      // global SoA tiles; the level-2 filter (line 8) runs 8 masks per
-      // compare inside the same kernel that tests the surviving lanes.
-      dominated = dom.DominatedInMaskedRange(q, tiles_, masks_.data(), m2,
-                                             s + 1, t, nullptr, &local_dts,
-                                             &local_skips);
-      continue;
-    }
-    for (uint32_t j = s + 1; j < t; ++j) {
-      // Level-2 filter (line 8): member masks are relative to the pivot,
-      // exactly comparable with m2.
-      if (MaskIncomparable(masks_[j], m2)) {
-        ++local_skips;
-        continue;
-      }
-      ++local_dts;
-      if (dom.Dominates(Row(j), q)) {
-        dominated = true;
-        break;
-      }
-    }
+    // Member scan: the partition range [s+1, t) maps onto the global SoA
+    // tiles; the level-2 filter (line 8) — member masks are relative to
+    // the pivot, exactly comparable with m2 — runs 8 masks per compare
+    // inside the same kernel that tests the surviving lanes.
+    dominated = dom.DominatedInMaskedRange(q, tiles_, masks_.data(), m2,
+                                           s + 1, t, nullptr, &local_dts,
+                                           &local_skips);
   }
   if (dts != nullptr) *dts += local_dts;
   if (skips != nullptr) *skips += local_skips;
@@ -204,7 +189,7 @@ void SkyStructure::CheckInvariants() const {
   SKY_CHECK(ids_.size() == count_ && masks_.size() == count_);
   // The SoA mirror must track rows_ bit-identically (NaN payloads
   // included), lane for lane — a stale mirror would silently corrupt the
-  // batched Dominated scan after a remove/repack.
+  // Dominated scan after a remove/repack.
   SKY_CHECK(tiles_.size() == count_);
   for (size_t i = 0; i < count_; ++i) {
     const Value* lane = tiles_.Tile(i / kSimdWidth) + i % kSimdWidth;

@@ -37,7 +37,7 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
 
   WallTimer total;
   Executor::TaskGroup group(opts.ResolvedExecutor(), opts.ResolvedThreads());
-  DomCtx dom(data.dims(), data.stride(), opts.use_simd, opts.use_batch);
+  DomCtx dom(data.dims(), data.stride(), opts.use_simd);
 
   WorkingSet ws = WorkingSet::FromDataset(data, group);
   WallTimer phase;
@@ -64,13 +64,10 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
   // confirmed band (appended as members confirm), `block_tiles` is rebuilt
   // per block over the Phase II survivors. Capped counting keeps the exact
   // classification: CountDominators is exact below cap and any count >= k
-  // flags identically.
-  TileBlock band_tiles;
-  TileBlock block_tiles;
-  if (dom.batch()) {
-    band_tiles.Reset(data.dims(), ws.count);
-    block_tiles.Reset(data.dims(), std::min(alpha, ws.count));
-  }
+  // flags identically. Below kBatchWindowMin band members (Phase I) and
+  // kBatchPrefixMin peers (Phase II) the one-vs-one scan is cheaper.
+  TileBlock band_tiles(data.dims(), ws.count);
+  TileBlock block_tiles(data.dims(), std::min(alpha, ws.count));
 
   for (size_t b = 0; b < ws.count; b += alpha) {
     CheckCancel(opts.cancel);  // per-block deadline checkpoint
@@ -82,7 +79,7 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
     // Phase I: count dominators among confirmed band members, stopping
     // as soon as k is reached.
     phase.Restart();
-    const bool batch1 = dom.batch() && band_count >= kBatchWindowMin;
+    const bool batch1 = band_count >= kBatchWindowMin;
     group.ParallelFor(blen, 16, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
         const Value* q = ws.Row(b + i);
@@ -116,7 +113,7 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
     // dominating peer counts whether or not it is itself flagged (its
     // own >= k dominators also dominate us).
     std::fill_n(flags.begin(), survivors, uint8_t{0});
-    if (dom.batch() && survivors > kBatchPrefixMin) {
+    if (survivors > kBatchPrefixMin) {
       block_tiles.Clear();
       block_tiles.AppendRows(ws.Row(b), ws.stride, survivors);
     }
@@ -124,7 +121,7 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
       for (size_t i = lo; i < hi; ++i) {
         const Value* q = ws.Row(b + i);
         uint32_t c = counts[i];
-        if (dom.batch() && i >= kBatchPrefixMin) {
+        if (i >= kBatchPrefixMin) {
           if (c < k) {
             c = std::min(
                 c + dom.CountDominators(q, block_tiles, i, k - c, nullptr),
@@ -144,7 +141,7 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
     for (size_t i = 0; i < survivors; ++i) {
       if (flags[i]) continue;
       std::memcpy(band_row(band_count), ws.Row(b + i), row_bytes);
-      if (dom.batch()) band_tiles.PushRow(ws.Row(b + i));
+      band_tiles.PushRow(ws.Row(b + i));
       band_ids.push_back(ws.ids[b + i]);
       band_counts.push_back(counts[i]);
       ++band_count;

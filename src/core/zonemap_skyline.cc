@@ -108,7 +108,7 @@ ZonemapRunResult ZonemapSkylineRun(const Dataset& data,
     box_hi[c.dim] = std::min(box_hi[c.dim], c.hi);
   }
 
-  DomCtx dom(dims, data.stride(), opts.use_simd, opts.use_batch);
+  DomCtx dom(dims, data.stride(), opts.use_simd);
   uint64_t dts = 0;
 
   // Irregular rows (non-finite coordinates) are outside the min-corner

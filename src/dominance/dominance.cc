@@ -3,11 +3,8 @@
 
 namespace sky {
 
-DomCtx::DomCtx(int dims, int stride, bool use_simd, bool use_batch)
-    : d_(dims),
-      stride_(stride),
-      simd_(use_simd && CpuHasAvx2()),
-      batch_(use_batch) {
+DomCtx::DomCtx(int dims, int stride, bool use_simd)
+    : d_(dims), stride_(stride), simd_(use_simd && CpuHasAvx2()) {
   SKY_CHECK(dims >= 1 && dims <= kMaxDims);
   SKY_CHECK(stride >= dims && stride % kSimdWidth == 0);
 }

@@ -90,16 +90,13 @@ class TileBlock;  // SoA tiles for the batched kernels (dominance/batch.h)
 class DomCtx {
  public:
   /// `use_simd` requests the vector kernels; silently falls back to scalar
-  /// when the build or CPU lacks AVX2. `use_batch` additionally routes the
-  /// hot window scans through the SoA tile kernels (dominance/batch.h);
-  /// turning it off restores the one-vs-one paths for ablation.
-  DomCtx(int dims, int stride, bool use_simd, bool use_batch = true);
+  /// when the build or CPU lacks AVX2. The hot window scans always run the
+  /// SoA tile entry points below, in the same flavour.
+  DomCtx(int dims, int stride, bool use_simd);
 
   int dims() const { return d_; }
   int stride() const { return stride_; }
   bool simd() const { return simd_; }
-  /// True when consumers should prefer the batched tile entry points.
-  bool batch() const { return batch_; }
 
   SKY_ALWAYS_INLINE bool Dominates(const Value* p, const Value* q) const {
     return simd_ ? DominatesAvx2(p, q, stride_) : DominatesScalar(p, q, d_);
@@ -170,7 +167,6 @@ class DomCtx {
   int d_;
   int stride_;
   bool simd_;
-  bool batch_;
 };
 
 }  // namespace sky

@@ -224,9 +224,8 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
     return merged_ids[row];
   };
   std::vector<PointId> members;
-  const DomCtx merge_dom(view_dims, merged.stride(), opts.use_simd,
-                         opts.use_batch);
-  if (total > 0 && merge_dom.batch() && total <= kBatchMergeMaxRows) {
+  const DomCtx merge_dom(view_dims, merged.stride(), opts.use_simd);
+  if (total > 0 && total <= kBatchMergeMaxRows) {
     // Small unions skip the full algorithm run: tile the union once and
     // test every candidate against it with the cache-blocked batch
     // kernels, minus ComputeSkyline's WorkingSet copy, sort, and
@@ -1042,19 +1041,14 @@ QueryResult SkylineEngine::Execute(const std::string& name,
 
   // Admission control — after the cache lookup (hits are cheap and
   // always served), before any compute resource is committed. The
-  // in-flight gauge and the executor backlog are advisory shed
-  // thresholds, not synchronisation points, so relaxed ops suffice.
+  // in-flight gauge is an advisory shed threshold, not a synchronisation
+  // point, so relaxed ops suffice.
   const int prior_inflight = inflight_.fetch_add(1, std::memory_order_relaxed);
   struct InflightGuard {
     std::atomic<int>& gauge;
     ~InflightGuard() { gauge.fetch_sub(1, std::memory_order_relaxed); }
   } inflight_guard{inflight_};
-  const bool over_inflight =
-      config_.max_inflight > 0 && prior_inflight >= config_.max_inflight;
-  const bool over_queue =
-      !over_inflight && config_.max_queue_depth > 0 &&
-      executor_.Counters().queue_depth > config_.max_queue_depth;
-  if (over_inflight || over_queue) {
+  if (config_.max_inflight > 0 && prior_inflight >= config_.max_inflight) {
     return finish(stale_or(Status::kOverloaded), Exit::kShed,
                   Status::kOverloaded);
   }

@@ -169,11 +169,6 @@ class SkylineEngine {
     /// cap is shed immediately with Status::kOverloaded (or answered
     /// stale under `serve_stale`). Mutations are not admission-gated.
     int max_inflight = 0;
-    /// Shed fresh computes while the shared executor's backlog (queued,
-    /// not-yet-running tasks) exceeds this bound; 0 = unbounded. Guards
-    /// against deep fork-join pileups that `max_inflight` alone cannot
-    /// see when each query fans out many tasks.
-    size_t max_queue_depth = 0;
     /// Degraded answers instead of failures: a shed or deadline-exceeded
     /// query with a TTL-expired result-cache entry for its exact key is
     /// answered from that entry, marked QueryResult::stale. Requires

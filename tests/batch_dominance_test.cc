@@ -665,27 +665,23 @@ TEST(PaddingLanes, NeverDominateAnyProbe) {
   }
 }
 
-/// End-to-end: the batched hot loops must produce row-identical skylines
-/// to the non-batched paths on adversarial data (ties, duplicates).
-TEST(BatchedAlgorithms, MatchNonBatchedSkylines) {
+/// End-to-end: the batched hot loops must produce exactly the skyline of
+/// the independent brute-force oracle on adversarial data (ties,
+/// duplicates), across several blocks and a ragged last block.
+TEST(BatchedAlgorithms, MatchReferenceSkyline) {
   for (const auto dist : {Distribution::kIndependent,
                           Distribution::kAnticorrelated}) {
     for (const int d : {2, 5, 8}) {
       Dataset data = GenerateSynthetic(dist, 6000, d, 271);
+      const std::vector<PointId> expect = test::ReferenceSkyline(data);
       for (const Algorithm algo : {Algorithm::kQFlow, Algorithm::kHybrid}) {
-        Options on;
-        on.algorithm = algo;
-        on.threads = 2;
-        on.alpha = 512;  // several blocks, ragged last block
-        on.use_batch = true;
-        Options off = on;
-        off.use_batch = false;
-        const Result a = algo == Algorithm::kQFlow ? QFlowCompute(data, on)
-                                                   : HybridCompute(data, on);
-        const Result b = algo == Algorithm::kQFlow
-                             ? QFlowCompute(data, off)
-                             : HybridCompute(data, off);
-        EXPECT_EQ(test::Sorted(a.skyline), test::Sorted(b.skyline))
+        Options opts;
+        opts.algorithm = algo;
+        opts.threads = 2;
+        opts.alpha = 512;  // several blocks, ragged last block
+        const Result r = algo == Algorithm::kQFlow ? QFlowCompute(data, opts)
+                                                   : HybridCompute(data, opts);
+        EXPECT_EQ(test::Sorted(r.skyline), expect)
             << AlgorithmName(algo) << " dist=" << static_cast<int>(dist)
             << " d=" << d;
       }

@@ -5,10 +5,6 @@
 // dominance-test counts — at the tile-kernel level (DomCtx::
 // DominatedByAny / FilterTile), at the algorithm level (Q-Flow, Hybrid)
 // and through the sharded engine (per-shard runs plus the M(S) merge).
-// The batch toggle is different: the tile kernels count per-lane tests
-// and walk the window in cache-blocked order, so batch-on and batch-off
-// counts legitimately differ; those runs are only checked for verdict
-// agreement, not count equality.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,46 +68,23 @@ TEST(DominanceAccountingTest, AlgorithmsCountIdenticallyAcrossSimdToggle) {
        {Distribution::kIndependent, Distribution::kAnticorrelated}) {
     const Dataset data = GenerateSynthetic(dist, 4000, 6, /*seed=*/29);
     for (const Algorithm algo : {Algorithm::kQFlow, Algorithm::kHybrid}) {
-      for (const bool use_batch : {true, false}) {
-        Options opts;
-        opts.algorithm = algo;
-        opts.threads = 1;
-        opts.count_dts = true;
-        opts.use_batch = use_batch;
+      Options opts;
+      opts.algorithm = algo;
+      opts.threads = 1;
+      opts.count_dts = true;
 
-        opts.use_simd = false;
-        const Result scalar = ComputeSkyline(data, opts);
-        opts.use_simd = true;
-        const Result simd = ComputeSkyline(data, opts);
+      opts.use_simd = false;
+      const Result scalar = ComputeSkyline(data, opts);
+      opts.use_simd = true;
+      const Result simd = ComputeSkyline(data, opts);
 
-        EXPECT_EQ(Sorted(scalar.skyline), Sorted(simd.skyline))
-            << AlgorithmName(algo) << " batch=" << use_batch;
-        EXPECT_EQ(scalar.stats.dominance_tests, simd.stats.dominance_tests)
-            << AlgorithmName(algo) << " batch=" << use_batch;
-        EXPECT_GT(scalar.stats.dominance_tests, 0u);
-      }
+      EXPECT_EQ(Sorted(scalar.skyline), Sorted(simd.skyline))
+          << AlgorithmName(algo);
+      EXPECT_EQ(scalar.stats.dominance_tests, simd.stats.dominance_tests)
+          << AlgorithmName(algo);
+      EXPECT_GT(scalar.stats.dominance_tests, 0u);
     }
   }
-}
-
-TEST(DominanceAccountingTest, BatchToggleAgreesOnVerdictsNotCounts) {
-  // Ablation sanity for the audited divergence: the batched tile scans
-  // count per-lane tests in cache-blocked order, the one-vs-one paths
-  // count early-outed scalar probes, so the totals differ by design —
-  // but the skyline must not.
-  const Dataset data =
-      GenerateSynthetic(Distribution::kAnticorrelated, 3000, 5, /*seed=*/31);
-  Options opts;
-  opts.algorithm = Algorithm::kHybrid;
-  opts.threads = 1;
-  opts.count_dts = true;
-  opts.use_batch = true;
-  const Result batched = ComputeSkyline(data, opts);
-  opts.use_batch = false;
-  const Result unbatched = ComputeSkyline(data, opts);
-  EXPECT_EQ(Sorted(batched.skyline), Sorted(unbatched.skyline));
-  EXPECT_GT(batched.stats.dominance_tests, 0u);
-  EXPECT_GT(unbatched.stats.dominance_tests, 0u);
 }
 
 TEST(DominanceAccountingTest, ShardedEngineCountsIdenticallyAcrossSimd) {

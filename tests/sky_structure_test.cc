@@ -68,11 +68,10 @@ TEST(SkyStructure, AppendMaintainsInvariants) {
 }
 
 class SkyStructureDominance
-    : public ::testing::TestWithParam<std::tuple<Distribution, int, bool>> {
-};
+    : public ::testing::TestWithParam<std::tuple<Distribution, int>> {};
 
 TEST_P(SkyStructureDominance, MatchesBruteForceScan) {
-  const auto [dist, d, batch] = GetParam();
+  const auto [dist, d] = GetParam();
   Fixture f(dist, 1500, d, 77);
   // Probe points: random grid points (some dominated, some not).
   Dataset probes = GenerateSynthetic(dist, 500, d, 123);
@@ -82,7 +81,7 @@ TEST_P(SkyStructureDominance, MatchesBruteForceScan) {
   // scans must count identically, lane for lane.
   std::vector<std::pair<uint64_t, uint64_t>> counts[2];
   for (const bool use_simd : {false, true}) {
-    DomCtx dom(f.ws.dims, f.ws.stride, use_simd, batch);
+    DomCtx dom(f.ws.dims, f.ws.stride, use_simd);
     SkyStructure s(f.ws.dims, f.ws.stride, f.ws.count);
     // Append the first half as "known skyline".
     s.Append(f.ws, 0, half, dom);
@@ -107,8 +106,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Distribution::kCorrelated,
                                          Distribution::kIndependent,
                                          Distribution::kAnticorrelated),
-                       ::testing::Values(2, 5, 8, 12),
-                       ::testing::Bool()));  // batched vs one-vs-one scan
+                       ::testing::Values(2, 5, 8, 12)));
 
 TEST(SkyStructure, MaskFiltersActuallySkipWork) {
   Fixture f(Distribution::kAnticorrelated, 3000, 8, 13);

@@ -7,6 +7,7 @@
 
 #include "core/skyline.h"
 #include "data/generator.h"
+#include "dominance/batch.h"
 #include "test_util.h"
 
 namespace sky {
@@ -64,6 +65,13 @@ TEST_P(SkybandSweep, MembershipAndCountsMatchBruteForce) {
     if (c < k) expect.push_back(id);
   }
   ASSERT_EQ(test::Sorted(band.skyband), expect);
+  if (dist == Distribution::kAnticorrelated) {
+    // Each block confirms at most alpha members, so a final band of at
+    // least kBatchWindowMin + alpha means some block's Phase I started
+    // with a window of kBatchWindowMin members and ran the tile kernels:
+    // the batched count stays oracle-checked.
+    EXPECT_GE(band.skyband.size(), kBatchWindowMin + o.alpha);
+  }
   // Counts: exact for members.
   for (size_t i = 0; i < band.skyband.size(); ++i) {
     ASSERT_EQ(band.dominator_counts[i], truth.at(band.skyband[i]))

@@ -52,7 +52,6 @@ struct CliArgs {
   std::string pivot = "median";
   uint64_t seed = 42;
   bool no_simd = false;
-  bool no_batch = false;
   bool stats = false;
   bool verify = false;
   // Query-engine surface; any non-default value routes through the engine.
@@ -116,7 +115,6 @@ struct CliArgs {
       "  --pivot=NAME     median|balanced|manhattan|volume|random\n"
       "  --seed=S         generator / random pivot seed\n"
       "  --no-simd        scalar dominance kernels\n"
-      "  --no-batch       one-vs-one window scans (disable SoA tile kernels)\n"
       "  --stats          print the phase breakdown\n"
       "  --verify         cross-check against the BNL oracle\n"
       "query engine (any of these routes the run through SkylineEngine):\n"
@@ -274,7 +272,6 @@ CliArgs Parse(int argc, char** argv) {
     else if (Flag(argv[i], "--stats-json", &v) && v) a.stats_json = v;
     else if (Flag(argv[i], "--stats-prom", &v) && v) a.stats_prom = v;
     else if (Flag(argv[i], "--no-simd", &v)) a.no_simd = true;
-    else if (Flag(argv[i], "--no-batch", &v)) a.no_batch = true;
     else if (Flag(argv[i], "--stats", &v)) a.stats = true;
     else if (Flag(argv[i], "--verify", &v)) a.verify = true;
     else if (Flag(argv[i], "--version", &v)) Version();
@@ -308,7 +305,6 @@ Options BuildOptions(const CliArgs& a, Algorithm algo) {
   o.block_rows = a.block_rows;
   o.pivot = ParsePivotPolicy(a.pivot);
   o.use_simd = !a.no_simd;
-  o.use_batch = !a.no_batch;
   o.count_dts = true;
   o.trace = a.trace;
   o.seed = a.seed;
