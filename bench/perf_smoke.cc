@@ -13,6 +13,10 @@
 // A third gate covers the zonemap index: a 1%-box constrained query at
 // anti n=200k d=8 served through the shard's index must be >= 2x faster
 // than the materialize-view + sequential-scan baseline.
+// A fourth gate covers the query-view load: for a 3%-wide one-dimension
+// box over HouseLike n=500k at t=1, the RowSource load through a warm
+// zonemap index must be >= 1.5x faster than MaterializeView followed by
+// the WorkingSet copy of the view.
 //
 //   perf_smoke [--out=PATH] [--check]
 //
@@ -33,12 +37,17 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "common/timer.h"
+#include "data/realistic.h"
+#include "data/row_source.h"
+#include "data/working_set.h"
 #include "dominance/batch.h"
 #include "dominance/dominance.h"
+#include "index/zonemap.h"
 #include "parallel/executor.h"
 #include "query/delta.h"
 #include "query/engine.h"
 #include "query/shard_map.h"
+#include "query/view.h"
 
 namespace sky {
 namespace {
@@ -353,6 +362,44 @@ ArmPair ZonemapPair(int repeats) {
   });
 }
 
+/// The working copy a constrained Q-Flow / Hybrid run starts from: a
+/// 3%-wide dim-0 box over HouseLike n=500k d=6 at t=1. Arm 0 is the
+/// two-pass path — MaterializeView box-tests every row, then the view is
+/// copied into a WorkingSet; arm 1 is the RowSource load walking a warm
+/// zonemap index (built outside the timed region), which skips disjoint
+/// blocks and copies inside ones untested. The arms alternate
+/// (AlternatePair) and the box moves per run. Returns {view_copy,
+/// rowsource, speedup}; ns_per_op is one load.
+ArmPair LoadPair(int repeats) {
+  constexpr size_t kN = 500'000;
+  const Dataset data = GenerateHouseLike(kN, 42);
+  const ZoneMapIndex index = ZoneMapIndex::Build(data);
+  Options serial;
+  serial.threads = 1;
+  Executor::TaskGroup group(nullptr, 1);
+  const std::string cell =
+      "/house/n=" + std::to_string(kN) + "/d=6/box=3pct/t=1";
+  const std::string names[2] = {"load/view_copy" + cell,
+                                "load/rowsource" + cell};
+  int runs[2] = {0, 0};  // run r of either arm loads box r
+  return AlternatePair(repeats, [&](int arm) {
+    QuerySpec q;
+    const float lo = 0.20f + 0.01f * static_cast<float>(runs[arm]++);
+    q.Constrain(0, lo, lo + 0.03f);
+    const QuerySpec canon = q.Canonicalize(data.dims());
+    WallTimer t;
+    if (arm == 0) {
+      const QueryView view = MaterializeView(data, canon, serial);
+      const WorkingSet ws = WorkingSet::Load(view.data, group);
+    } else {
+      const WorkingSet ws =
+          WorkingSet::Load(RowSource(data, canon, &index), group);
+    }
+    const double ns = std::max(t.Seconds(), 1e-12) * 1e9;
+    return Entry{names[arm], ns, 0.0};
+  });
+}
+
 /// A pair's ratio as its gate reads it, named after the entry whose
 /// printed line shows it.
 struct Ratio {
@@ -487,6 +534,24 @@ int Main(int argc, char** argv) {
       std::fprintf(stderr,
                    "perf_smoke: GATE FAILED: zonemap-served constrained "
                    "query only %.2fx the scan baseline (need >= 2x)\n",
+                   speedup);
+      gate_ok = false;
+    }
+  }
+
+  // ---- Query-view load: RowSource through the index vs view + copy.
+  {
+    const auto [view_copy, load, speedup] = LoadPair(repeats);
+    entries.push_back(load);
+    entries.push_back(view_copy);
+    ratios.push_back({view_copy.name, speedup});
+    std::printf("%-48s %12.0f ns/op\n", load.name.c_str(), load.ns_per_op);
+    std::printf("%-48s %12.0f ns/op  (rowsource %.2fx faster)\n",
+                view_copy.name.c_str(), view_copy.ns_per_op, speedup);
+    if (check && speedup < 1.5) {
+      std::fprintf(stderr,
+                   "perf_smoke: GATE FAILED: RowSource load only %.2fx the "
+                   "view + copy path (need >= 1.5x)\n",
                    speedup);
       gate_ok = false;
     }

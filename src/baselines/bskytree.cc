@@ -199,19 +199,20 @@ class Builder {
 
 }  // namespace
 
-Result BSkyTreeCompute(const Dataset& data, const Options& opts) {
+Result BSkyTreeCompute(const RowSource& source, const Options& opts) {
   Result res;
   RunStats& st = res.stats;
-  if (data.count() == 0) return res;
+  if (source.rows().count() == 0) return res;
   WallTimer total;
   Executor::TaskGroup group(nullptr, 1);
-  DomCtx dom(data.dims(), data.stride(), opts.use_simd);
+  DomCtx dom(source.dims(), source.stride(), opts.use_simd);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(source, group, opts.cancel);
+  if (ws.count == 0) return res;
   WallTimer phase;
   ws.ComputeL1(group);  // used by the Manhattan subset-pivot policy
-  const std::vector<Value> lo = data.MinPerDim();
-  const std::vector<Value> hi = data.MaxPerDim();
+  const std::vector<Value> lo = ws.MinPerDim();
+  const std::vector<Value> hi = ws.MaxPerDim();
   st.init_seconds = phase.Lap();
 
   Builder builder(ws, dom, lo, hi, opts.pivot, opts.seed);

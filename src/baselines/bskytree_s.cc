@@ -13,16 +13,17 @@
 
 namespace sky {
 
-Result BSkyTreeSCompute(const Dataset& data, const Options& opts) {
+Result BSkyTreeSCompute(const RowSource& source, const Options& opts) {
   Result res;
   RunStats& st = res.stats;
-  if (data.count() == 0) return res;
+  if (source.rows().count() == 0) return res;
   WallTimer total;
   Executor::TaskGroup group(nullptr, 1);  // sequential by design
-  DomCtx dom(data.dims(), data.stride(), opts.use_simd);
+  DomCtx dom(source.dims(), source.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(source, group, opts.cancel);
+  if (ws.count == 0) return res;
   WallTimer phase;
   ws.ComputeL1(group);
   st.init_seconds += phase.Lap();

@@ -10,11 +10,11 @@
 #define SKY_BASELINES_BSKYTREE_S_H_
 
 #include "core/options.h"
-#include "data/dataset.h"
+#include "data/row_source.h"
 
 namespace sky {
 
-Result BSkyTreeSCompute(const Dataset& data, const Options& opts);
+Result BSkyTreeSCompute(const RowSource& source, const Options& opts);
 
 }  // namespace sky
 

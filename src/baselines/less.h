@@ -11,11 +11,11 @@
 #define SKY_BASELINES_LESS_H_
 
 #include "core/options.h"
-#include "data/dataset.h"
+#include "data/row_source.h"
 
 namespace sky {
 
-Result LessCompute(const Dataset& data, const Options& opts);
+Result LessCompute(const RowSource& source, const Options& opts);
 
 }  // namespace sky
 

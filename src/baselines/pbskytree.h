@@ -10,11 +10,11 @@
 #define SKY_BASELINES_PBSKYTREE_H_
 
 #include "core/options.h"
-#include "data/dataset.h"
+#include "data/row_source.h"
 
 namespace sky {
 
-Result PBSkyTreeCompute(const Dataset& data, const Options& opts);
+Result PBSkyTreeCompute(const RowSource& source, const Options& opts);
 
 }  // namespace sky
 

@@ -8,11 +8,11 @@
 #define SKY_BASELINES_PSFS_H_
 
 #include "core/options.h"
-#include "data/dataset.h"
+#include "data/row_source.h"
 
 namespace sky {
 
-Result PsfsCompute(const Dataset& data, const Options& opts);
+Result PsfsCompute(const RowSource& source, const Options& opts);
 
 }  // namespace sky
 

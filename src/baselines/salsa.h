@@ -8,11 +8,11 @@
 #define SKY_BASELINES_SALSA_H_
 
 #include "core/options.h"
-#include "data/dataset.h"
+#include "data/row_source.h"
 
 namespace sky {
 
-Result SalsaCompute(const Dataset& data, const Options& opts);
+Result SalsaCompute(const RowSource& source, const Options& opts);
 
 }  // namespace sky
 

@@ -11,16 +11,17 @@
 
 namespace sky {
 
-Result SfsCompute(const Dataset& data, const Options& opts) {
+Result SfsCompute(const RowSource& source, const Options& opts) {
   Result res;
   RunStats& st = res.stats;
-  if (data.count() == 0) return res;
+  if (source.rows().count() == 0) return res;
   WallTimer total;
   Executor::TaskGroup group(nullptr, 1);  // SFS is sequential
-  DomCtx dom(data.dims(), data.stride(), opts.use_simd);
+  DomCtx dom(source.dims(), source.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(source, group, opts.cancel);
+  if (ws.count == 0) return res;
   WallTimer phase;
   ws.ComputeL1(group);
   SortByL1(ws, group);

@@ -7,11 +7,11 @@
 #define SKY_BASELINES_SFS_H_
 
 #include "core/options.h"
-#include "data/dataset.h"
+#include "data/row_source.h"
 
 namespace sky {
 
-Result SfsCompute(const Dataset& data, const Options& opts);
+Result SfsCompute(const RowSource& source, const Options& opts);
 
 }  // namespace sky
 

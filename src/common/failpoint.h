@@ -11,8 +11,10 @@
 // through splitmix64), so a failing injection run replays exactly.
 //
 // Site catalog (kept current in README.md "Robust serving"):
-//   view_build      materialising any non-identity view: box filter,
-//                   projection or MAX flip (query/view.cc, once per build)
+//   view_build      any non-identity load or view: box filter, projection
+//                   or MAX flip — once per RowSource load (data/
+//                   row_source.cc; engine shard runs) and once per
+//                   MaterializeView (query/view.cc; the RunQuery path)
 //   zonemap_build   building the block zonemap index
 //   shard_execute   per-shard algorithm run inside the fan-out
 //   shard_repair    delta repair of one shard on insert/delete

@@ -2,6 +2,7 @@
 #include "core/algorithm_registry.h"
 
 #include <stdexcept>
+#include <vector>
 
 #include "baselines/apskyline.h"
 #include "baselines/bnl.h"
@@ -17,15 +18,22 @@
 #include "core/hybrid.h"
 #include "core/qflow.h"
 #include "core/zonemap_skyline.h"
+#include "parallel/executor.h"
 
 namespace sky {
 namespace {
 
 /// OSP = BSkyTree's recursion with a random skyline pivot [Zhang 2009].
-Result OspCompute(const Dataset& data, const Options& opts) {
+Result OspCompute(const RowSource& source, const Options& opts) {
   Options osp = opts;
   osp.pivot = PivotPolicy::kRandom;
-  return BSkyTreeCompute(data, osp);
+  return BSkyTreeCompute(source, osp);
+}
+
+/// Registry entry of an algorithm without a WorkingSet load of its own.
+template <Result (*Compute)(const Dataset&, const Options&)>
+Result OnDataset(const RowSource& source, const Options& opts) {
+  return RunOnMaterialized(source, opts, Compute);
 }
 
 // Cost coefficients are relative work units (~ns), calibrated against
@@ -55,7 +63,7 @@ Result OspCompute(const Dataset& data, const Options& opts) {
 // Only auto-candidates need faithful coefficients; the rest carry
 // rough values for completeness.
 constexpr AlgorithmDescriptor kTable[] = {
-    {Algorithm::kBnl, "BNL", "bnl", &BnlCompute,
+    {Algorithm::kBnl, "BNL", "bnl", &OnDataset<&BnlCompute>,
      /*parallel=*/false, /*progressive=*/false, /*skyband=*/false,
      /*auto_candidate=*/false,
      {500, 0, 2, 1.60, 1.00, 0.0, 0.0}},
@@ -68,14 +76,14 @@ constexpr AlgorithmDescriptor kTable[] = {
     {Algorithm::kSalsa, "SaLSa", "salsa", &SalsaCompute,
      false, true, false, false,
      {1'000, 0, 10, 1.00, 1.00, 0.0, 0.0}},
-    {Algorithm::kSSkyline, "SSkyline", "sskyline", &SSkylineCompute,
+    {Algorithm::kSSkyline, "SSkyline", "sskyline", &OnDataset<&SSkylineCompute>,
      false, false, false, false,
      {500, 0, 2, 1.30, 1.00, 0.0, 0.0}},
-    {Algorithm::kPSkyline, "PSkyline", "pskyline", &PSkylineCompute,
+    {Algorithm::kPSkyline, "PSkyline", "pskyline", &OnDataset<&PSkylineCompute>,
      true, false, false, true,
      {15'000, 12'000, 2, 0.16, 1.35, 3.0, 0.88}},
-    {Algorithm::kAPSkyline, "APSkyline", "apskyline", &APSkylineCompute,
-     true, false, false, false,
+    {Algorithm::kAPSkyline, "APSkyline", "apskyline",
+     &OnDataset<&APSkylineCompute>, true, false, false, false,
      {10'000, 25'000, 3, 0.20, 1.30, 2.5, 0.88}},
     {Algorithm::kPsfs, "PSFS", "psfs", &PsfsCompute,
      true, true, false, false,
@@ -105,12 +113,33 @@ constexpr AlgorithmDescriptor kTable[] = {
     // exactly where its sub-shard AABB pruning pays — and charges every
     // other candidate the view materialization the direct path skips.
     // per_point covers the rank-sum cut when the index must be built.
-    {Algorithm::kZonemap, "Zonemap", "zonemap", &ZonemapSkylineCompute,
-     false, true, false, true,
+    {Algorithm::kZonemap, "Zonemap", "zonemap",
+     &OnDataset<&ZonemapSkylineCompute>, false, true, false, true,
      {4'000, 0, 7, 0.20, 1.12, 0.05, 0.0}},
 };
 
 }  // namespace
+
+Result RunOnMaterialized(const RowSource& source, const Options& opts,
+                         Result (*compute)(const Dataset&, const Options&)) {
+  if (source.identity()) return compute(source.rows(), opts);
+  const RowSource::Materialized loaded = [&] {
+    Executor::TaskGroup group(opts.ResolvedExecutor(),
+                              opts.ResolvedThreads());
+    return source.Materialize(group, opts.cancel);
+  }();
+  Options run = opts;
+  if (opts.progressive) {
+    run.progressive = [&](std::span<const PointId> rows) {
+      std::vector<PointId> ids(rows.size());
+      for (size_t i = 0; i < rows.size(); ++i) ids[i] = loaded.ids[rows[i]];
+      opts.progressive(ids);
+    };
+  }
+  Result res = compute(loaded.data, run);
+  for (PointId& id : res.skyline) id = loaded.ids[id];
+  return res;
+}
 
 std::span<const AlgorithmDescriptor> AlgorithmTable() { return kTable; }
 

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "core/options.h"
+#include "data/row_source.h"
 
 namespace sky {
 
@@ -35,13 +36,22 @@ struct AlgorithmDescriptor {
   Algorithm algorithm = Algorithm::kBnl;
   const char* name = "";        ///< canonical display name ("BSkyTree-S")
   const char* parse_name = "";  ///< canonical CLI spelling ("bskytree-s")
-  Result (*compute)(const Dataset&, const Options&) = nullptr;
+  /// Runs on the rows a RowSource loads and reports source row ids.
+  Result (*compute)(const RowSource&, const Options&) = nullptr;
   bool parallel = false;     ///< uses more than one thread
   bool progressive = false;  ///< honors Options::progressive
   bool skyband = false;      ///< ComputeSkyband reuses its block-flow core
   bool auto_candidate = false;  ///< eligible for kAuto cost selection
   CostCoefficients cost;
 };
+
+/// Run `compute`, an algorithm over a plain Dataset, on `source`: an
+/// identity source passes its rows straight through; any other is
+/// materialized once (on opts' executor and thread budget, polling
+/// opts.cancel) and the skyline — and every progressive batch — mapped
+/// back to source rows.
+Result RunOnMaterialized(const RowSource& source, const Options& opts,
+                         Result (*compute)(const Dataset&, const Options&));
 
 /// Every registered algorithm, in Algorithm enum order. kAuto is not a
 /// row: it is a request that resolves to one of these.

@@ -54,18 +54,19 @@ bool DominatedByPeer(const WorkingSet& ws, size_t block_begin, size_t me,
 
 }  // namespace
 
-Result HybridCompute(const Dataset& data, const Options& opts) {
+Result HybridCompute(const RowSource& source, const Options& opts) {
   Result res;
   RunStats& st = res.stats;
-  if (data.count() == 0) return res;
+  if (source.rows().count() == 0) return res;
 
   WallTimer total;
   Executor::TaskGroup group(opts.ResolvedExecutor(), opts.ResolvedThreads());
-  DomCtx dom(data.dims(), data.stride(), opts.use_simd);
+  DomCtx dom(source.dims(), source.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
   DtCounter* counter_ptr = opts.count_dts ? &counter : nullptr;
 
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(source, group, opts.cancel);
+  if (ws.count == 0) return res;
   const int dims = ws.dims;
 
   // ---- Initialization part 1: L1 norms (parallel).

@@ -7,14 +7,14 @@
 #define SKY_CORE_HYBRID_H_
 
 #include "core/options.h"
-#include "data/dataset.h"
+#include "data/row_source.h"
 
 namespace sky {
 
 /// Compute SKY(data) with Hybrid. Honors opts.threads, opts.alpha,
 /// opts.pivot, opts.prefilter_beta, opts.use_simd, opts.count_dts and
 /// opts.progressive.
-Result HybridCompute(const Dataset& data, const Options& opts);
+Result HybridCompute(const RowSource& source, const Options& opts);
 
 }  // namespace sky
 

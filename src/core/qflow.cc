@@ -27,17 +27,18 @@ constexpr size_t kPhaseGrain = 16;
 // fits a few tiles and per-point early exit (the first dominators are
 // L1-strong and sit at the front) beats paying for 8 lanes per compare.
 
-Result QFlowCompute(const Dataset& data, const Options& opts) {
+Result QFlowCompute(const RowSource& source, const Options& opts) {
   Result res;
   RunStats& st = res.stats;
-  if (data.count() == 0) return res;
+  if (source.rows().count() == 0) return res;
 
   WallTimer total;
   Executor::TaskGroup group(opts.ResolvedExecutor(), opts.ResolvedThreads());
-  DomCtx dom(data.dims(), data.stride(), opts.use_simd);
+  DomCtx dom(source.dims(), source.stride(), opts.use_simd);
   DtCounter counter(opts.count_dts);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(source, group, opts.cancel);
+  if (ws.count == 0) return res;
 
   // Initialization: parallel L1 + sort ("Init." of paper Fig. 7).
   WallTimer phase;

@@ -6,13 +6,13 @@
 #define SKY_CORE_QFLOW_H_
 
 #include "core/options.h"
-#include "data/dataset.h"
+#include "data/row_source.h"
 
 namespace sky {
 
 /// Compute SKY(data) with Q-Flow. Honors opts.threads, opts.alpha,
 /// opts.use_simd, opts.count_dts and opts.progressive.
-Result QFlowCompute(const Dataset& data, const Options& opts);
+Result QFlowCompute(const RowSource& source, const Options& opts);
 
 }  // namespace sky
 

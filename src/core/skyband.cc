@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/cancel.h"
+#include "common/stats.h"
 #include "common/timer.h"
 #include "data/sorting.h"
 #include "data/working_set.h"
@@ -28,18 +29,20 @@ namespace sky {
 // flow of Q-Flow carries over: Phase I counts band dominators, Phase II
 // counts preceding in-block peers (flagged peers included — a flagged
 // dominator implies >= k+1 dominators anyway).
-SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
+SkybandResult ComputeSkyband(const RowSource& source, uint32_t k,
                              const Options& opts) {
   SkybandResult res;
   RunStats& st = res.stats;
   SKY_CHECK(k >= 1);
-  if (data.count() == 0) return res;
+  if (source.rows().count() == 0) return res;
 
   WallTimer total;
   Executor::TaskGroup group(opts.ResolvedExecutor(), opts.ResolvedThreads());
-  DomCtx dom(data.dims(), data.stride(), opts.use_simd);
+  DomCtx dom(source.dims(), source.stride(), opts.use_simd);
+  DtCounter counter(opts.count_dts);
 
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(source, group, opts.cancel);
+  if (ws.count == 0) return res;
   WallTimer phase;
   ws.ComputeL1(group);
   SortByL1(ws, group);
@@ -66,8 +69,8 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
   // classification: CountDominators is exact below cap and any count >= k
   // flags identically. Below kBatchWindowMin band members (Phase I) and
   // kBatchPrefixMin peers (Phase II) the one-vs-one scan is cheaper.
-  TileBlock band_tiles(data.dims(), ws.count);
-  TileBlock block_tiles(data.dims(), std::min(alpha, ws.count));
+  TileBlock band_tiles(ws.dims, ws.count);
+  TileBlock block_tiles(ws.dims, std::min(alpha, ws.count));
 
   for (size_t b = 0; b < ws.count; b += alpha) {
     CheckCancel(opts.cancel);  // per-block deadline checkpoint
@@ -81,20 +84,23 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
     phase.Restart();
     const bool batch1 = band_count >= kBatchWindowMin;
     group.ParallelFor(blen, 16, [&](size_t lo, size_t hi) {
+      uint64_t dts = 0;
       for (size_t i = lo; i < hi; ++i) {
         const Value* q = ws.Row(b + i);
         uint32_t c = 0;
         if (batch1) {
           c = std::min(
-              dom.CountDominators(q, band_tiles, band_count, k, nullptr), k);
+              dom.CountDominators(q, band_tiles, band_count, k, &dts), k);
         } else {
           for (size_t s = 0; s < band_count && c < k; ++s) {
+            ++dts;
             c += dom.Dominates(band_row(s), q);
           }
         }
         counts[i] = c;
         if (c >= k) flags[i] = 1;
       }
+      counter.AddTests(dts);
     });
     st.phase1_seconds += phase.Lap();
 
@@ -118,23 +124,25 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
       block_tiles.AppendRows(ws.Row(b), ws.stride, survivors);
     }
     group.ParallelFor(survivors, 16, [&](size_t lo, size_t hi) {
+      uint64_t dts = 0;
       for (size_t i = lo; i < hi; ++i) {
         const Value* q = ws.Row(b + i);
         uint32_t c = counts[i];
         if (i >= kBatchPrefixMin) {
           if (c < k) {
             c = std::min(
-                c + dom.CountDominators(q, block_tiles, i, k - c, nullptr),
-                k);
+                c + dom.CountDominators(q, block_tiles, i, k - c, &dts), k);
           }
         } else {
           for (size_t j = 0; j < i && c < k; ++j) {
+            ++dts;
             c += dom.Dominates(ws.Row(b + j), q);
           }
         }
         counts[i] = c;
         if (c >= k) flags[i] = 1;
       }
+      counter.AddTests(dts);
     });
     st.phase2_seconds += phase.Lap();
 
@@ -152,8 +160,14 @@ SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
   res.skyband = std::move(band_ids);
   res.dominator_counts = std::move(band_counts);
   st.skyline_size = band_count;
+  st.dominance_tests = counter.tests();
   st.total_seconds = total.Seconds();
   return res;
+}
+
+SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
+                             const Options& opts) {
+  return ComputeSkyband(RowSource(data), k, opts);
 }
 
 }  // namespace sky

@@ -14,6 +14,7 @@
 
 #include "core/options.h"
 #include "data/dataset.h"
+#include "data/row_source.h"
 
 namespace sky {
 
@@ -25,9 +26,14 @@ struct SkybandResult {
   RunStats stats;
 };
 
-/// Compute the k-skyband of `data`. k >= 1; k == 1 yields the skyline.
-/// opts.threads > 1 selects the parallel block algorithm; opts.alpha and
-/// opts.use_simd are honored. Other algorithm-selection fields ignored.
+/// Compute the k-skyband of the rows `source` loads (ids are source
+/// rows). k >= 1; k == 1 yields the skyline. opts.threads > 1 selects the
+/// parallel block algorithm; opts.alpha, opts.use_simd and opts.count_dts
+/// are honored. Other algorithm-selection fields ignored.
+SkybandResult ComputeSkyband(const RowSource& source, uint32_t k,
+                             const Options& opts = Options{});
+
+/// The k-skyband of `data` itself (its identity source).
 SkybandResult ComputeSkyband(const Dataset& data, uint32_t k,
                              const Options& opts = Options{});
 

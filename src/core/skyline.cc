@@ -10,13 +10,11 @@
 namespace sky {
 
 Result ComputeSkyline(const Dataset& data, const Options& opts) {
+  return ComputeSkyline(RowSource(data), opts);
+}
+
+Result ComputeSkyline(const RowSource& source, const Options& opts) {
   Options run = opts;
-  if (run.algorithm == Algorithm::kAuto) {
-    // Direct calls with kAuto sketch the input on the fly (the one
-    // deliberate core -> query arrow; the serving layer resolves from
-    // its registration-time sketches long before reaching here).
-    run.algorithm = ChooseAlgorithmForDataset(data, opts);
-  }
   // Arm the deadline here, at the one dispatch point every direct call
   // funnels through, and chain it to any caller-provided token. The
   // algorithms poll `run.cancel` at block / tile boundaries and unwind
@@ -28,7 +26,15 @@ Result ComputeSkyline(const Dataset& data, const Options& opts) {
     run.cancel = &deadline;
     run.deadline_ms = 0;
   }
-  return GetAlgorithmDescriptor(run.algorithm).compute(data, run);
+  if (run.algorithm == Algorithm::kAuto) {
+    // Direct calls with kAuto sketch the input on the fly (the one
+    // deliberate core -> query arrow; the serving layer resolves from
+    // its registration-time sketches long before reaching here). The
+    // sketch covers the source rows: a box or projection can change
+    // which candidate is cheapest, never the answer.
+    run.algorithm = ChooseAlgorithmForDataset(source.rows(), opts);
+  }
+  return GetAlgorithmDescriptor(run.algorithm).compute(source, run);
 }
 
 bool VerifySkyline(const Dataset& data,

@@ -15,6 +15,7 @@
 
 #include "core/options.h"
 #include "data/dataset.h"
+#include "data/row_source.h"
 
 namespace sky {
 
@@ -23,6 +24,11 @@ namespace sky {
 /// every non-dominated point — coincident duplicates of a skyline point
 /// are all reported, matching Definition 3 of the paper.
 Result ComputeSkyline(const Dataset& data, const Options& opts = Options{});
+
+/// The skyline of the rows `source` loads (box-filtered, projected and
+/// MAX-negated per its spec), reported as source row indices.
+Result ComputeSkyline(const RowSource& source,
+                      const Options& opts = Options{});
 
 /// Convenience: verify that `candidate` is exactly SKY(data) by the
 /// definition (O(n * |candidate| * d); test/debug use). Returns true on

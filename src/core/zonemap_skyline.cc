@@ -51,36 +51,12 @@ struct HeapLater {
   }
 };
 
-enum class BoxRel { kDisjoint, kInside, kPartial };
-
-/// Relation of an AABB to the (expanded, all-dims) constraint box.
-BoxRel ClassifyBox(const Value* lo, const Value* hi, const Value* box_lo,
-                   const Value* box_hi, int dims) {
-  bool inside = true;
-  for (int j = 0; j < dims; ++j) {
-    if (lo[j] > box_hi[j] || hi[j] < box_lo[j]) return BoxRel::kDisjoint;
-    inside &= lo[j] >= box_lo[j] && hi[j] <= box_hi[j];
-  }
-  return inside ? BoxRel::kInside : BoxRel::kPartial;
-}
-
 /// Finite rows only (a NaN would fail); mirrors MaterializeView's
 /// closed-interval predicate with unconstrained dims expanded to +-inf.
 bool RowInExpandedBox(const Value* row, const Value* box_lo,
                       const Value* box_hi, int dims) {
   for (int j = 0; j < dims; ++j) {
     if (!(row[j] >= box_lo[j] && row[j] <= box_hi[j])) return false;
-  }
-  return true;
-}
-
-/// Exact MaterializeView predicate for possibly-NaN rows: only constrained
-/// dimensions are tested, so a NaN on an unconstrained dimension passes.
-bool RowInConstraintBox(const Value* row,
-                        std::span<const DimConstraint> constraints) {
-  for (const DimConstraint& c : constraints) {
-    const Value v = row[c.dim];
-    if (!(v >= c.lo && v <= c.hi)) return false;
   }
   return true;
 }
@@ -117,7 +93,7 @@ ZonemapRunResult ZonemapSkylineRun(const Dataset& data,
   // dominate finite rows) and a final FilterTile pass folds them in.
   std::vector<uint32_t> extra;
   for (uint32_t row : index.irregular()) {
-    if (!boxed || RowInConstraintBox(data.Row(row), constraints)) {
+    if (!boxed || RowInConstraints(data.Row(row), constraints)) {
       extra.push_back(row);
     }
   }

@@ -129,31 +129,43 @@ Dataset Dataset::LoadBinary(const std::string& path) {
 }
 
 std::vector<Value> Dataset::MinPerDim() const {
-  if (count_ == 0) return {};
-  std::vector<Value> mins(Row(0), Row(0) + dims_);
-  for (size_t i = 1; i < count_; ++i) {
-    const Value* r = Row(i);
-    for (int j = 0; j < dims_; ++j) {
-      if (r[j] < mins[static_cast<size_t>(j)]) {
-        mins[static_cast<size_t>(j)] = r[j];
-      }
-    }
-  }
-  return mins;
+  return PerDimMin(rows_.data(), count_, stride_, dims_);
 }
 
 std::vector<Value> Dataset::MaxPerDim() const {
-  if (count_ == 0) return {};
-  std::vector<Value> maxs(Row(0), Row(0) + dims_);
-  for (size_t i = 1; i < count_; ++i) {
-    const Value* r = Row(i);
-    for (int j = 0; j < dims_; ++j) {
-      if (r[j] > maxs[static_cast<size_t>(j)]) {
-        maxs[static_cast<size_t>(j)] = r[j];
+  return PerDimMax(rows_.data(), count_, stride_, dims_);
+}
+
+namespace {
+
+template <typename Better>
+std::vector<Value> PerDimExtreme(const Value* rows, size_t count, int stride,
+                                 int dims, Better better) {
+  if (count == 0) return {};
+  std::vector<Value> out(rows, rows + dims);
+  for (size_t i = 1; i < count; ++i) {
+    const Value* r = rows + i * static_cast<size_t>(stride);
+    for (int j = 0; j < dims; ++j) {
+      if (better(r[j], out[static_cast<size_t>(j)])) {
+        out[static_cast<size_t>(j)] = r[j];
       }
     }
   }
-  return maxs;
+  return out;
+}
+
+}  // namespace
+
+std::vector<Value> PerDimMin(const Value* rows, size_t count, int stride,
+                             int dims) {
+  return PerDimExtreme(rows, count, stride, dims,
+                       [](Value a, Value b) { return a < b; });
+}
+
+std::vector<Value> PerDimMax(const Value* rows, size_t count, int stride,
+                             int dims) {
+  return PerDimExtreme(rows, count, stride, dims,
+                       [](Value a, Value b) { return a > b; });
 }
 
 }  // namespace sky

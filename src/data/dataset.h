@@ -80,6 +80,13 @@ class Dataset {
   AlignedBuffer<Value> rows_;
 };
 
+/// Column-wise minima / maxima of `count` rows of `stride` floats over
+/// their first `dims` columns, seeded from row 0 (empty when count == 0).
+std::vector<Value> PerDimMin(const Value* rows, size_t count, int stride,
+                             int dims);
+std::vector<Value> PerDimMax(const Value* rows, size_t count, int stride,
+                             int dims);
+
 }  // namespace sky
 
 #endif  // SKY_DATA_DATASET_H_

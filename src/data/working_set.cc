@@ -5,22 +5,27 @@
 
 namespace sky {
 
-WorkingSet WorkingSet::FromDataset(const Dataset& data,
-                                   Executor::TaskGroup& group) {
+WorkingSet WorkingSet::Load(const RowSource& source,
+                            Executor::TaskGroup& group,
+                            const CancelToken* cancel) {
   WorkingSet ws;
-  ws.dims = data.dims();
-  ws.stride = data.stride();
-  ws.count = data.count();
-  ws.rows.Reset(ws.count * static_cast<size_t>(ws.stride));
-  ws.ids.resize(ws.count);
-  const size_t row_bytes = sizeof(Value) * static_cast<size_t>(ws.stride);
-  group.ParallelForStatic(ws.count, [&](size_t b, size_t e, int) {
-    for (size_t i = b; i < e; ++i) {
-      std::memcpy(ws.MutableRow(i), data.Row(i), row_bytes);
-      ws.ids[i] = static_cast<PointId>(i);
-    }
+  ws.dims = source.dims();
+  ws.stride = source.stride();
+  source.Load(group, cancel, [&](size_t count) {
+    ws.count = count;
+    ws.rows.Reset(count * static_cast<size_t>(ws.stride));
+    ws.ids.resize(count);
+    return RowSource::Target{ws.rows.data(), ws.ids.data()};
   });
   return ws;
+}
+
+std::vector<Value> WorkingSet::MinPerDim() const {
+  return PerDimMin(rows.data(), count, stride, dims);
+}
+
+std::vector<Value> WorkingSet::MaxPerDim() const {
+  return PerDimMax(rows.data(), count, stride, dims);
 }
 
 void WorkingSet::ComputeL1(Executor::TaskGroup& group) {

@@ -1,8 +1,9 @@
 // Copyright (c) SkyBench-NG contributors.
-// Mutable per-run copy of a Dataset that algorithms are free to permute,
-// annotate (L1 norms, partition masks) and compact. Keeping original ids
-// alongside the rows lets every algorithm report results as indices into
-// the caller's Dataset regardless of internal reordering.
+// Mutable per-run copy of a run's input rows that algorithms are free to
+// permute, annotate (L1 norms, partition masks) and compact. Keeping source
+// ids alongside the rows lets every algorithm report results as indices
+// into the source Dataset regardless of box filtering or internal
+// reordering.
 #ifndef SKY_DATA_WORKING_SET_H_
 #define SKY_DATA_WORKING_SET_H_
 
@@ -12,6 +13,7 @@
 #include "common/aligned.h"
 #include "common/types.h"
 #include "data/dataset.h"
+#include "data/row_source.h"
 #include "parallel/executor.h"
 
 namespace sky {
@@ -25,9 +27,12 @@ struct WorkingSet {
   std::vector<float> l1;       ///< Manhattan norms (after ComputeL1)
   std::vector<Mask> masks;     ///< level-1 partition masks (after AssignMasks)
 
-  /// Deep-copy the dataset. O(n d) and parallelised.
-  static WorkingSet FromDataset(const Dataset& data,
-                                Executor::TaskGroup& group);
+  /// Load the rows `source` selects, transformed, on `group` (see
+  /// RowSource::Load): ids are source rows. A Dataset is its own identity
+  /// source, loaded as a straight parallel copy. Non-identity loads poll
+  /// `cancel` once per chunk.
+  static WorkingSet Load(const RowSource& source, Executor::TaskGroup& group,
+                         const CancelToken* cancel = nullptr);
 
   const Value* Row(size_t i) const {
     SKY_DCHECK(i < count);
@@ -37,6 +42,11 @@ struct WorkingSet {
     SKY_DCHECK(i < count);
     return rows.data() + i * static_cast<size_t>(stride);
   }
+
+  /// Column-wise minima / maxima over the rows (Dataset::MinPerDim
+  /// semantics; empty when count == 0).
+  std::vector<Value> MinPerDim() const;
+  std::vector<Value> MaxPerDim() const;
 
   /// Fill `l1` with Manhattan norms, in parallel ("Init." phase of the
   /// paper's Fig. 7/8 decomposition).

@@ -4,8 +4,9 @@
 // every block carrying its exact per-dimension minimum (the "min corner" of
 // BBS [Papadias et al. 2003]) and full AABB; level 1 groups consecutive
 // blocks into super-blocks with merged AABBs. core/zonemap_skyline.h runs a
-// best-first branch-and-bound traversal over this structure, and the query
-// engine intersects block AABBs with constraint boxes for sub-shard pruning.
+// best-first branch-and-bound traversal over this structure, and constrained
+// loads (data/row_source.h) classify block AABBs against the constraint box
+// to skip or bulk-copy whole blocks.
 #ifndef SKY_INDEX_ZONEMAP_H_
 #define SKY_INDEX_ZONEMAP_H_
 
@@ -19,6 +20,25 @@
 namespace sky {
 
 struct StatsSketch;
+
+/// Relation of an axis-aligned box to a query box.
+enum class BoxRel { kDisjoint, kInside, kPartial };
+
+/// Relation of the AABB [lo, hi] to the expanded query box [box_lo,
+/// box_hi] (all `dims` dimensions, unconstrained ones at +-inf). Exact for
+/// the finite AABBs of index blocks: disjoint blocks hold no box row,
+/// inside blocks hold only box rows. An inverted box (box_lo > box_hi on
+/// some dimension) is never classified inside.
+inline BoxRel ClassifyBox(const Value* lo, const Value* hi,
+                          const Value* box_lo, const Value* box_hi,
+                          int dims) {
+  bool inside = true;
+  for (int j = 0; j < dims; ++j) {
+    if (lo[j] > box_hi[j] || hi[j] < box_lo[j]) return BoxRel::kDisjoint;
+    inside &= lo[j] >= box_lo[j] && hi[j] <= box_hi[j];
+  }
+  return inside ? BoxRel::kInside : BoxRel::kPartial;
+}
 
 /// Immutable block summary of one dataset (typically one shard's rows).
 /// Rows with any non-finite coordinate (NaN or +-inf) are segregated into

@@ -35,14 +35,17 @@ double Cost(const AlgorithmDescriptor& desc, double n_eff, int d,
 }
 
 /// Per-coordinate surcharges of the zonemap_direct comparison
-/// (SelectionContext::zonemap_direct). A constrained spec normally pays a
-/// full-dataset view materialization (copy + box test per row) before any
-/// algorithm runs; the zonemap direct path replaces that with AABB
-/// pruning plus a row scan over the boxes that survive it. The model
-/// charges materialization to every ordinary candidate and a cheaper
-/// whole-dataset scan bound to zonemap — pessimistic for zonemap (it
-/// skips disjoint blocks without touching rows), so the pick only flips
-/// where the win is structural.
+/// (SelectionContext::zonemap_direct). A constrained spec makes every
+/// ordinary candidate load its rows through the shard's RowSource before
+/// it runs; the zonemap direct path replaces that with AABB pruning plus
+/// a row scan over the boxes that survive it. The model charges a
+/// full-dataset load (copy + box test per row) to every ordinary
+/// candidate and a cheaper whole-dataset scan bound to zonemap —
+/// pessimistic for zonemap (it skips disjoint blocks without touching
+/// rows), so the pick only flips where the win is structural. The load
+/// charge overstates a constrained load, which now walks the shard's
+/// zonemap and skips the blocks the box misses too; the constant stays
+/// until it is refitted against measured loads.
 constexpr double kViewMaterializeNs = 1.2;
 constexpr double kZonemapBoxScanNs = 0.25;
 

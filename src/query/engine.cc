@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -17,12 +18,12 @@
 #include "core/skyband.h"
 #include "core/skyline.h"
 #include "core/zonemap_skyline.h"
+#include "data/row_source.h"
 #include "dominance/batch.h"
 #include "dominance/dominance.h"
 #include "index/zonemap.h"
 #include "query/cost_model.h"
 #include "query/delta.h"
-#include "query/view.h"
 
 namespace sky {
 namespace {
@@ -32,37 +33,6 @@ namespace {
 /// The direct filter is O(total * m) but skips the WorkingSet copy,
 /// sort, and parallel-loop fan-out, which dominate at this scale.
 constexpr size_t kBatchMergeMaxRows = 4096;
-
-/// Top-k rank score. NaN (possible in loaded CSV data) sorts last —
-/// mapping it to +inf keeps std::sort's strict weak ordering intact.
-Value RankScore(const Dataset& view, size_t row) {
-  const Value s = ViewRowScore(view, row);
-  return std::isnan(s) ? std::numeric_limits<Value>::infinity() : s;
-}
-
-/// Rank r's entries by (dominator count asc, view score asc, original id
-/// asc) and truncate to top_k. `scores` is parallel to r.ids.
-void RankAndTruncate(QueryResult& r, size_t top_k,
-                     const std::vector<Value>& scores) {
-  std::vector<size_t> order(r.ids.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (r.dominator_counts[a] != r.dominator_counts[b]) {
-      return r.dominator_counts[a] < r.dominator_counts[b];
-    }
-    if (scores[a] != scores[b]) return scores[a] < scores[b];
-    return r.ids[a] < r.ids[b];
-  });
-  const size_t keep = std::min(top_k, order.size());
-  std::vector<PointId> ids(keep);
-  std::vector<uint32_t> counts(keep);
-  for (size_t i = 0; i < keep; ++i) {
-    ids[i] = r.ids[order[i]];
-    counts[i] = r.dominator_counts[order[i]];
-  }
-  r.ids = std::move(ids);
-  r.dominator_counts = std::move(counts);
-}
 
 /// `callback` behind a remap: every confirmed batch is mapped id by id
 /// through `to_caller` into the caller's row space before forwarding.
@@ -75,68 +45,6 @@ ProgressiveCallback Remapped(ProgressiveCallback callback,
     for (size_t i = 0; i < ids.size(); ++i) mapped[i] = to_caller(ids[i]);
     callback(mapped);
   };
-}
-
-/// Execute stage on one already-rewritten target: compute the skyline /
-/// k-skyband, map target-local rows to final ids through `row_map`
-/// (nullptr = identity), and apply the top-k cap.
-QueryResult RunOnTarget(const Dataset& target,
-                        const std::vector<PointId>* row_map,
-                        const QuerySpec& canon, const Options& opts) {
-  QueryResult r;
-  r.matched_rows = target.count();
-  if (target.count() == 0) return r;
-
-  Options run_opts = opts;
-  if (run_opts.algorithm == Algorithm::kAuto) {
-    // The engine resolves kAuto in the planner; this covers one-shot
-    // RunQuery callers. The target is already constraint-filtered, so a
-    // fresh sketch of it is the exact selection input (selectivity 1).
-    // Skybands run Q-Flow's block flow whatever the field says — report
-    // that truthfully.
-    run_opts.algorithm = canon.band_k == 1
-                             ? ChooseAlgorithmForDataset(target, run_opts)
-                             : Algorithm::kQFlow;
-  }
-  r.shard_algorithms.assign(1, run_opts.algorithm);
-  if (opts.progressive && row_map != nullptr) {
-    // Progressive ids must arrive in the caller's row space: remap each
-    // confirmed batch out of the view's row numbering before forwarding.
-    run_opts.progressive = Remapped(
-        opts.progressive, [row_map](PointId row) { return (*row_map)[row]; });
-  }
-
-  std::vector<PointId> view_rows;  // result ids in target-local row space
-  if (canon.band_k == 1) {
-    Result run = ComputeSkyline(target, run_opts);
-    r.stats = run.stats;
-    view_rows = std::move(run.skyline);
-    r.dominator_counts.assign(view_rows.size(), 0u);
-  } else {
-    SkybandResult run = ComputeSkyband(target, canon.band_k, run_opts);
-    r.stats = run.stats;
-    view_rows = std::move(run.skyband);
-    r.dominator_counts = std::move(run.dominator_counts);
-  }
-
-  r.ids.resize(view_rows.size());
-  if (row_map == nullptr) {
-    std::copy(view_rows.begin(), view_rows.end(), r.ids.begin());
-  } else {
-    for (size_t i = 0; i < view_rows.size(); ++i) {
-      r.ids[i] = (*row_map)[view_rows[i]];
-    }
-  }
-
-  if (canon.top_k > 0) {
-    std::vector<Value> scores(view_rows.size());
-    for (size_t i = 0; i < view_rows.size(); ++i) {
-      scores[i] = RankScore(target, view_rows[i]);
-    }
-    RankAndTruncate(r, canon.top_k, scores);
-  }
-  r.stats.skyline_size = r.ids.size();
-  return r;
 }
 
 /// Fold per-phase times and counters of a partial run into `into`,
@@ -155,29 +63,27 @@ void AccumulateStats(RunStats& into, const RunStats& from) {
   into.prefiltered_points += from.prefiltered_points;
 }
 
-/// Per-shard execute-stage output, kept alive until the finish stage
-/// copies the candidate rows out of the shard view. Worker threads stamp
-/// the trace timings here (0 when tracing is off) and the coordinator
-/// backfills the shard spans from them after the join.
+/// Per-shard execute-stage output. Candidates are shard rows; the finish
+/// stage emits their view-space form through the spec's RowSource. Worker
+/// threads stamp the trace timings here (0 when tracing is off) and the
+/// coordinator backfills the shard spans from them after the join.
 struct ShardPartial {
-  /// The shard view the candidates index; null when they index the raw
-  /// shard rows (identity specs, maintained and zonemap-direct runs).
-  std::unique_ptr<const QueryView> view;
-  std::vector<PointId> cand_rows;  // target-local candidate rows
+  std::vector<PointId> cand_rows;  // candidate shard rows
   std::vector<uint32_t> counts;    // k-skyband dominator counts, if band_k > 1
   RunStats stats;
   size_t matched = 0;          // rows inside the constraint box
   double trace_start = 0.0;    // seconds since the trace epoch
   double trace_seconds = 0.0;  // shard wall time
   bool maintained = false;     // served from the maintained shard skyline
-  bool direct = false;         // ran the zonemap direct path (no view)
-
-  const Dataset& target(const Shard& shard) const {
-    return view != nullptr ? view->data : shard.rows();
-  }
-  PointId global_id(const Shard& shard, PointId row) const {
-    return shard.global_id(view != nullptr ? view->row_ids[row] : row);
-  }
+  bool direct = false;         // ran the zonemap direct path (no load)
+  /// trace_start on the steady clock, to place the load's span.
+  std::chrono::steady_clock::time_point clock_start;
+  /// The non-identity load, once done.
+  LoadStats load;
+  /// The run's first-use index build (trace time and duration); a
+  /// negative duration means the run found the index built.
+  double zonemap_start = 0.0;
+  double zonemap_seconds = -1.0;
 };
 
 /// Merge stage of a multi-shard plan: M(S) — copy every candidate's
@@ -205,17 +111,14 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
   const char* merge_path = "empty";
   merged = Dataset(view_dims, total);
   std::vector<PointId> merged_ids(total);
-  const size_t row_bytes = sizeof(Value) * static_cast<size_t>(view_dims);
   size_t w = 0;
   for (size_t s = 0; s < parts.size(); ++s) {
     const Shard& shard = map.shard(plan.shards[s]);
-    const ShardPartial& p = parts[s];
-    // Raw-row partials (identity, maintained, direct) are already view
-    // rows: box-only and identity specs keep every dimension unchanged.
-    const Dataset& target = p.target(shard);
-    for (const PointId row : p.cand_rows) {
-      std::memcpy(merged.MutableRow(w), target.Row(row), row_bytes);
-      merged_ids[w] = p.global_id(shard, row);
+    // Only candidates are transformed into view space.
+    const RowSource source(shard.rows(), canon);
+    for (const PointId row : parts[s].cand_rows) {
+      source.EmitRow(row, merged.MutableRow(w));
+      merged_ids[w] = shard.global_id(row);
       ++w;
     }
   }
@@ -332,9 +235,13 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
 /// progressive callback, and its members, dominator counts and rank
 /// scores are final.
 ///
-/// Every non-identity shard run materializes its own view (counted in
-/// `view_builds` as it is built); zonemap-direct runs use the shard's own
-/// index unless Options::block_rows asks for a private one.
+/// Every non-identity shard run loads its rows through a RowSource of the
+/// spec — box, projection and negation fused into the algorithm's own
+/// working-set copy, constrained loads walking the shard's zonemap — and
+/// each finished load counts in `view_builds`. Zonemap-direct runs use
+/// the shard's own index unless Options::block_rows asks for a private
+/// one. A run that builds a shard's index on first use traces it as a
+/// `zonemap` span; a load traces as `view.build`.
 QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
                                const QuerySpec& canon, const Options& opts,
                                obs::TraceScope& trace,
@@ -350,21 +257,30 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
   const bool identity = canon.IsIdentityTransform();
   const bool single = plan.merge == MergeStrategy::kNone;
   // Band-1 box-only specs let Algorithm::kZonemap run on the raw shard
-  // rows (constraint box applied during the traversal), skipping view
-  // materialization entirely.
+  // rows (constraint box applied during the traversal), skipping the
+  // load entirely.
   const bool zonemap_direct = canon.band_k == 1 && canon.IsBoxOnlyTransform();
   // Per-shard algorithm: the plan's cost-model picks when the request
   // was kAuto, the caller's explicit choice otherwise.
   const auto algo_of = [&](size_t s) {
     return plan.algorithms.empty() ? opts.algorithm : plan.algorithms[s];
   };
+  /// The shard's own index, stamping the build into `p` when this call
+  /// is its first use.
+  const auto shard_zonemap = [&](const Shard& shard, ShardPartial& p) {
+    if (auto built = shard.built_zonemap()) return built;
+    p.zonemap_start = trace.Now();
+    auto index = shard.zonemap();
+    p.zonemap_seconds = trace.Now() - p.zonemap_start;
+    return index;
+  };
   /// Index for a direct run: the shard's own, or a private build when
   /// Options::block_rows asks for another block size.
-  const auto zonemap_of =
-      [&](const Shard& shard) -> std::shared_ptr<const ZoneMapIndex> {
+  const auto zonemap_of = [&](const Shard& shard, ShardPartial& p)
+      -> std::shared_ptr<const ZoneMapIndex> {
     if (opts.block_rows == 0 ||
         opts.block_rows == ZoneMapIndex::kDefaultBlockRows) {
-      return shard.zonemap();
+      return shard_zonemap(shard, p);
     }
     return std::make_shared<const ZoneMapIndex>(
         ZoneMapIndex::Build(shard.rows(), opts.block_rows, &shard.sketch));
@@ -392,11 +308,12 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
     const Shard& shard = map.shard(plan.shards[s]);
     ShardPartial& p = parts[s];
     p.trace_start = trace.Now();
+    p.clock_start = std::chrono::steady_clock::now();
     Options one = shard_opts;
     one.algorithm = algo_of(s);
     if (single && opts.progressive) {
       one.progressive = Remapped(opts.progressive, [&](PointId row) {
-        return p.global_id(shard, row);
+        return shard.global_id(row);
       });
     }
     if (identity && canon.band_k == 1 && shard.skyline != nullptr) {
@@ -414,12 +331,12 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
       }
     } else if (zonemap_direct && one.algorithm == Algorithm::kZonemap) {
       // Direct path: traverse the shard's zonemap index against the
-      // constraint box on raw rows — no view. A first use builds the
+      // constraint box on raw rows — no load. A first use builds the
       // index; its cost lands in other_seconds.
       p.direct = true;
       if (shard.rows().count() > 0) {
         WallTimer index_timer;
-        const std::shared_ptr<const ZoneMapIndex> zm = zonemap_of(shard);
+        const std::shared_ptr<const ZoneMapIndex> zm = zonemap_of(shard, p);
         const double index_seconds = index_timer.Seconds();
         ZonemapRunResult run =
             ZonemapSkylineRun(shard.rows(), *zm, canon.constraints, one);
@@ -429,23 +346,36 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
         p.matched = run.matched_rows;
       }
     } else {
-      if (!identity) {
-        p.view = std::make_unique<const QueryView>(
-            MaterializeView(shard.rows(), canon, one));
-        view_builds.fetch_add(1, std::memory_order_relaxed);
+      // The algorithm loads the shard rows through the spec's source; a
+      // constrained load walks the shard's zonemap (built on first use).
+      std::shared_ptr<const ZoneMapIndex> zm;
+      if (!canon.constraints.empty() && shard.rows().count() > 0) {
+        zm = shard_zonemap(shard, p);
       }
-      const Dataset& target = p.target(shard);
-      p.matched = target.count();
-      if (target.count() > 0 && canon.band_k == 1) {
-        Result run = ComputeSkyline(target, one);
-        p.stats = run.stats;
-        p.cand_rows = std::move(run.skyline);
-      } else if (target.count() > 0) {
-        SkybandResult run = ComputeSkyband(target, canon.band_k, one);
-        p.stats = run.stats;
-        p.cand_rows = std::move(run.skyband);
-        p.counts = std::move(run.dominator_counts);
+      const RowSource source =
+          identity ? RowSource(shard.rows())
+                   : RowSource(shard.rows(), canon, zm.get(), &p.load);
+      // A finished load counts even when the run then unwinds.
+      const auto count_load = [&] {
+        if (p.load.done) view_builds.fetch_add(1, std::memory_order_relaxed);
+      };
+      try {
+        if (canon.band_k == 1) {
+          Result run = ComputeSkyline(source, one);
+          p.stats = run.stats;
+          p.cand_rows = std::move(run.skyline);
+        } else {
+          SkybandResult run = ComputeSkyband(source, canon.band_k, one);
+          p.stats = run.stats;
+          p.cand_rows = std::move(run.skyband);
+          p.counts = std::move(run.dominator_counts);
+        }
+      } catch (...) {
+        count_load();
+        throw;
       }
+      count_load();
+      p.matched = identity ? shard.rows().count() : p.load.rows_loaded;
     }
     p.trace_seconds = trace.Now() - p.trace_start;
   };
@@ -495,26 +425,42 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
     if (p.maintained) span.Attr("maintained", "true");
     if (p.direct) {
       span.Attr("view", "direct");
-    } else if (p.view != nullptr) {
-      r.stats.other_seconds += p.view->materialize_seconds;
+    } else if (p.load.done) {
       span.Attr("view", "build");
-      span.AttrCount("threads", static_cast<uint64_t>(p.view->build_threads));
+      span.AttrCount("threads", static_cast<uint64_t>(p.load.threads));
+    }
+    if (p.zonemap_seconds >= 0.0) {
+      const obs::TraceScope build(span, "zonemap", -1, p.zonemap_start,
+                                  p.zonemap_seconds);
+    }
+    if (p.load.done) {
+      const double start =
+          p.trace_start +
+          std::chrono::duration<double>(p.load.start - p.clock_start).count();
+      obs::TraceScope load(span, "view.build", -1, start, p.load.seconds);
+      load.AttrCount("rows_in", p.load.rows_in);
+      load.AttrCount("rows", p.load.rows_loaded);
+      if (p.load.blocks > 0) {
+        load.AttrCount("blocks", p.load.blocks);
+        load.AttrCount("blocks_visited", p.load.blocks_visited);
+        load.AttrCount("blocks_inside", p.load.blocks_inside);
+        load.AttrCount("blocks_box_skipped", p.load.blocks_box_skipped);
+      }
+      load.AttrCount("threads", static_cast<uint64_t>(p.load.threads));
     }
   }
 
-  // Finish stage: `members` index the rows of `final_rows` — the lone
-  // shard's target, or the merged candidate union.
+  // Finish stage: `members` index the lone shard's rows, or the merged
+  // candidate union (already in view space).
   std::vector<PointId> members;
-  const Dataset* final_rows = nullptr;
   Dataset merged;
+  const Shard& lone = map.shard(plan.shards[0]);
   if (single) {
     ShardPartial& p = parts[0];
-    const Shard& shard = map.shard(plan.shards[0]);
-    final_rows = &p.target(shard);
     members = std::move(p.cand_rows);
     r.ids.resize(members.size());
     for (size_t i = 0; i < members.size(); ++i) {
-      r.ids[i] = p.global_id(shard, members[i]);
+      r.ids[i] = lone.global_id(members[i]);
     }
     if (canon.band_k > 1) {
       r.dominator_counts = std::move(p.counts);
@@ -523,12 +469,21 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
     }
   } else {
     members = MergeUnion(map, plan, canon, opts, parts, merged, r, trace);
-    final_rows = &merged;
   }
   if (canon.top_k > 0) {
     std::vector<Value> scores(members.size());
-    for (size_t i = 0; i < members.size(); ++i) {
-      scores[i] = RankScore(*final_rows, members[i]);
+    if (single) {
+      // Score the lone shard's members in view space, one emitted row each.
+      const RowSource source(lone.rows(), canon);
+      std::vector<Value> row(static_cast<size_t>(source.dims()));
+      for (size_t i = 0; i < members.size(); ++i) {
+        source.EmitRow(members[i], row.data());
+        scores[i] = RankScore(row.data(), source.dims());
+      }
+    } else {
+      for (size_t i = 0; i < members.size(); ++i) {
+        scores[i] = RankScore(merged.Row(members[i]), merged.dims());
+      }
     }
     RankAndTruncate(r, canon.top_k, scores);
   }
@@ -553,39 +508,31 @@ ExecutionPlan PlanStage(obs::TraceScope& trace, const ShardMap& map,
 
 }  // namespace
 
-QueryResult RunQuery(const Dataset& data, const QuerySpec& spec,
-                     const Options& opts) {
-  const QuerySpec canon = spec.Canonicalize(data.dims());
-  obs::TraceScope root = obs::TraceScope::Root(opts.trace, "query");
-  const auto execute = [&](const Dataset& target,
-                           const std::vector<PointId>* row_map) {
-    obs::TraceScope span(root, "execute");
-    QueryResult r = RunOnTarget(target, row_map, canon, opts);
-    if (!r.shard_algorithms.empty()) {
-      span.Attr("algo", AlgorithmName(r.shard_algorithms[0]));
+Value RankScore(const Value* view_row, int dims) {
+  const Value s = ViewRowScore(view_row, dims);
+  return std::isnan(s) ? std::numeric_limits<Value>::infinity() : s;
+}
+
+void RankAndTruncate(QueryResult& r, size_t top_k,
+                     const std::vector<Value>& scores) {
+  std::vector<size_t> order(r.ids.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (r.dominator_counts[a] != r.dominator_counts[b]) {
+      return r.dominator_counts[a] < r.dominator_counts[b];
     }
-    span.AttrCount("rows", r.matched_rows);
-    return r;
-  };
-  QueryResult r;
-  if (canon.IsIdentityTransform()) {
-    // Fast path: the native question needs no view at all.
-    r = execute(data, nullptr);
-  } else {
-    const QueryView view = [&] {
-      obs::TraceScope span(root, "view.build");
-      QueryView built = MaterializeView(data, canon, opts);
-      span.AttrCount("rows", built.data.count());
-      span.AttrCount("threads", static_cast<uint64_t>(built.build_threads));
-      return built;
-    }();
-    r = execute(view.data, &view.row_ids);
-    r.stats.other_seconds += view.materialize_seconds;
-    r.stats.total_seconds += view.materialize_seconds;
+    if (scores[a] != scores[b]) return scores[a] < scores[b];
+    return r.ids[a] < r.ids[b];
+  });
+  const size_t keep = std::min(top_k, order.size());
+  std::vector<PointId> ids(keep);
+  std::vector<uint32_t> counts(keep);
+  for (size_t i = 0; i < keep; ++i) {
+    ids[i] = r.ids[order[i]];
+    counts[i] = r.dominator_counts[order[i]];
   }
-  root.AttrCount("members", r.ids.size());
-  r.trace = root.Finish();
-  return r;
+  r.ids = std::move(ids);
+  r.dominator_counts = std::move(counts);
 }
 
 QueryResult RunShardedQuery(const ShardMap& map, const QuerySpec& spec,
@@ -605,72 +552,6 @@ size_t QueryResultBytes(const QueryResult& r) {
          r.dominator_counts.size() * sizeof(uint32_t) +
          r.shard_algorithms.size() * sizeof(Algorithm) +
          r.constraints.size() * sizeof(DimConstraint);
-}
-
-bool VerifyQuery(const Dataset& data, const QuerySpec& spec,
-                 const QueryResult& r) {
-  // Brute-force reference: count dominators by definition with plain
-  // nested loops on the materialized view — no ComputeSkyline /
-  // ComputeSkyband code path is shared, so an algorithm bug cannot
-  // reproduce itself in the reference (only the rewriter is common).
-  const QuerySpec canon = spec.Canonicalize(data.dims());
-  const QueryView view = MaterializeView(data, canon);
-  const Dataset& v = view.data;
-  const int d = v.dims();
-
-  std::vector<PointId> rows;     // view-local qualifying rows
-  std::vector<uint32_t> counts;  // their exact dominator counts
-  for (size_t i = 0; i < v.count(); ++i) {
-    const Value* q = v.Row(i);
-    uint32_t c = 0;
-    for (size_t j = 0; j < v.count() && c < canon.band_k; ++j) {
-      if (j == i) continue;
-      const Value* p = v.Row(j);
-      bool all_le = true, some_lt = false;
-      for (int k = 0; k < d; ++k) {
-        all_le &= p[k] <= q[k];
-        some_lt |= p[k] < q[k];
-      }
-      c += (all_le && some_lt);
-    }
-    if (c < canon.band_k) {
-      rows.push_back(static_cast<PointId>(i));
-      counts.push_back(c);
-    }
-  }
-
-  std::vector<std::pair<PointId, uint32_t>> expect;
-  if (canon.top_k > 0) {
-    std::vector<size_t> order(rows.size());
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      if (counts[a] != counts[b]) return counts[a] < counts[b];
-      const Value sa = RankScore(v, rows[a]), sb = RankScore(v, rows[b]);
-      if (sa != sb) return sa < sb;
-      return view.row_ids[rows[a]] < view.row_ids[rows[b]];
-    });
-    const size_t keep = std::min(canon.top_k, order.size());
-    for (size_t i = 0; i < keep; ++i) {
-      expect.emplace_back(view.row_ids[rows[order[i]]], counts[order[i]]);
-    }
-    // Ranked results are fully deterministic: compare in order.
-    std::vector<std::pair<PointId, uint32_t>> got;
-    for (size_t i = 0; i < r.ids.size(); ++i) {
-      got.emplace_back(r.ids[i], r.dominator_counts[i]);
-    }
-    return got == expect;
-  }
-
-  for (size_t i = 0; i < rows.size(); ++i) {
-    expect.emplace_back(view.row_ids[rows[i]], counts[i]);
-  }
-  std::vector<std::pair<PointId, uint32_t>> got;
-  for (size_t i = 0; i < r.ids.size(); ++i) {
-    got.emplace_back(r.ids[i], r.dominator_counts[i]);
-  }
-  std::sort(got.begin(), got.end());
-  std::sort(expect.begin(), expect.end());
-  return got == expect;
 }
 
 SkylineEngine::SkylineEngine() : SkylineEngine(Config{}) {}
@@ -704,7 +585,7 @@ void SkylineEngine::WireInstruments() {
       "Execute latency of result-cache misses (plan + execute + merge)");
   inst_.view_builds = metrics_.GetCounter(
       "sky_engine_view_builds_total", {},
-      "Views materialized by non-identity shard runs");
+      "Non-identity shard loads (box, projection or MAX flip applied)");
   inst_.inserts = metrics_.GetCounter("sky_mutation_inserts_total", {},
                                       "InsertPoints batches applied");
   inst_.deletes = metrics_.GetCounter("sky_mutation_deletes_total", {},
@@ -946,7 +827,8 @@ QueryResult SkylineEngine::Execute(const std::string& name,
   }
 
   // Stage results for the outcome point: the plan once planned, and the
-  // views built (counted as built, so an aborted query reports them too).
+  // loads finished (counted as they finish, so an aborted query reports
+  // them too).
   std::optional<ExecutionPlan> plan;
   std::atomic<uint32_t> view_builds{0};
   enum class Exit { kHit, kShed, kAborted, kFresh };
@@ -1054,7 +936,7 @@ QueryResult SkylineEngine::Execute(const std::string& name,
   }
 
   // Per-query deadline/cancel token, armed here rather than in
-  // ComputeSkyline so every engine stage — view and zonemap builds, the
+  // ComputeSkyline so every engine stage — loads and zonemap builds, the
   // shard fan-out, the merge — shares one budget with the algorithm
   // block loops (eff.deadline_ms is cleared so dispatch does not re-arm).
   CancelToken query_token(eff.deadline_ms);

@@ -17,8 +17,11 @@
 //            a lone survivor's answer is final and skips it.
 //
 // Finished results land in a byte- and entry-capped LRU, the engine's one
-// cache. Views are materialized per run; each shard owns its zonemap
-// index, built on first use and repaired by mutations (query/delta.h).
+// cache. No view is materialized: a non-identity shard run hands its
+// algorithm a RowSource (data/row_source.h) whose load applies the box,
+// projection and negation while making the run's working copy. Each shard
+// owns its zonemap index, built on first use — by a constrained load or a
+// zonemap traversal — and repaired by mutations (query/delta.h).
 // All public methods are safe to call concurrently from many threads.
 #ifndef SKY_QUERY_ENGINE_H_
 #define SKY_QUERY_ENGINE_H_
@@ -96,13 +99,25 @@ struct QueryResult {
 /// Payload bytes of a result for the cache's byte budget.
 size_t QueryResultBytes(const QueryResult& r);
 
+/// Top-k rank score of a view-space row: ViewRowScore, with NaN (possible
+/// in loaded CSV data) mapped to +inf so it sorts last and std::sort keeps
+/// a strict weak ordering.
+Value RankScore(const Value* view_row, int dims);
+
+/// Rank r's entries by (dominator count asc, rank score asc, original id
+/// asc) and truncate to top_k; `scores` is parallel to r.ids. The engine
+/// and the one-shot RunQuery path share it, so both rank identically.
+void RankAndTruncate(QueryResult& r, size_t top_k,
+                     const std::vector<Value>& scores);
+
 /// One-shot, uncached execution of `spec` against `data` with the
 /// algorithm/threads/alpha selection in `opts` (band_k > 1 routes to
 /// ComputeSkyband, which ignores the algorithm field): canonicalize,
-/// materialize the view, compute, map ids back, apply the top-k cap.
-/// Deliberately not routed through the planner, so tests and the
-/// benchmark's correctness gate can use it as an oracle for the engine's
-/// plan path. Throws std::runtime_error on invalid specs.
+/// materialize the view (MaterializeView), compute, map ids back, apply
+/// the top-k cap. Deliberately not routed through the planner or the
+/// engine's RowSource loads, so tests and the benchmark's correctness
+/// gate can use it as an oracle for the engine's plan path. Throws
+/// std::runtime_error on invalid specs. Defined in query/run_query.cc.
 QueryResult RunQuery(const Dataset& data, const QuerySpec& spec,
                      const Options& opts = Options{});
 
@@ -114,8 +129,10 @@ QueryResult RunQuery(const Dataset& data, const QuerySpec& spec,
 QueryResult RunShardedQuery(const ShardMap& map, const QuerySpec& spec,
                             const Options& opts = Options{});
 
-/// Re-run `spec` through the BNL reference path and compare id sets (and
-/// dominator counts) against `r`. O(view^2); test and --verify use.
+/// Brute-force check of `r` on the MaterializeView view of `spec`:
+/// compare id sets (and dominator counts, and top-k order) against
+/// dominator counts taken by definition. O(view^2); test and --verify
+/// use. Defined in query/run_query.cc.
 bool VerifyQuery(const Dataset& data, const QuerySpec& spec,
                  const QueryResult& r);
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,18 @@ struct DimConstraint {
   Value lo = -std::numeric_limits<Value>::infinity();
   Value hi = std::numeric_limits<Value>::infinity();
 };
+
+/// Closed-interval membership of `row` (original dimensions) in every
+/// constraint. A NaN coordinate fails the constraint on its dimension;
+/// unconstrained dimensions are not read, so a NaN there passes.
+inline bool RowInConstraints(const Value* row,
+                             std::span<const DimConstraint> constraints) {
+  for (const DimConstraint& c : constraints) {
+    const Value v = row[c.dim];
+    if (!(v >= c.lo && v <= c.hi)) return false;
+  }
+  return true;
+}
 
 struct QuerySpec {
   /// Per-dimension preference. Dimensions past the end of the list

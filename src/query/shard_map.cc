@@ -65,7 +65,7 @@ std::vector<PointId> MaskOrder(const Dataset& data, uint64_t seed,
   Options run;  // full width on `executor`, or on the default executor
   run.executor = executor;
   Executor::TaskGroup group(run.ResolvedExecutor(), run.ResolvedThreads());
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(data, group);
   const DomCtx dom(ws.dims, ws.stride, /*use_simd=*/true);
   const std::vector<Value> pivot =
       SelectPivot(ws, PivotPolicy::kMedian, group, seed);

@@ -130,10 +130,9 @@ QueryView MaterializeView(const Dataset& data, const QuerySpec& spec) {
   return MaterializeView(data, spec, serial);
 }
 
-Value ViewRowScore(const Dataset& view, size_t row) {
-  const Value* r = view.Row(row);
+Value ViewRowScore(const Value* view_row, int dims) {
   Value sum = 0;
-  for (int j = 0; j < view.dims(); ++j) sum += r[j];
+  for (int j = 0; j < dims; ++j) sum += view_row[j];
   return sum;
 }
 

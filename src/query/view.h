@@ -6,6 +6,12 @@
 // dimensions are dropped, and rows outside the constraint box are removed
 // — so every algorithm keeps answering its one native question while the
 // engine answers many.
+//
+// MaterializeView is the one-shot RunQuery / VerifyQuery oracle path
+// only. The engine never builds a view: its shard runs load through a
+// RowSource (data/row_source.h), which applies the same rewrite while
+// making the algorithm's working copy. The two are implemented
+// independently so each can check the other (tests/row_source_test.cc).
 #ifndef SKY_QUERY_VIEW_H_
 #define SKY_QUERY_VIEW_H_
 
@@ -52,9 +58,10 @@ QueryView MaterializeView(const Dataset& data, const QuerySpec& spec,
 QueryView MaterializeView(const Dataset& data, const QuerySpec& spec);
 
 /// Rank score of a view row under the top-k cap: the sum of its (already
-/// preference-oriented) view coordinates — "best combined trade-off
-/// first". Exposed so engine and tests share one float-exact definition.
-Value ViewRowScore(const Dataset& view, size_t row);
+/// preference-oriented) view coordinates in column order — "best combined
+/// trade-off first". Exposed so engine and tests share one float-exact
+/// definition.
+Value ViewRowScore(const Value* view_row, int dims);
 
 }  // namespace sky
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "baselines/bnl.h"
 #include "baselines/bskytree.h"
@@ -20,7 +21,9 @@
 namespace sky {
 namespace {
 
-using Compute = Result (*)(const Dataset&, const Options&);
+// A std::function, so entry points over a Dataset and over a RowSource
+// (which a Dataset converts to) sit in one table.
+using Compute = std::function<Result(const Dataset&, const Options&)>;
 
 struct AlgoCase {
   const char* name;

@@ -398,19 +398,45 @@ TEST(EngineTraceTest, RunShardedQueryTracesPlanShardsThenMerge) {
   EXPECT_EQ(AttrOf(t, plan, "pruned"), std::to_string(r.shards_pruned));
   EXPECT_EQ(AttrOf(t, plan, "merge"), "skyline-union");
 
-  // shard[i] spans in shard order right after the plan, then the merge.
-  size_t next = 2;
-  for (; next < t.spans.size(); ++next) {
-    if (t.spans[next].name.rfind("shard[", 0) != 0) break;
-    EXPECT_EQ(t.spans[next].parent, 0);
-    EXPECT_NE(AttrOf(t, static_cast<int>(next), "algo"), "");
-    EXPECT_NE(AttrOf(t, static_cast<int>(next), "rows"), "");
+  // Among the root's children: shard[i] spans in shard order right after
+  // the plan, then the merge. Each shard span carries its own children —
+  // the first-use index build and the constrained load — before the next
+  // shard span.
+  std::vector<size_t> top;
+  for (size_t i = 2; i < t.spans.size(); ++i) {
+    if (t.spans[i].parent == 0) top.push_back(i);
   }
-  EXPECT_EQ(next - 2, r.shards_executed);
-  ASSERT_LT(next, t.spans.size());
-  EXPECT_EQ(t.spans[next].name, "merge");
-  EXPECT_EQ(t.spans[next].parent, 0);
-  const int merge = static_cast<int>(next);
+  size_t next = 0;
+  for (; next < top.size(); ++next) {
+    const int span = static_cast<int>(top[next]);
+    if (t.spans[top[next]].name.rfind("shard[", 0) != 0) break;
+    EXPECT_NE(AttrOf(t, span, "algo"), "");
+    EXPECT_NE(AttrOf(t, span, "rows"), "");
+    EXPECT_EQ(AttrOf(t, span, "view"), "build");
+    std::vector<std::string> children;
+    int load = -1;
+    for (size_t c = 0; c < t.spans.size(); ++c) {
+      if (t.spans[c].parent != span) continue;
+      children.push_back(t.spans[c].name);
+      if (t.spans[c].name == "view.build") load = static_cast<int>(c);
+    }
+    EXPECT_EQ(children, (std::vector<std::string>{"zonemap", "view.build"}));
+    ASSERT_GE(load, 0);
+    EXPECT_EQ(AttrOf(t, load, "rows"), AttrOf(t, span, "rows"));
+    EXPECT_NE(AttrOf(t, load, "rows_in"), "");
+    const size_t blocks = std::stoul(AttrOf(t, load, "blocks"));
+    EXPECT_GT(blocks, 0u);
+    EXPECT_EQ(std::stoul(AttrOf(t, load, "blocks_visited")) +
+                  std::stoul(AttrOf(t, load, "blocks_box_skipped")),
+              blocks);
+    EXPECT_LE(std::stoul(AttrOf(t, load, "blocks_inside")),
+              std::stoul(AttrOf(t, load, "blocks_visited")));
+    EXPECT_EQ(AttrOf(t, load, "threads"), AttrOf(t, span, "threads"));
+  }
+  EXPECT_EQ(next, r.shards_executed);
+  ASSERT_LT(next, top.size());
+  EXPECT_EQ(t.spans[top[next]].name, "merge");
+  const int merge = static_cast<int>(top[next]);
   EXPECT_EQ(AttrOf(t, merge, "strategy"), "skyline-union");
   EXPECT_EQ(AttrOf(t, merge, "members"), std::to_string(r.ids.size()));
   EXPECT_NE(AttrOf(t, merge, "union"), "");

@@ -10,7 +10,7 @@ namespace sky {
 namespace {
 
 WorkingSet MakeWs(const Dataset& data, Executor::TaskGroup& group) {
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(data, group);
   ws.ComputeL1(group);
   return ws;
 }

@@ -21,7 +21,7 @@ TEST_P(PrefilterSafety, NeverRemovesSkylinePoints) {
   const std::set<PointId> sky_set(skyline.begin(), skyline.end());
 
   Executor::TaskGroup group(test::FourWayExecutor(), threads);
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(data, group);
   ws.ComputeL1(group);
   DomCtx dom(ws.dims, ws.stride, true);
   const size_t removed = Prefilter(ws, group, beta, dom, nullptr);
@@ -44,7 +44,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Prefilter, RemovesMostOfCorrelatedData) {
   Dataset data = GenerateSynthetic(Distribution::kCorrelated, 20000, 8, 5);
   Executor::TaskGroup group(test::FourWayExecutor(), 2);
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(data, group);
   ws.ComputeL1(group);
   DomCtx dom(ws.dims, ws.stride, true);
   const size_t removed = Prefilter(ws, group, 8, dom, nullptr);
@@ -62,7 +62,7 @@ TEST(Prefilter, DuplicatePointsSurvive) {
   }
   Dataset data = Dataset::FromRowMajor(2, flat);
   Executor::TaskGroup group(test::FourWayExecutor(), 3);
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(data, group);
   ws.ComputeL1(group);
   DomCtx dom(ws.dims, ws.stride, true);
   EXPECT_EQ(Prefilter(ws, group, 8, dom, nullptr), 0u);
@@ -72,7 +72,7 @@ TEST(Prefilter, DuplicatePointsSurvive) {
 TEST(Prefilter, BetaZeroDisables) {
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 500, 4, 3);
   Executor::TaskGroup group(test::FourWayExecutor(), 2);
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(data, group);
   ws.ComputeL1(group);
   DomCtx dom(ws.dims, ws.stride, true);
   EXPECT_EQ(Prefilter(ws, group, 0, dom, nullptr), 0u);
@@ -81,7 +81,7 @@ TEST(Prefilter, BetaZeroDisables) {
 TEST(Prefilter, CountsDominanceTests) {
   Dataset data = GenerateSynthetic(Distribution::kIndependent, 2000, 4, 3);
   Executor::TaskGroup group(test::FourWayExecutor(), 2);
-  WorkingSet ws = WorkingSet::FromDataset(data, group);
+  WorkingSet ws = WorkingSet::Load(data, group);
   ws.ComputeL1(group);
   DomCtx dom(ws.dims, ws.stride, true);
   DtCounter counter(true);

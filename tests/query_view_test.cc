@@ -126,7 +126,7 @@ TEST(QueryViewTest, ViewRowScoreSumsTransformedCoordinates) {
   const QueryView view = MaterializeView(data, spec.Canonicalize(3));
   // Row 0: 0.1 + (-0.9) + 5.0, accumulated left to right.
   const Value expect = (0.1f + -0.9f) + 5.0f;
-  EXPECT_EQ(ViewRowScore(view.data, 0), expect);
+  EXPECT_EQ(ViewRowScore(view.data.Row(0), view.data.dims()), expect);
 }
 
 TEST(QueryViewTest, PaddingStaysZeroAfterNegation) {

@@ -27,7 +27,7 @@ struct Fixture {
       for (int j = 0; j < d; ++j) flat.push_back(data.Row(id)[j]);
     }
     sky_only = Dataset::FromRowMajor(d, flat);
-    ws = WorkingSet::FromDataset(sky_only, group);
+    ws = WorkingSet::Load(sky_only, group);
     ws.ComputeL1(group);
     const auto pivot = SelectPivot(ws, PivotPolicy::kMedian, group, 1);
     DomCtx dom(ws.dims, ws.stride, true);

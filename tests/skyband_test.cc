@@ -129,5 +129,27 @@ TEST(Skyband, ThreadCountInvariance) {
   }
 }
 
+TEST(Skyband, CountsDominanceTestsWhenAsked) {
+  // Phase I and Phase II report their tests, batched and one-vs-one
+  // alike: non-zero, identical across serial runs, 0 when not asked.
+  const Dataset data =
+      GenerateSynthetic(Distribution::kAnticorrelated, 20'000, 8, 41);
+  Options counting;
+  counting.threads = 1;
+  counting.count_dts = true;
+  const SkybandResult a = ComputeSkyband(data, 4, counting);
+  const SkybandResult b = ComputeSkyband(data, 4, counting);
+  ASSERT_GE(a.skyband.size(), kBatchWindowMin);
+  EXPECT_GT(a.stats.dominance_tests, 0u);
+  EXPECT_EQ(a.stats.dominance_tests, b.stats.dominance_tests);
+  Options wide = counting;
+  wide.threads = 4;
+  wide.executor = &test::FourWayExecutor();
+  EXPECT_GT(ComputeSkyband(data, 4, wide).stats.dominance_tests, 0u);
+  Options quiet;
+  quiet.threads = 1;
+  EXPECT_EQ(ComputeSkyband(data, 4, quiet).stats.dominance_tests, 0u);
+}
+
 }  // namespace
 }  // namespace sky

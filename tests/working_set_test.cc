@@ -11,7 +11,7 @@ namespace {
 TEST(WorkingSet, CopiesDatasetAndIds) {
   Dataset d = test::MakeDataset({{1, 2}, {3, 4}, {5, 6}});
   Executor::TaskGroup group(test::FourWayExecutor(), 2);
-  WorkingSet ws = WorkingSet::FromDataset(d, group);
+  WorkingSet ws = WorkingSet::Load(d, group);
   ASSERT_EQ(ws.count, 3u);
   EXPECT_EQ(ws.ids, (std::vector<PointId>{0, 1, 2}));
   EXPECT_EQ(ws.Row(2)[1], 6.0f);
@@ -20,7 +20,7 @@ TEST(WorkingSet, CopiesDatasetAndIds) {
 TEST(WorkingSet, ComputeL1) {
   Dataset d = test::MakeDataset({{1, 2}, {3, 4}});
   Executor::TaskGroup group(test::FourWayExecutor(), 1);
-  WorkingSet ws = WorkingSet::FromDataset(d, group);
+  WorkingSet ws = WorkingSet::Load(d, group);
   ws.ComputeL1(group);
   EXPECT_FLOAT_EQ(ws.l1[0], 3.0f);
   EXPECT_FLOAT_EQ(ws.l1[1], 7.0f);
@@ -29,7 +29,7 @@ TEST(WorkingSet, ComputeL1) {
 TEST(WorkingSet, PermuteByReordersEverything) {
   Dataset d = test::MakeDataset({{1, 0}, {2, 0}, {3, 0}});
   Executor::TaskGroup group(test::FourWayExecutor(), 1);
-  WorkingSet ws = WorkingSet::FromDataset(d, group);
+  WorkingSet ws = WorkingSet::Load(d, group);
   ws.ComputeL1(group);
   ws.masks = {10, 20, 30};
   ws.PermuteBy({2, 0, 1});
@@ -42,7 +42,7 @@ TEST(WorkingSet, PermuteByReordersEverything) {
 TEST(WorkingSet, CompressRangeDropsFlagged) {
   Dataset d = test::MakeDataset({{1, 0}, {2, 0}, {3, 0}, {4, 0}, {5, 0}});
   Executor::TaskGroup group(test::FourWayExecutor(), 1);
-  WorkingSet ws = WorkingSet::FromDataset(d, group);
+  WorkingSet ws = WorkingSet::Load(d, group);
   ws.ComputeL1(group);
   // Compress the middle range [1, 4): drop offsets 0 and 2 of the range.
   const uint8_t flags[] = {1, 0, 1};
@@ -56,7 +56,7 @@ TEST(WorkingSet, CompressRangeDropsFlagged) {
 TEST(WorkingSet, CompressRangeAllSurviveOrAllDie) {
   Dataset d = test::MakeDataset({{1, 0}, {2, 0}});
   Executor::TaskGroup group(test::FourWayExecutor(), 1);
-  WorkingSet ws = WorkingSet::FromDataset(d, group);
+  WorkingSet ws = WorkingSet::Load(d, group);
   const uint8_t none[] = {0, 0};
   EXPECT_EQ(ws.CompressRange(0, 2, none), 2u);
   const uint8_t all[] = {1, 1};
