@@ -109,12 +109,12 @@ constexpr AlgorithmDescriptor kTable[] = {
     // Zonemap is the only candidate whose cost depends on data layout
     // (blocks pruned), which the static model cannot see. ChooseAlgorithm
     // therefore only considers it when SelectionContext::zonemap_direct
-    // says the engine would run it on raw rows against a constraint box —
-    // exactly where its sub-shard AABB pruning pays — and charges every
-    // other candidate the view materialization the direct path skips.
+    // says the engine would traverse a shard's own index in place against
+    // a constraint box — exactly where its sub-shard AABB pruning pays —
+    // and charges every other candidate the load the traversal skips.
     // per_point covers the rank-sum cut when the index must be built.
     {Algorithm::kZonemap, "Zonemap", "zonemap",
-     &OnDataset<&ZonemapSkylineCompute>, false, true, false, true,
+     &ZonemapSkylineCompute, false, true, false, true,
      {4'000, 0, 7, 0.20, 1.12, 0.05, 0.0}},
 };
 

@@ -103,10 +103,6 @@ struct Options {
   /// Seed for randomized choices (kRandom pivot).
   uint64_t seed = 42;
 
-  /// Rows per zonemap block for Algorithm::kZonemap (index/zonemap.h).
-  /// 0 = ZoneMapIndex::kDefaultBlockRows. Other algorithms ignore it.
-  size_t block_rows = 0;
-
   /// Optional progressive result callback. Honored by the algorithms
   /// whose registry descriptor sets `progressive` (Q-Flow, Hybrid,
   /// SFS, SaLSa, LESS, PSFS, BSkyTree-S); others ignore it. kAuto

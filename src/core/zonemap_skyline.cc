@@ -4,12 +4,14 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/macros.h"
 #include "common/timer.h"
+#include "core/algorithm_registry.h"
 #include "dominance/batch.h"
 #include "dominance/dominance.h"
 
@@ -299,12 +301,28 @@ ZonemapRunResult ZonemapSkylineRun(const Dataset& data,
   return r;
 }
 
-Result ZonemapSkylineCompute(const Dataset& data, const Options& opts) {
+Result ZonemapSkylineCompute(const RowSource& source, const Options& opts) {
+  if (!source.plain()) {
+    // Projected or negated rows have no index of their own: traverse the
+    // loaded copy, an identity source.
+    return RunOnMaterialized(source, opts,
+                             [](const Dataset& data, const Options& o) {
+                               return ZonemapSkylineCompute(data, o);
+                             });
+  }
   WallTimer total;
-  WallTimer build;
-  const ZoneMapIndex index = ZoneMapIndex::Build(data, opts.block_rows);
-  const double build_seconds = build.Seconds();
-  ZonemapRunResult run = ZonemapSkylineRun(data, index, {}, opts);
+  const Dataset& data = source.rows();
+  std::optional<ZoneMapIndex> own;
+  const ZoneMapIndex* index = source.index();
+  double build_seconds = 0.0;
+  if (index == nullptr) {
+    WallTimer build;
+    index = &own.emplace(ZoneMapIndex::Build(data));
+    build_seconds = build.Seconds();
+  }
+  ZonemapRunResult run =
+      ZonemapSkylineRun(data, *index, source.constraints(), opts);
+  source.ReportInPlace(run.matched_rows);
   Result res;
   res.skyline = std::move(run.skyline);
   res.stats = run.stats;

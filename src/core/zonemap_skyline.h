@@ -14,6 +14,7 @@
 
 #include "core/options.h"
 #include "data/dataset.h"
+#include "data/row_source.h"
 #include "index/zonemap.h"
 #include "query/query_spec.h"
 
@@ -46,13 +47,14 @@ ZonemapRunResult ZonemapSkylineRun(const Dataset& data,
                                    std::span<const DimConstraint> constraints,
                                    const Options& opts);
 
-/// Registry entry point (AlgorithmTable row for Algorithm::kZonemap):
-/// builds a private index over `data` (opts.block_rows; no sketch) and
-/// runs the unconstrained traversal. The engine's direct path reuses the
-/// shard's own index (Shard::zonemap) instead and passes the constraint
-/// box through ZonemapSkylineRun — this standalone form pays the build on
-/// every call, which the cost model's startup coefficients reflect.
-Result ZonemapSkylineCompute(const Dataset& data, const Options& opts);
+/// Registry entry point (AlgorithmTable row for Algorithm::kZonemap). A
+/// box-only source (RowSource::plain) is traversed in place with its own
+/// constraints over its own index — the engine attaches the shard's —
+/// or, when it carries none, over a private default-size build; the
+/// rows inside the box go to the source's stats sink
+/// (RowSource::ReportInPlace). Any other source is materialized
+/// (RunOnMaterialized) and the loaded copy traversed over a private build.
+Result ZonemapSkylineCompute(const RowSource& source, const Options& opts);
 
 }  // namespace sky
 

@@ -72,6 +72,13 @@ void RowSource::Emit(const Value* src, Value* dst) const {
   }
 }
 
+void RowSource::ReportInPlace(size_t rows_matched) const {
+  if (stats_ == nullptr) return;
+  *stats_ = LoadStats{};
+  stats_->rows_in = rows_->count();
+  stats_->rows_loaded = rows_matched;
+}
+
 void RowSource::Load(Executor::TaskGroup& group, const CancelToken* cancel,
                      const std::function<Target(size_t)>& alloc) const {
   if (identity_) {

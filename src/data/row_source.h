@@ -5,9 +5,11 @@
 // run's private working copy (WorkingSet::Load), not in a view built
 // beforehand. A constrained source may carry the dataset's zonemap index
 // (index/zonemap.h): the load then walks its blocks, skipping those the
-// box misses and copying those inside it without a row test. A Dataset
-// converts implicitly to its identity source, so every algorithm entry
-// point taking a RowSource still accepts a plain Dataset.
+// box misses and copying those inside it without a row test. A box-only
+// source (every column kept, none negated) can also be read in place by
+// a zonemap traversal (core/zonemap_skyline.h), which loads nothing. A
+// Dataset converts implicitly to its identity source, so every algorithm
+// entry point taking a RowSource still accepts a plain Dataset.
 #ifndef SKY_DATA_ROW_SOURCE_H_
 #define SKY_DATA_ROW_SOURCE_H_
 
@@ -15,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/cancel.h"
@@ -27,7 +30,10 @@ namespace sky {
 
 class ZoneMapIndex;
 
-/// What one non-identity load did, for the engine's `view.build` span.
+/// What one non-identity load did, for the engine's `view.build` span. A
+/// traversal of a box-only source in place reports only `rows_in` and
+/// `rows_loaded` (the rows inside the box) and leaves `done` false: it
+/// loaded nothing.
 struct LoadStats {
   size_t rows_in = 0;             ///< source rows
   size_t rows_loaded = 0;         ///< rows inside the box
@@ -59,7 +65,17 @@ class RowSource {
   const Dataset& rows() const { return *rows_; }
   /// True when a load is a plain copy of rows() (no box, no transform).
   bool identity() const { return identity_; }
+  /// True when every column is kept and none negated: at most a box
+  /// separates the loaded rows from rows().
+  bool plain() const { return plain_; }
   bool constrained() const { return !constraints_.empty(); }
+  std::span<const DimConstraint> constraints() const { return constraints_; }
+  /// The borrowed zonemap index over rows(), or null.
+  const ZoneMapIndex* index() const { return index_; }
+
+  /// For a run that reads rows() in place instead of loading them: report
+  /// the `rows_matched` rows inside the box to the stats sink, if any.
+  void ReportInPlace(size_t rows_matched) const;
   /// Loaded row dimensionality: the kept columns.
   int dims() const { return static_cast<int>(kept_.size()); }
   /// Padded stride of a loaded row.

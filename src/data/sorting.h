@@ -6,6 +6,9 @@
 //    bit-hacked key K = (|m| << d) | m;
 //  * ascending min-coordinate with L1 tie-break (SaLSa [2]) — enables
 //    early termination.
+// "L1" is the norm key of sorting.cc: the L1 norm on finite rows, and
+// (-inf count desc, +inf count asc, finite sum) on rows with infinities,
+// so a dominator never sorts after its victim there either.
 #ifndef SKY_DATA_SORTING_H_
 #define SKY_DATA_SORTING_H_
 

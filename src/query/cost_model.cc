@@ -37,8 +37,8 @@ double Cost(const AlgorithmDescriptor& desc, double n_eff, int d,
 /// Per-coordinate surcharges of the zonemap_direct comparison
 /// (SelectionContext::zonemap_direct). A constrained spec makes every
 /// ordinary candidate load its rows through the shard's RowSource before
-/// it runs; the zonemap direct path replaces that with AABB pruning plus
-/// a row scan over the boxes that survive it. The model charges a
+/// it runs; the zonemap traversal replaces that with AABB pruning plus a
+/// row scan over the boxes that survive it. The model charges a
 /// full-dataset load (copy + box test per row) to every ordinary
 /// candidate and a cheaper whole-dataset scan bound to zonemap —
 /// pessimistic for zonemap (it skips disjoint blocks without touching
@@ -68,34 +68,6 @@ Effective EffectiveSizes(const StatsSketch& sketch,
 
 }  // namespace
 
-double CostLearner::Scale(Algorithm algo) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return cells_[static_cast<size_t>(algo)].scale;
-}
-
-void CostLearner::Record(Algorithm algo, double predicted_cost,
-                         double measured_seconds) {
-  const double measured_ns = measured_seconds * 1e9;
-  const double ratio = std::clamp(
-      measured_ns / std::max(predicted_cost, 1.0), 0.01, 100.0);
-  const std::lock_guard<std::mutex> lock(mu_);
-  Cell& cell = cells_[static_cast<size_t>(algo)];
-  cell.scale = cell.observations == 0
-                   ? ratio
-                   : (1.0 - kBlend) * cell.scale + kBlend * ratio;
-  ++cell.observations;
-}
-
-uint64_t CostLearner::Observations(Algorithm algo) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return cells_[static_cast<size_t>(algo)].observations;
-}
-
-void CostLearner::Reset() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  cells_.fill(Cell{});
-}
-
 double EstimateAlgorithmCost(Algorithm algorithm, const StatsSketch& sketch,
                              const SelectionContext& ctx) {
   const Effective e = EffectiveSizes(sketch, ctx);
@@ -112,8 +84,8 @@ AlgorithmChoice ChooseAlgorithm(const StatsSketch& sketch,
   bool first = true;
   for (const AlgorithmDescriptor& desc : AlgorithmTable()) {
     if (!desc.auto_candidate) continue;
-    // Zonemap competes only where the engine would run it directly on raw
-    // rows against a constraint box (see SelectionContext::zonemap_direct).
+    // Zonemap competes only where the engine would traverse the shard's
+    // index against a constraint box (see SelectionContext::zonemap_direct).
     if (desc.algorithm == Algorithm::kZonemap && !ctx.zonemap_direct) {
       continue;
     }
@@ -125,14 +97,13 @@ AlgorithmChoice ChooseAlgorithm(const StatsSketch& sketch,
     if (ctx.progressive && !desc.progressive) continue;
     double cost = Cost(desc, e.n, sketch.d, e.m, ctx.threads);
     if (ctx.zonemap_direct) {
-      // Direct-path comparison: ordinary candidates first pay the
-      // full-dataset view materialization the zonemap path skips.
+      // Traversal comparison: ordinary candidates first pay the
+      // full-dataset load the zonemap traversal skips.
       const double full = static_cast<double>(sketch.n) * sketch.d;
       cost += desc.algorithm == Algorithm::kZonemap
                   ? kZonemapBoxScanNs * full
                   : kViewMaterializeNs * full;
     }
-    if (ctx.learner != nullptr) cost *= ctx.learner->Scale(desc.algorithm);
     if (first || cost < choice.est_cost) {
       choice.algorithm = desc.algorithm;
       choice.est_cost = cost;

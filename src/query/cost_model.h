@@ -10,9 +10,7 @@
 #ifndef SKY_QUERY_COST_MODEL_H_
 #define SKY_QUERY_COST_MODEL_H_
 
-#include <array>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "core/options.h"
@@ -20,43 +18,6 @@
 #include "query/query_spec.h"
 
 namespace sky {
-
-/// Online recalibration of the static cost coefficients: each executed
-/// query reports (model-predicted cost, measured wall time) for the
-/// algorithm that actually ran, and the learner keeps a per-algorithm
-/// exponential moving average of the measured/predicted ratio.
-/// ChooseAlgorithm multiplies every candidate's model cost by its learned
-/// scale, so systematic per-host miscalibration (a slow allocator, no
-/// AVX2, an oversubscribed pool) shifts future picks without touching the
-/// registry constants. Thread-safe; enabled behind Config::cost_learning
-/// (off by default so deterministic tests see the static model).
-class CostLearner {
- public:
-  /// Learned cost multiplier for `algo` (1.0 until the first record).
-  double Scale(Algorithm algo) const;
-
-  /// Blend one observation in. `predicted_cost` is the model estimate in
-  /// relative-ns units, `measured_seconds` the query's wall time. Ratios
-  /// are clamped to [0.01, 100] so one scheduling hiccup cannot poison
-  /// the average.
-  void Record(Algorithm algo, double predicted_cost,
-              double measured_seconds);
-
-  /// Observations recorded for `algo` so far.
-  uint64_t Observations(Algorithm algo) const;
-
-  void Reset();
-
- private:
-  /// EMA weight of a new observation (first observation seeds the EMA).
-  static constexpr double kBlend = 0.2;
-  struct Cell {
-    double scale = 1.0;
-    uint64_t observations = 0;
-  };
-  mutable std::mutex mu_;
-  std::array<Cell, static_cast<size_t>(Algorithm::kAuto) + 1> cells_;
-};
 
 /// Per-query inputs of one selection decision.
 struct SelectionContext {
@@ -72,16 +33,14 @@ struct SelectionContext {
   /// algorithms that actually stream (descriptor `progressive`), so an
   /// auto pick never silently swallows the batches.
   bool progressive = false;
-  /// The engine would run Algorithm::kZonemap directly on raw shard rows
-  /// against the spec's constraint box (band-1, all-min, box-only spec):
-  /// zonemap becomes a candidate with a cheap box-scan term, and every
-  /// other candidate is charged the view materialization the direct path
+  /// The spec is band-1, all-min and constrained, so Algorithm::kZonemap
+  /// would traverse the shard's own index in place against the box,
+  /// loading no rows: zonemap becomes a candidate with a cheap box-scan
+  /// term, and every other candidate is charged the load the traversal
   /// skips. False (the default) excludes zonemap from selection — its
   /// cost depends on block pruning the static model cannot see, so it
   /// only competes where its sub-shard pruning structurally pays.
   bool zonemap_direct = false;
-  /// Optional learned per-algorithm cost multipliers (Config::cost_learning).
-  const CostLearner* learner = nullptr;
 };
 
 /// A resolved selection plus the model's reasoning, for reporting.

@@ -17,12 +17,10 @@
 #include "common/timer.h"
 #include "core/skyband.h"
 #include "core/skyline.h"
-#include "core/zonemap_skyline.h"
 #include "data/row_source.h"
 #include "dominance/batch.h"
 #include "dominance/dominance.h"
 #include "index/zonemap.h"
-#include "query/cost_model.h"
 #include "query/delta.h"
 
 namespace sky {
@@ -75,10 +73,9 @@ struct ShardPartial {
   double trace_start = 0.0;    // seconds since the trace epoch
   double trace_seconds = 0.0;  // shard wall time
   bool maintained = false;     // served from the maintained shard skyline
-  bool direct = false;         // ran the zonemap direct path (no load)
   /// trace_start on the steady clock, to place the load's span.
   std::chrono::steady_clock::time_point clock_start;
-  /// The non-identity load, once done.
+  /// The non-identity load, once done (or a traversal's matched rows).
   LoadStats load;
   /// The run's first-use index build (trace time and duration); a
   /// negative duration means the run found the index built.
@@ -235,13 +232,15 @@ std::vector<PointId> MergeUnion(const ShardMap& map, const ExecutionPlan& plan,
 /// progressive callback, and its members, dominator counts and rank
 /// scores are final.
 ///
-/// Every non-identity shard run loads its rows through a RowSource of the
-/// spec — box, projection and negation fused into the algorithm's own
-/// working-set copy, constrained loads walking the shard's zonemap — and
-/// each finished load counts in `view_builds`. Zonemap-direct runs use
-/// the shard's own index unless Options::block_rows asks for a private
-/// one. A run that builds a shard's index on first use traces it as a
-/// `zonemap` span; a load traces as `view.build`.
+/// Every shard run but the maintained-skyline shortcut is one
+/// ComputeSkyline / ComputeSkyband call on one RowSource of the spec: the
+/// algorithm loads the shard rows through it — box, projection and
+/// negation fused into its own working-set copy, constrained loads
+/// walking the shard's zonemap — and each finished load counts in
+/// `view_builds`; Algorithm::kZonemap on a box-only spec traverses the
+/// shard's zonemap in place instead and loads nothing. A run that builds
+/// a shard's index on first use traces it as a `zonemap` span; a load
+/// traces as `view.build`.
 QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
                                const QuerySpec& canon, const Options& opts,
                                obs::TraceScope& trace,
@@ -256,10 +255,6 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
   }
   const bool identity = canon.IsIdentityTransform();
   const bool single = plan.merge == MergeStrategy::kNone;
-  // Band-1 box-only specs let Algorithm::kZonemap run on the raw shard
-  // rows (constraint box applied during the traversal), skipping the
-  // load entirely.
-  const bool zonemap_direct = canon.band_k == 1 && canon.IsBoxOnlyTransform();
   // Per-shard algorithm: the plan's cost-model picks when the request
   // was kAuto, the caller's explicit choice otherwise.
   const auto algo_of = [&](size_t s) {
@@ -273,17 +268,6 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
     auto index = shard.zonemap();
     p.zonemap_seconds = trace.Now() - p.zonemap_start;
     return index;
-  };
-  /// Index for a direct run: the shard's own, or a private build when
-  /// Options::block_rows asks for another block size.
-  const auto zonemap_of = [&](const Shard& shard, ShardPartial& p)
-      -> std::shared_ptr<const ZoneMapIndex> {
-    if (opts.block_rows == 0 ||
-        opts.block_rows == ZoneMapIndex::kDefaultBlockRows) {
-      return shard_zonemap(shard, p);
-    }
-    return std::make_shared<const ZoneMapIndex>(
-        ZoneMapIndex::Build(shard.rows(), opts.block_rows, &shard.sketch));
   };
 
   // Execute stage. Two shapes, chosen by the planner's thread budget:
@@ -329,32 +313,20 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
       if (one.progressive && !p.cand_rows.empty()) {
         one.progressive(p.cand_rows);
       }
-    } else if (zonemap_direct && one.algorithm == Algorithm::kZonemap) {
-      // Direct path: traverse the shard's zonemap index against the
-      // constraint box on raw rows — no load. A first use builds the
-      // index; its cost lands in other_seconds.
-      p.direct = true;
-      if (shard.rows().count() > 0) {
-        WallTimer index_timer;
-        const std::shared_ptr<const ZoneMapIndex> zm = zonemap_of(shard, p);
-        const double index_seconds = index_timer.Seconds();
-        ZonemapRunResult run =
-            ZonemapSkylineRun(shard.rows(), *zm, canon.constraints, one);
-        p.stats = run.stats;
-        p.stats.other_seconds += index_seconds;
-        p.cand_rows = std::move(run.skyline);
-        p.matched = run.matched_rows;
-      }
     } else {
-      // The algorithm loads the shard rows through the spec's source; a
-      // constrained load walks the shard's zonemap (built on first use).
+      // One source per run. The shard's zonemap (built on first use)
+      // serves a constrained load's block walk and a kZonemap traversal
+      // in place, which needs a band-1 box-only spec; nothing else reads
+      // it (ComputeSkyband ignores the algorithm, and a projected or MAX
+      // source is traversed after its load).
+      const bool traversal = one.algorithm == Algorithm::kZonemap &&
+                             canon.band_k == 1 && canon.IsBoxOnlyTransform();
       std::shared_ptr<const ZoneMapIndex> zm;
-      if (!canon.constraints.empty() && shard.rows().count() > 0) {
+      if ((!canon.constraints.empty() || traversal) &&
+          shard.rows().count() > 0) {
         zm = shard_zonemap(shard, p);
       }
-      const RowSource source =
-          identity ? RowSource(shard.rows())
-                   : RowSource(shard.rows(), canon, zm.get(), &p.load);
+      const RowSource source(shard.rows(), canon, zm.get(), &p.load);
       // A finished load counts even when the run then unwinds.
       const auto count_load = [&] {
         if (p.load.done) view_builds.fetch_add(1, std::memory_order_relaxed);
@@ -423,9 +395,7 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
     span.AttrCount("candidates", p.cand_rows.size());
     if (opts.count_dts) span.AttrCount("dom_tests", p.stats.dominance_tests);
     if (p.maintained) span.Attr("maintained", "true");
-    if (p.direct) {
-      span.Attr("view", "direct");
-    } else if (p.load.done) {
+    if (p.load.done) {
       span.Attr("view", "build");
       span.AttrCount("threads", static_cast<uint64_t>(p.load.threads));
     }
@@ -495,10 +465,9 @@ QueryResult ExecuteShardedPlan(const ShardMap& map, const ExecutionPlan& plan,
 /// Plan stage of the plan path: plan `canon` over `map` under one "plan"
 /// span of `trace`.
 ExecutionPlan PlanStage(obs::TraceScope& trace, const ShardMap& map,
-                        const QuerySpec& canon, const Options& opts,
-                        const CostLearner* learner = nullptr) {
+                        const QuerySpec& canon, const Options& opts) {
   obs::TraceScope span(trace, "plan");
-  ExecutionPlan plan = PlanQuery(map, canon, opts, learner);
+  ExecutionPlan plan = PlanQuery(map, canon, opts);
   span.AttrCount("shards", plan.shards.size());
   span.AttrCount("pruned", plan.pruned);
   span.Attr("merge", MergeStrategyName(plan.merge));
@@ -980,31 +949,9 @@ QueryResult SkylineEngine::Execute(const std::string& name,
 
   QueryResult fresh;
   try {
-    plan = PlanStage(root, *shards, canon, eff,
-                     config_.cost_learning ? &learner_ : nullptr);
+    plan = PlanStage(root, *shards, canon, eff);
     fresh = ExecuteShardedPlan(*shards, *plan, canon, eff, root, view_builds);
     fresh.constraints = canon.constraints;
-    if (config_.cost_learning && plan->shards.size() == 1) {
-      // One observation per single-shard fresh compute (multi-shard runs
-      // overlap several algorithms in one wall time, so they stay
-      // unattributed): measured wall time against the model's prediction
-      // for the executed shard at the query's *measured* selectivity, so
-      // the learner corrects coefficient error rather than
-      // selectivity-estimate error.
-      const StatsSketch& sketch = shards->shard(plan->shards[0]).sketch;
-      SelectionContext rctx;
-      rctx.band_k = canon.band_k;
-      rctx.threads = eff.ResolvedThreads();
-      rctx.progressive = eff.progressive != nullptr;
-      rctx.selectivity =
-          sketch.n > 0 ? std::min(1.0, static_cast<double>(fresh.matched_rows) /
-                                           static_cast<double>(sketch.n))
-                       : 1.0;
-      learner_.Record(
-          fresh.shard_algorithms[0],
-          EstimateAlgorithmCost(fresh.shard_algorithms[0], sketch, rctx),
-          fresh.stats.total_seconds);
-    }
     const obs::TraceScope put(root, "cache.put");
     try {
       SKY_FAILPOINT("result_cache_put");

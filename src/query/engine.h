@@ -10,18 +10,20 @@
 //            Algorithm::kAuto requests — cost-selects an algorithm and
 //            thread budget per surviving shard from its StatsSketch,
 //   execute  surviving shards run per-shard skylines / k-skybands on the
-//            shared executor (a lone survivor gets the whole thread
-//            budget and the progressive callback),
+//            shared executor, each one ComputeSkyline / ComputeSkyband
+//            call on the shard's RowSource (a lone survivor gets the
+//            whole thread budget and the progressive callback),
 //   merge    partial results are combined with the paper's M(S)
 //            union-then-filter operator (depth-aware for k-skybands);
 //            a lone survivor's answer is final and skips it.
 //
 // Finished results land in a byte- and entry-capped LRU, the engine's one
-// cache. No view is materialized: a non-identity shard run hands its
-// algorithm a RowSource (data/row_source.h) whose load applies the box,
-// projection and negation while making the run's working copy. Each shard
+// cache. No view is materialized: every shard run hands its algorithm a
+// RowSource (data/row_source.h) whose load applies the box, projection
+// and negation while making the run's working copy; a zonemap traversal
+// of a box-only spec reads the shard rows in place instead. Each shard
 // owns its zonemap index, built on first use — by a constrained load or a
-// zonemap traversal — and repaired by mutations (query/delta.h).
+// zonemap run — and repaired by mutations (query/delta.h).
 // All public methods are safe to call concurrently from many threads.
 #ifndef SKY_QUERY_ENGINE_H_
 #define SKY_QUERY_ENGINE_H_
@@ -43,7 +45,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/executor.h"
-#include "query/cost_model.h"
 #include "query/delta.h"
 #include "query/planner.h"
 #include "query/query_spec.h"
@@ -165,13 +166,6 @@ class SkylineEngine {
     /// of bench/perf_smoke's metrics pair. The result cache's and the
     /// executor's own counters are maintained regardless.
     bool metrics = true;
-    /// Online cost-model recalibration (query/cost_model.h CostLearner):
-    /// fresh computes whose plan executed one shard record their measured
-    /// wall time against the model's prediction for that shard's sketch,
-    /// and kAuto selection scales candidate costs by the learned
-    /// per-algorithm ratios. Off by default so deterministic tests see
-    /// the static model.
-    bool cost_learning = false;
     /// Width of the engine's shared work-stealing executor
     /// (parallel/executor.h): every query, mutation repair, and
     /// intra-shard algorithm phase runs as capped task groups on this one
@@ -276,11 +270,6 @@ class SkylineEngine {
                       const Options& opts = Options{});
 
   void ClearCache() { cache_.Clear(); }
-
-  /// The learner behind Config::cost_learning (state persists across
-  /// queries; exposed so tests and benches can inspect or reset it).
-  CostLearner& Learner() { return learner_; }
-  const CostLearner& Learner() const { return learner_; }
 
   /// The engine's metrics registry — every counter/histogram the serving
   /// and mutation paths feed, plus the cache, executor and dataset-count
@@ -416,7 +405,6 @@ class SkylineEngine {
   /// count).
   std::atomic<int> inflight_{0};
   LruCache<QueryResult> cache_;
-  CostLearner learner_;  ///< behind Config::cost_learning
 };
 
 }  // namespace sky

@@ -86,7 +86,7 @@ void PlannerCounters::Record(const ExecutionPlan& plan) const {
 }
 
 ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon,
-                        const Options& opts, const CostLearner* learner) {
+                        const Options& opts) {
   ExecutionPlan plan = PlanQuery(map, canon);
   // A lone survivor's answer is final and nothing runs beside it, so it
   // gets the caller's whole budget whatever the algorithm.
@@ -122,12 +122,11 @@ ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon,
   // the merge stage streams for multi-shard plans), so a progressive
   // caller needs streaming-capable picks throughout.
   ctx.progressive = opts.progressive != nullptr;
-  // Zonemap runs directly on raw shard rows only for band-1 box-only
-  // specs with a real constraint box (engine.cc's direct path); elsewhere
-  // it is not a candidate.
+  // Zonemap traverses the shard's own index in place only for band-1
+  // box-only specs; it competes where such a spec has a real constraint
+  // box to prune blocks with, and nowhere else.
   ctx.zonemap_direct = canon.band_k == 1 && !canon.constraints.empty() &&
                        canon.IsBoxOnlyTransform();
-  ctx.learner = learner;
   for (const uint32_t s : plan.shards) {
     const StatsSketch& sketch = map.shard(s).sketch;
     ctx.selectivity =
@@ -150,7 +149,6 @@ ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon,
     merge_ctx.band_k = canon.band_k;
     merge_ctx.threads = total_threads;
     merge_ctx.progressive = ctx.progressive;
-    merge_ctx.learner = learner;
     plan.merge_algorithm = ChooseAlgorithm(union_sketch, merge_ctx).algorithm;
   }
   return plan;

@@ -21,8 +21,6 @@
 
 namespace sky {
 
-class CostLearner;  // query/cost_model.h
-
 /// How per-shard partial results combine into the final answer.
 enum class MergeStrategy : uint8_t {
   kNone,          ///< 0 or 1 executed shards: the partial result is final
@@ -98,12 +96,9 @@ ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon);
 
 /// Adaptive variant: additionally resolves per-shard algorithms, the
 /// shard thread budget and the merge algorithm when opts.algorithm is
-/// kAuto (identical to the two-argument form otherwise). A non-null
-/// `learner` scales each candidate's model cost by its measured/predicted
-/// EMA (Config::cost_learning).
+/// kAuto (identical to the two-argument form otherwise).
 ExecutionPlan PlanQuery(const ShardMap& map, const QuerySpec& canon,
-                        const Options& opts,
-                        const CostLearner* learner = nullptr);
+                        const Options& opts);
 
 }  // namespace sky
 

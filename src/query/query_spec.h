@@ -89,8 +89,8 @@ struct QuerySpec {
 
   /// True when the spec differs from the native question at most by box
   /// constraints: minimize everything, no projection. Such specs can run
-  /// on raw rows with the box applied during the scan — the zonemap
-  /// direct path exploits this (candidate rows keep original values, so
+  /// on raw rows with the box applied during the scan — a zonemap
+  /// traversal exploits this (candidate rows keep original values, so
   /// dominance and scoring match the materialized view bit-for-bit).
   bool IsBoxOnlyTransform() const;
 

@@ -2,11 +2,15 @@
 // Edge cases and mathematical property tests that hold for the skyline
 // operator itself: idempotence, invariance under monotone per-dimension
 // transformations, and behavior at the supported limits (d=1, d=16,
-// degenerate dimensions, extreme values, heavy oversubscription).
+// degenerate dimensions, extreme and infinite values, heavy
+// oversubscription).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
+#include "core/algorithm_registry.h"
+#include "core/skyband.h"
 #include "core/skyline.h"
 #include "data/generator.h"
 #include "test_util.h"
@@ -100,6 +104,40 @@ TEST(EdgeCases, TwoPointsAllRelations) {
       ASSERT_EQ(test::Sorted(ComputeSkyline(data, Opt(a)).skyline), c.expect)
           << AlgorithmName(a);
     }
+  }
+}
+
+TEST(EdgeCases, InfiniteCoordinatesKeepEveryAlgorithmExact) {
+  // Regression: every row with a -inf coordinate has L1 = -inf, so an
+  // L1-only sort key tied each dominator with its victims and could put a
+  // victim first; the L1-sorted algorithms and the k-skyband then kept
+  // dominated rows. Victims are listed before their dominators.
+  const float inf = std::numeric_limits<float>::infinity();
+  const Dataset data = test::MakeDataset({{-inf, 1.0f, 0.5f},
+                                          {-inf, 0.75f, 0.5f},
+                                          {-inf, 0.5f, 0.5f},
+                                          {0.5f, 0.5f, inf},
+                                          {0.5f, 0.25f, inf},
+                                          {0.25f, 0.25f, 0.25f}});
+  const auto expect = test::Sorted(test::ReferenceSkyline(data));
+  ASSERT_EQ(expect, (std::vector<PointId>{2, 5}));
+  for (const AlgorithmDescriptor& desc : AlgorithmTable()) {
+    for (const int threads : {1, 4}) {
+      EXPECT_EQ(test::Sorted(ComputeSkyline(data, Opt(desc.algorithm,
+                                                      threads))
+                                 .skyline),
+                expect)
+          << desc.name << " threads=" << threads;
+    }
+  }
+  // Dominator counts: row 0 has two (rows 1 and 2), row 3 has two
+  // (rows 4 and 5), row 1 and row 4 have one each.
+  for (const int threads : {1, 4}) {
+    const SkybandResult band =
+        ComputeSkyband(data, 2, Opt(Algorithm::kQFlow, threads));
+    EXPECT_EQ(test::Sorted(band.skyband),
+              (std::vector<PointId>{1, 2, 4, 5}))
+        << "threads=" << threads;
   }
 }
 

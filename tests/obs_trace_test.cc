@@ -290,7 +290,8 @@ TEST(EngineTraceTest, UnshardedIdentityQueryTracesExecuteStage) {
 TEST(EngineTraceTest, UnshardedViewSpanCarriesBuildWidth) {
   // A view spanning several row chunks builds at the request's budget on
   // the shared executor, and the lone shard's span reports that width.
-  // A zonemap run on a box-only spec reports a direct (view-free) run.
+  // A zonemap run on a box-only spec traverses the shard's index in
+  // place: it loads nothing, yet still reports its exact matched rows.
   SkylineEngine::Config config;
   config.executor_threads = 4;
   SkylineEngine engine(config);
@@ -316,13 +317,25 @@ TEST(EngineTraceTest, UnshardedViewSpanCarriesBuildWidth) {
   boxed.Constrain(0, 0.1f, 0.5f);
   Options zonemap = opts;
   zonemap.algorithm = Algorithm::kZonemap;
-  const QueryResult direct = engine.Execute("flat", boxed, zonemap);
-  ASSERT_NE(direct.trace, nullptr);
-  const int run = FindSpan(*direct.trace, "shard[0]");
+  const QueryResult traversal = engine.Execute("flat", boxed, zonemap);
+  ASSERT_NE(traversal.trace, nullptr);
+  const obs::QueryTrace& t = *traversal.trace;
+  const int run = FindSpan(t, "shard[0]");
   ASSERT_GE(run, 0);
-  EXPECT_EQ(AttrOf(*direct.trace, run, "view"), "direct");
-  EXPECT_EQ(AttrOf(*direct.trace, run, "rows"),
-            std::to_string(direct.matched_rows));
+  for (const obs::TraceSpan& span : t.spans) {
+    if (span.parent == run) {
+      EXPECT_NE(span.name, "view.build");
+    }
+  }
+  EXPECT_EQ(AttrOf(t, run, "view"), "");
+  EXPECT_EQ(AttrOf(t, run, "rows"), std::to_string(traversal.matched_rows));
+  const Dataset data = GenerateSynthetic(Distribution::kIndependent, 20'000,
+                                         4, /*seed=*/5);
+  size_t inside = 0;
+  for (size_t i = 0; i < data.count(); ++i) {
+    inside += data.Row(i)[0] >= 0.1f && data.Row(i)[0] <= 0.5f;
+  }
+  EXPECT_EQ(traversal.matched_rows, inside);
 }
 
 TEST(EngineTraceTest, RunQueryIdentityTracesExecuteStage) {

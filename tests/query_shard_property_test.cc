@@ -355,7 +355,7 @@ Dataset FourQuadrants() {
 TEST(QueryShardPropertyTest, LoneSurvivorStreamsProgressiveInCallerIds) {
   // A plan the box prunes to one shard forwards that shard's progressive
   // callback, remapped to caller ids: the union of the streamed batches
-  // is the answer, through a view and through the zonemap direct run.
+  // is the answer, through a load and through a zonemap traversal.
   // The dataset is mutated first, so the survivor is a repaired shard.
   // (The one-shard identity case, served from the maintained skyline,
   // runs in IncrementalMutationSuite.)

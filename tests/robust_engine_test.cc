@@ -101,8 +101,8 @@ TEST_F(RobustEngineTest, EngineDeadlineReturnsCleanStatusNotRows) {
 }
 
 TEST_F(RobustEngineTest, ZonemapPathHonorsDeadline) {
-  // The zonemap-direct route (box-only constrained spec, kZonemap) has
-  // its own traversal loop; it must poll the same per-query token.
+  // A zonemap traversal (box-only constrained spec, kZonemap) has its
+  // own loop; it must poll the same per-query token.
   SkylineEngine engine;
   engine.RegisterDataset(
       "ds", GenerateSynthetic(Distribution::kAnticorrelated, 60'000, 6, 11));
@@ -343,7 +343,7 @@ TEST_F(RobustEngineTest, FailpointDifferentialNoFaultProducesWrongAnswer) {
   const std::vector<PointId> oracle = OracleIds(data, boxed);
   Options opts;
   opts.threads = 2;
-  // The same box-only spec forced onto the zonemap direct path, which
+  // The same box-only spec forced onto a zonemap traversal, which
   // builds each executed shard's index on first use.
   Options zonemap_opts = opts;
   zonemap_opts.algorithm = Algorithm::kZonemap;

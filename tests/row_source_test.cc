@@ -36,8 +36,10 @@ namespace {
 using Entry = std::pair<PointId, std::vector<uint32_t>>;
 
 /// Seeded rows on a coarse grid (duplicates and boundary ties), with -0
-/// and — when `specials` — NaN and +-inf sprinkled in.
-Dataset SpikyData(uint64_t seed, size_t n, int dims, bool specials = true) {
+/// and — when `specials` — +-inf and (unless `nan` is false) NaN
+/// sprinkled in.
+Dataset SpikyData(uint64_t seed, size_t n, int dims, bool specials = true,
+                  bool nan = true) {
   Rng rng(seed);
   std::vector<float> flat;
   flat.reserve(n * static_cast<size_t>(dims));
@@ -45,7 +47,9 @@ Dataset SpikyData(uint64_t seed, size_t n, int dims, bool specials = true) {
     for (int j = 0; j < dims; ++j) {
       const uint64_t r = rng.Next() % 1000;
       float v = static_cast<float>(rng.Next() % 17) / 16.0f;
-      if (specials && r == 0) v = std::numeric_limits<float>::quiet_NaN();
+      if (specials && nan && r == 0) {
+        v = std::numeric_limits<float>::quiet_NaN();
+      }
       if (specials && r == 1) v = std::numeric_limits<float>::infinity();
       if (specials && r == 2) v = -std::numeric_limits<float>::infinity();
       if (r < 30 && v == 0.0f) v = -0.0f;
@@ -313,11 +317,12 @@ TEST(RowSourceLoad, SkylineOfASourceMatchesItsView) {
 }
 
 TEST(RowSourceLoad, EngineAnswersMatchTheOracleAtEveryShardLayout) {
-  // Finite rows with -0 and duplicates: Q-Flow's L1 block flow needs
-  // finite norms (a -inf coordinate collapses norms into ties that can
-  // put a dominator after its victim).
+  // Rows with +-inf, -0 and duplicates. NaN stays out: the algorithms
+  // and VerifyQuery's oracle disagree on NaN rows (an open mismatch; the
+  // oracle's `<=` fails every comparison on a NaN).
   const int dims = 4;
-  const Dataset data = SpikyData(41, 6'000, dims, /*specials=*/false);
+  const Dataset data =
+      SpikyData(41, 6'000, dims, /*specials=*/true, /*nan=*/false);
   std::vector<QuerySpec> specs;
   QuerySpec boxed;
   boxed.Constrain(0, 0.1f, 0.6f);
@@ -351,7 +356,7 @@ TEST(RowSourceLoad, EngineAnswersMatchTheOracleAtEveryShardLayout) {
       for (const QuerySpec& spec : specs) {
         for (const Algorithm algo :
              {Algorithm::kHybrid, Algorithm::kQFlow, Algorithm::kBnl,
-              Algorithm::kAuto}) {
+              Algorithm::kZonemap, Algorithm::kAuto}) {
           Options opts;
           opts.algorithm = algo;
           opts.threads = 2;

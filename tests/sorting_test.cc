@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/bits.h"
 #include "data/generator.h"
 #include "data/partition.h"
@@ -104,6 +106,45 @@ TEST(Sorting, MinCoordOrderForSalsa) {
   for (size_t i = 1; i < ws.count; ++i) {
     ASSERT_LE(min_of(i - 1), min_of(i));
   }
+}
+
+TEST(Sorting, InfiniteCoordinatesKeepNoBackwardDominance) {
+  // Rows with infinities have infinite or NaN L1 norms; every sort order
+  // must still never put a dominator after its victim. Each dominator is
+  // listed after its victim.
+  const float inf = std::numeric_limits<float>::infinity();
+  const Dataset data = test::MakeDataset({{-inf, 0.75f, 0.5f},
+                                          {-inf, 0.5f, 0.5f},
+                                          {0.5f, inf, 0.25f},
+                                          {0.25f, inf, 0.25f},
+                                          {-inf, inf, 0.5f},
+                                          {-inf, 0.5f, 0.5f},
+                                          {0.5f, 0.5f, inf},
+                                          {0.5f, 0.5f, 0.5f},
+                                          {0.0f, -inf, -inf},
+                                          {-0.0f, -inf, -inf}});
+  Executor::TaskGroup group(test::FourWayExecutor(), 2);
+  DomCtx dom(data.dims(), data.stride(), true);
+  const auto check = [&](const WorkingSet& ws, const char* order) {
+    for (size_t i = 0; i < ws.count; ++i) {
+      for (size_t j = i + 1; j < ws.count; ++j) {
+        EXPECT_FALSE(dom.Dominates(ws.Row(j), ws.Row(i)))
+            << order << ": row " << ws.ids[j] << " sorted after its victim "
+            << ws.ids[i];
+      }
+    }
+  };
+  WorkingSet l1 = MakeWs(data, group);
+  SortByL1(l1, group);
+  check(l1, "L1");
+  WorkingSet min_coord = MakeWs(data, group);
+  SortByMinCoord(min_coord, group);
+  check(min_coord, "min coordinate");
+  WorkingSet masked = MakeWs(data, group);
+  const auto pivot = SelectPivot(masked, PivotPolicy::kMedian, group, 0);
+  AssignMasks(masked, pivot.data(), dom, group);
+  SortByMaskThenL1(masked, group);
+  check(masked, "mask then L1");
 }
 
 TEST(Sorting, EmptyAndSingleton) {

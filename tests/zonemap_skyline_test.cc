@@ -5,13 +5,14 @@
 // across distributions x shard counts/policies x constrained/
 // unconstrained x band depths, the index must stay valid across
 // block-local mutation repair, pruning decisions must be provably
-// justified, and the counting tile kernel plus the cost learner riding
-// along in this change are checked against scalar oracles.
+// justified, and the counting tile kernel is checked against a scalar
+// oracle.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <limits>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,12 +61,12 @@ Dataset MakeData(const std::string& dist, size_t n, int d, uint64_t seed) {
   return GenerateSynthetic(ParseDistribution(dist), n, d, seed);
 }
 
-/// The spec grid the zonemap paths must cover: the direct path (band-1
-/// box-only, constrained and unconstrained), the view path (preference
-/// flips), the skyband substrate (band_k > 1) and ranked caps.
+/// The spec grid the zonemap paths must cover: the in-place traversal
+/// (band-1 box-only, constrained and unconstrained), the load path
+/// (preference flips), the skyband substrate (band_k > 1) and ranked caps.
 std::vector<QuerySpec> ZonemapSpecs(int d) {
   std::vector<QuerySpec> specs;
-  specs.push_back(QuerySpec{});  // unconstrained direct path
+  specs.push_back(QuerySpec{});  // unconstrained traversal
 
   QuerySpec boxed;
   boxed.Constrain(0, 0.1f, 0.6f);
@@ -75,7 +76,7 @@ std::vector<QuerySpec> ZonemapSpecs(int d) {
   tight.Constrain(0, 0.0f, 0.25f).Constrain(d - 1, 0.0f, 0.3f);
   specs.push_back(tight);
 
-  QuerySpec flipped = boxed;  // not box-only: runs via the view path
+  QuerySpec flipped = boxed;  // not box-only: traverses a loaded copy
   flipped.SetPreference(1, Preference::kMax);
   specs.push_back(flipped);
 
@@ -130,20 +131,29 @@ TEST(ZonemapDifferential, MatchesOracleAcrossTheGrid) {
 
 TEST(ZonemapDifferential, BlockRowsSweepMatchesOracle) {
   // Degenerate block sizes (1 row per block, bigger than the dataset)
-  // change only the traversal granularity, never the answer.
+  // change only the traversal granularity, never the answer or the
+  // matched-row count.
   const Dataset data = MakeData("anti", 350, 4, 23);
   QuerySpec boxed;
   boxed.Constrain(0, 0.0f, 0.5f);
   for (const size_t block_rows : {size_t{1}, size_t{7}, size_t{64},
                                   size_t{4096}}) {
-    Options opts;
-    opts.algorithm = Algorithm::kZonemap;
-    opts.block_rows = block_rows;
+    const ZoneMapIndex index = ZoneMapIndex::Build(data, block_rows);
     for (const QuerySpec& spec : {QuerySpec{}, boxed}) {
-      EXPECT_EQ(SortedEntries(RunQuery(data, spec, opts)),
-                ReferenceQuery(data, spec))
-          << "block_rows=" << block_rows
-          << " constrained=" << !spec.constraints.empty();
+      const ZonemapRunResult run =
+          ZonemapSkylineRun(data, index, spec.constraints, Options{});
+      std::vector<OracleEntry> got;
+      for (const PointId id : run.skyline) got.push_back(OracleEntry{id, 0});
+      size_t inside = 0;
+      for (size_t i = 0; i < data.count(); ++i) {
+        inside += RowInConstraints(data.Row(i), spec.constraints);
+      }
+      const std::string key = "block_rows=" + std::to_string(block_rows) +
+                              " constrained=" +
+                              std::to_string(!spec.constraints.empty());
+      EXPECT_EQ(SortedById(got), SortedById(ReferenceQuery(data, spec)))
+          << key;
+      EXPECT_EQ(run.matched_rows, inside) << key;
     }
   }
 }
@@ -402,54 +412,6 @@ TEST(CountDominatorsKernel, DominanceTestsAreAccounted) {
   EXPECT_LE(dts, ((data.count() + kSimdWidth - 1) / kSimdWidth) * kSimdWidth);
 }
 
-TEST(CostLearnerTest, SeedsBlendsAndClamps) {
-  CostLearner learner;
-  EXPECT_DOUBLE_EQ(learner.Scale(Algorithm::kHybrid), 1.0);
-  EXPECT_EQ(learner.Observations(Algorithm::kHybrid), 0u);
-
-  // First observation seeds the EMA: 2000 measured ns / 1000 predicted.
-  learner.Record(Algorithm::kHybrid, 1000.0, 2e-6);
-  EXPECT_DOUBLE_EQ(learner.Scale(Algorithm::kHybrid), 2.0);
-  EXPECT_EQ(learner.Observations(Algorithm::kHybrid), 1u);
-
-  // Second blends at 0.2: 0.8 * 2.0 + 0.2 * 1.0.
-  learner.Record(Algorithm::kHybrid, 1000.0, 1e-6);
-  EXPECT_DOUBLE_EQ(learner.Scale(Algorithm::kHybrid), 1.8);
-
-  // Ratios clamp to [0.01, 100] so one hiccup cannot poison the cell.
-  learner.Record(Algorithm::kBnl, 1000.0, 1.0);  // 1e6x over: clamps to 100
-  EXPECT_DOUBLE_EQ(learner.Scale(Algorithm::kBnl), 100.0);
-  learner.Record(Algorithm::kSfs, 1e15, 1e-9);  // 1e-15x under: clamps
-  EXPECT_DOUBLE_EQ(learner.Scale(Algorithm::kSfs), 0.01);
-
-  // Sub-1 predictions are floored at 1 ns before dividing.
-  learner.Record(Algorithm::kLess, 0.5, 5e-9);
-  EXPECT_DOUBLE_EQ(learner.Scale(Algorithm::kLess), 5.0);
-
-  learner.Reset();
-  for (const Algorithm a : {Algorithm::kHybrid, Algorithm::kBnl,
-                            Algorithm::kSfs, Algorithm::kLess}) {
-    EXPECT_DOUBLE_EQ(learner.Scale(a), 1.0);
-    EXPECT_EQ(learner.Observations(a), 0u);
-  }
-}
-
-TEST(CostLearnerTest, LearnedScaleFlipsSelection) {
-  StatsSketch sk;
-  sk.n = 2'000'000;
-  sk.d = 8;
-  sk.est_skyline = 60'000.0;
-  sk.growth_exponent = 0.6;
-  SelectionContext ctx;
-  ctx.threads = 16;
-  ASSERT_EQ(ChooseAlgorithm(sk, ctx).algorithm, Algorithm::kHybrid);
-
-  CostLearner learner;
-  learner.Record(Algorithm::kHybrid, 1.0, 1.0);  // scale clamps to 100
-  ctx.learner = &learner;
-  EXPECT_NE(ChooseAlgorithm(sk, ctx).algorithm, Algorithm::kHybrid);
-}
-
 TEST(ZonemapAutoSelection, DirectGateControlsCandidacy) {
   StatsSketch sk;
   sk.n = 50'000;
@@ -458,7 +420,7 @@ TEST(ZonemapAutoSelection, DirectGateControlsCandidacy) {
   sk.growth_exponent = 0.6;
   SelectionContext ctx;
   ctx.threads = 4;
-  ctx.selectivity = 0.01;  // a 1% box: the direct path's home turf
+  ctx.selectivity = 0.01;  // a 1% box: the traversal's home turf
   EXPECT_NE(ChooseAlgorithm(sk, ctx).algorithm, Algorithm::kZonemap);
   ctx.zonemap_direct = true;
   EXPECT_EQ(ChooseAlgorithm(sk, ctx).algorithm, Algorithm::kZonemap);
@@ -539,15 +501,6 @@ TEST(ZonemapEngine, UnshardedIndexIsCachedAndRepairedAcrossMutations) {
   EXPECT_EQ(after_delete.status, Status::kOk);
   EXPECT_EQ(SortedEntries(after_delete),
             ReferenceQuery(*engine.Find("ds"), boxed));
-
-  // A custom block size builds a private index and leaves the shard's
-  // alone.
-  FailPoints::Instance().DisarmAll();
-  Options custom = opts;
-  custom.block_rows = 16;
-  const QueryResult custom_r = engine.Execute("ds", boxed, custom);
-  EXPECT_EQ(shard()->built_zonemap(), deleted);
-  EXPECT_EQ(SortedEntries(custom_r), SortedEntries(after_delete));
 }
 
 TEST(ZonemapEngine, ShardedIndexesAreRepairedAcrossMutations) {
@@ -726,32 +679,96 @@ TEST(ZonemapEngine, ConcurrentFirstUsesBuildEachShardOnce) {
   }
 }
 
-TEST(ZonemapEngine, CostLearningRecordsOnlyWhenEnabled) {
-  const Dataset data = MakeData("indep", 500, 4, 71);
+TEST(ZonemapEngine, ExplicitZonemapMatchesVerifyQueryAtEveryShardCount) {
+  // Box-only specs traverse each shard's index in place; projected and
+  // MAX specs load their rows first. Either way the answer is exact and a
+  // progressive caller is streamed exactly the answer (finite rows: no
+  // irregular row holds the stream back).
+  const int dims = 4;
+  const Dataset data = MakeData("anti", 1'500, dims, 97);
   QuerySpec boxed;
-  boxed.Constrain(0, 0.0f, 0.5f);
+  boxed.Constrain(0, 0.1f, 0.7f).Constrain(2, 0.0f, 0.8f);
+  QuerySpec projected;
+  projected.Project({0, 2, 3}, dims);
+  projected.Constrain(1, 0.2f, 0.9f);
+  QuerySpec maxed = boxed;
+  maxed.SetPreference(1, Preference::kMax);
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    SkylineEngine::Config config;
+    config.shards = shards;
+    config.shard_policy = ShardPolicy::kMedianPivot;
+    config.result_cache_capacity = 0;
+    config.executor_threads = 4;
+    SkylineEngine engine(config);
+    engine.RegisterDataset("ds", data.Clone());
+    for (const QuerySpec& spec : {boxed, projected, maxed, QuerySpec{}}) {
+      const std::string key =
+          "shards=" + std::to_string(shards) + " spec " +
+          spec.Canonicalize(dims).CanonicalKey();
+      Options opts;
+      opts.algorithm = Algorithm::kZonemap;
+      opts.threads = 2;
+      const QueryResult r = engine.Execute("ds", spec, opts);
+      EXPECT_EQ(r.status, Status::kOk) << key;
+      EXPECT_TRUE(VerifyQuery(data, spec, r)) << key;
 
-  SkylineEngine::Config off;
-  off.shards = 1;
-  off.result_cache_capacity = 0;
-  SkylineEngine cold(off);
-  cold.RegisterDataset("ds", data.Clone());
+      std::mutex mu;
+      std::vector<PointId> streamed;
+      opts.progressive = [&](std::span<const PointId> ids) {
+        const std::lock_guard<std::mutex> lock(mu);
+        streamed.insert(streamed.end(), ids.begin(), ids.end());
+      };
+      const QueryResult p = engine.Execute("ds", spec, opts);
+      EXPECT_TRUE(VerifyQuery(data, spec, p)) << key << " progressive";
+      std::vector<PointId> ids = p.ids;
+      std::sort(ids.begin(), ids.end());
+      std::sort(streamed.begin(), streamed.end());
+      EXPECT_EQ(streamed, ids) << key << " progressive";
+    }
+  }
+}
+
+TEST(ZonemapEngine, UnconstrainedRunsReuseTheShardIndex) {
+  // An unconstrained kZonemap run traverses each shard's own index, like
+  // a constrained one: one build per shard, however many queries follow.
+  // Unconstrained runs that do not traverse in place — a k-skyband, a
+  // MAX spec traversed after its load — leave the shard index unbuilt.
+  SkylineEngine::Config config;
+  config.shards = 4;
+  config.result_cache_capacity = 0;
+  SkylineEngine engine(config);
+  const Dataset data = MakeData("indep", 1'000, 4, 99);
+  engine.RegisterDataset("ds", data.Clone());
   Options opts;
-  opts.algorithm = Algorithm::kHybrid;
-  cold.Execute("ds", boxed, opts);
-  for (const AlgorithmDescriptor& desc : AlgorithmTable()) {
-    EXPECT_EQ(cold.Learner().Observations(desc.algorithm), 0u);
+  opts.algorithm = Algorithm::kZonemap;
+  QuerySpec banded;
+  banded.band_k = 2;
+  QuerySpec maxed;
+  maxed.SetPreference(0, Preference::kMax);
+  for (const QuerySpec& spec : {banded, maxed}) {
+    EXPECT_TRUE(VerifyQuery(data, spec, engine.Execute("ds", spec, opts)));
+  }
+  const std::shared_ptr<const ShardMap> fresh = engine.FindShards("ds");
+  for (size_t s = 0; s < fresh->shard_count(); ++s) {
+    EXPECT_EQ(fresh->shard(s).built_zonemap(), nullptr) << "shard " << s;
   }
 
-  SkylineEngine::Config on = off;
-  on.cost_learning = true;
-  SkylineEngine warm(on);
-  warm.RegisterDataset("ds", data.Clone());
-  warm.Execute("ds", boxed, opts);
-  EXPECT_EQ(warm.Learner().Observations(Algorithm::kHybrid), 1u);
-  EXPECT_GT(warm.Learner().Scale(Algorithm::kHybrid), 0.0);
-  warm.Execute("ds", boxed, opts);  // result cache is off: records again
-  EXPECT_EQ(warm.Learner().Observations(Algorithm::kHybrid), 2u);
+  DisarmOnExit disarm;
+  FailPoints::Instance().Arm("zonemap_build", FailPoints::Mode::kDelay,
+                             /*probability=*/1.0, /*delay_ms=*/1);
+  QuerySpec boxed;
+  boxed.Constrain(0, 0.0f, 1.0f);
+  for (const QuerySpec& spec : {QuerySpec{}, QuerySpec{}, boxed}) {
+    const QueryResult r = engine.Execute("ds", spec, opts);
+    EXPECT_EQ(r.shards_executed, 4u);
+    EXPECT_EQ(r.matched_rows, data.count());
+    EXPECT_TRUE(VerifyQuery(data, spec, r));
+  }
+  EXPECT_EQ(FailPoints::Instance().Hits("zonemap_build"), 4u);
+  const std::shared_ptr<const ShardMap> map = engine.FindShards("ds");
+  for (size_t s = 0; s < map->shard_count(); ++s) {
+    EXPECT_NE(map->shard(s).built_zonemap(), nullptr) << "shard " << s;
+  }
 }
 
 TEST(ZonemapStress, ConcurrentZonemapQueriesAndMutations) {

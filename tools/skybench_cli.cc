@@ -48,7 +48,6 @@ struct CliArgs {
   int d = 8;
   int threads = 0;
   size_t alpha = 0;
-  size_t block_rows = 0;  // zonemap block size (0 = default 256)
   std::string pivot = "median";
   uint64_t seed = 42;
   bool no_simd = false;
@@ -110,8 +109,6 @@ struct CliArgs {
       "  --threads=T      0 = all hardware threads; clamped at the hardware\n"
       "                   width (the engine executor's, on engine runs)\n"
       "  --alpha=A        block size (0 = paper default)\n"
-      "  --block-rows=N   rows per zonemap block for --algo=zonemap\n"
-      "                   (0 = default 256)\n"
       "  --pivot=NAME     median|balanced|manhattan|volume|random\n"
       "  --seed=S         generator / random pivot seed\n"
       "  --no-simd        scalar dominance kernels\n"
@@ -235,9 +232,6 @@ CliArgs Parse(int argc, char** argv) {
     else if (Flag(argv[i], "--threads", &v) && v) a.threads = std::atoi(v);
     else if (Flag(argv[i], "--alpha", &v) && v)
       a.alpha = static_cast<size_t>(std::atoll(v));
-    else if (Flag(argv[i], "--block-rows", &v) && v)
-      a.block_rows = static_cast<size_t>(
-          ParseCount(v, "--block-rows", 100'000'000));
     else if (Flag(argv[i], "--pivot", &v) && v) a.pivot = v;
     else if (Flag(argv[i], "--seed", &v) && v)
       a.seed = static_cast<uint64_t>(std::atoll(v));
@@ -302,7 +296,6 @@ Options BuildOptions(const CliArgs& a, Algorithm algo) {
   o.algorithm = algo;
   o.threads = a.threads;
   o.alpha = a.alpha;
-  o.block_rows = a.block_rows;
   o.pivot = ParsePivotPolicy(a.pivot);
   o.use_simd = !a.no_simd;
   o.count_dts = true;
