@@ -17,6 +17,9 @@
 // box over HouseLike n=500k at t=1, the RowSource load through a warm
 // zonemap index must be >= 1.5x faster than MaterializeView followed by
 // the WorkingSet copy of the view.
+// A fifth gate covers the result cache's victim pick: a Put that evicts
+// (plus a Get) into a full cache of 65536 entries must cost at most
+// kCacheScaleBound times the same op at 128 entries.
 //
 //   perf_smoke [--out=PATH] [--check]
 //
@@ -26,6 +29,7 @@
 // kernel runs calibrate to ~0.05s of work. Numbers are only comparable
 // on the same host, which is exactly what a CI trajectory needs.
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -46,6 +50,7 @@
 #include "parallel/executor.h"
 #include "query/delta.h"
 #include "query/engine.h"
+#include "query/result_cache.h"
 #include "query/shard_map.h"
 #include "query/view.h"
 
@@ -102,6 +107,12 @@ ArmPair AlternatePair(int repeats, Arm&& arm) {
   return {MedianEntry(std::move(runs[0])), MedianEntry(std::move(runs[1])),
           ratios[ratios.size() / 2]};
 }
+
+/// Bound on the result cache's per-op cost at 65536 entries over its
+/// cost at 128 (cache/put_evict). The O(log n) victim index measures
+/// 5.4-6.6x on a 4-core x86 host, most of it cache misses that an O(1)
+/// LRU list also pays (4.3x there); a linear victim scan measures ~4000x.
+constexpr double kCacheScaleBound = 10.0;
 
 /// Runs per arm for the <= 1.03x overhead gates (metrics, cancel): a 3%
 /// bound needs a steadier median than the 5-run minimum gives.
@@ -400,6 +411,52 @@ ArmPair LoadPair(int repeats) {
   });
 }
 
+/// Result-cache victim pick: one op is a Put of a fresh key into a full
+/// cache, which evicts the lowest-priority entry, then a Get of the key
+/// put kLag ops earlier (a hit while it survives, bumping its priority and
+/// the saved-seconds counter). Costs are log-uniform over 10 us .. 100 ms,
+/// the span of real query computes. The arms are the same op stream at
+/// two capacities; a victim index whose per-op cost grows with the entry
+/// count shows as their ratio. The arms alternate (AlternatePair), each
+/// on its own cache, filled before timing. Returns {cap=65536, cap=128,
+/// per-op ratio}; ns_per_op is one Put + Get.
+ArmPair CachePutEvictPair(int repeats) {
+  constexpr size_t kCaps[2] = {65'536, 128};
+  constexpr size_t kOps = 20'000;
+  constexpr size_t kLag = 64;
+  const int reps = std::max(repeats, 5);
+  const size_t total = kCaps[0] + kOps * static_cast<size_t>(reps);
+  std::vector<std::string> keys(total);
+  std::vector<double> costs(total);
+  Rng rng(5);
+  for (size_t i = 0; i < total; ++i) {
+    keys[i] = "v1|q" + std::to_string(i);
+    costs[i] = 1e-5 * std::pow(1e4, rng.NextDouble());
+  }
+  const auto value = std::make_shared<const int>(0);
+  std::unique_ptr<ResultCache<int>> caches[2];
+  size_t next[2] = {0, 0};
+  for (int arm = 0; arm < 2; ++arm) {
+    caches[arm] = std::make_unique<ResultCache<int>>(kCaps[arm]);
+    for (; next[arm] < kCaps[arm]; ++next[arm]) {
+      caches[arm]->Put(keys[next[arm]], value, costs[next[arm]]);
+    }
+  }
+  const std::string names[2] = {"cache/put_evict/cap=65536",
+                                 "cache/put_evict/cap=128"};
+  return AlternatePair(repeats, [&](int arm) {
+    ResultCache<int>& cache = *caches[arm];
+    size_t& i = next[arm];
+    WallTimer t;
+    for (size_t op = 0; op < kOps; ++op, ++i) {
+      cache.Put(keys[i], value, costs[i]);
+      cache.Get(keys[i - kLag]);
+    }
+    const double ns = std::max(t.Seconds(), 1e-12) * 1e9 / kOps;
+    return Entry{names[arm], ns, 0.0};
+  });
+}
+
 /// A pair's ratio as its gate reads it, named after the entry whose
 /// printed line shows it.
 struct Ratio {
@@ -553,6 +610,24 @@ int Main(int argc, char** argv) {
                    "perf_smoke: GATE FAILED: RowSource load only %.2fx the "
                    "view + copy path (need >= 1.5x)\n",
                    speedup);
+      gate_ok = false;
+    }
+  }
+
+  // ---- Result cache: Put-with-eviction at two capacities.
+  {
+    const auto [large, small, ratio] = CachePutEvictPair(repeats);
+    entries.push_back(small);
+    entries.push_back(large);
+    ratios.push_back({large.name, ratio});
+    std::printf("%-48s %12.1f ns/op\n", small.name.c_str(), small.ns_per_op);
+    std::printf("%-48s %12.1f ns/op  (%.2fx cap=128)\n", large.name.c_str(),
+                large.ns_per_op, ratio);
+    if (check && ratio > kCacheScaleBound) {
+      std::fprintf(stderr,
+                   "perf_smoke: GATE FAILED: result-cache Put at 65536 "
+                   "entries %.2fx its cost at 128 (need <= %.1fx)\n",
+                   ratio, kCacheScaleBound);
       gate_ok = false;
     }
   }

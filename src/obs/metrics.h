@@ -148,8 +148,9 @@ struct MetricsSnapshot {
 /// first use and afterwards return the same pointer, stable for the
 /// registry's lifetime — callers resolve once at wire-up time and the hot
 /// path never sees the registry mutex. Collectors let subsystems that
-/// already keep their own counters (the engine's LRU caches) contribute
-/// values at snapshot time instead of double-counting on the hot path.
+/// already keep their own counters (the engine's result cache and
+/// executor) contribute values at snapshot time instead of
+/// double-counting on the hot path.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;

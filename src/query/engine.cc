@@ -603,7 +603,7 @@ void SkylineEngine::WireInstruments() {
   // snapshot time instead of double-counting on the hot path.
   metrics_.AddCollector([this](std::vector<obs::MetricValue>& out) {
     using obs::MetricKind;
-    const LruCache<QueryResult>::Counters c = cache_.counters();
+    const ResultCache<QueryResult>::Counters c = cache_.counters();
     PushMetric(out, "sky_result_cache_hits_total", "Cache hits",
                MetricKind::kCounter, static_cast<double>(c.hits));
     PushMetric(out, "sky_result_cache_misses_total", "Cache misses",
@@ -619,6 +619,9 @@ void SkylineEngine::WireInstruments() {
     PushMetric(out, "sky_result_cache_stale_hits_total",
                "TTL-expired entries returned for serve-stale fallback",
                MetricKind::kCounter, static_cast<double>(c.stale_hits));
+    PushMetric(out, "sky_result_cache_saved_seconds_total",
+               "Recorded compute seconds of every entry served as a hit",
+               MetricKind::kCounter, c.saved_seconds);
     PushMetric(out, "sky_result_cache_entries", "Entries currently resident",
                MetricKind::kGauge, static_cast<double>(c.entries));
     PushMetric(out, "sky_result_cache_bytes",
@@ -696,7 +699,7 @@ uint64_t SkylineEngine::RegisterDataset(const std::string& name, Dataset data,
                                  /*minor=*/0, dims, count};
   }
   // The old generation can never be served again (versions are never
-  // reused); free its results instead of letting them squat in the LRU.
+  // reused); free its results instead of letting them squat in the cache.
   if (replaced_version != 0) {
     cache_.ErasePrefix(CacheKeyPrefix(replaced_version));
   }
@@ -756,7 +759,8 @@ void SkylineEngine::PutIfCurrent(const std::string& name, uint64_t version,
   auto it = registry_.find(name);
   if (it != registry_.end() && it->second.version == version &&
       it->second.minor == minor) {
-    cache_.Put(key, std::move(value));
+    const double cost = value->stats.total_seconds;
+    cache_.Put(key, std::move(value), cost);
   }
 }
 

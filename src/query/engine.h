@@ -17,13 +17,15 @@
 //            union-then-filter operator (depth-aware for k-skybands);
 //            a lone survivor's answer is final and skips it.
 //
-// Finished results land in a byte- and entry-capped LRU, the engine's one
-// cache. No view is materialized: every shard run hands its algorithm a
-// RowSource (data/row_source.h) whose load applies the box, projection
-// and negation while making the run's working copy; a zonemap traversal
-// of a box-only spec reads the shard rows in place instead. Each shard
-// owns its zonemap index, built on first use — by a constrained load or a
-// zonemap run — and repaired by mutations (query/delta.h).
+// Finished results land in a byte- and entry-capped result cache, the
+// engine's one cache, which keeps the results whose recompute costs most
+// (query/result_cache.h). No view is materialized: every shard run hands
+// its algorithm a RowSource (data/row_source.h) whose load applies the
+// box, projection and negation while making the run's working copy; a
+// zonemap traversal of a box-only spec reads the shard rows in place
+// instead. Each shard owns its zonemap index, built on first use — by a
+// constrained load or a zonemap run — and repaired by mutations
+// (query/delta.h).
 // All public methods are safe to call concurrently from many threads.
 #ifndef SKY_QUERY_ENGINE_H_
 #define SKY_QUERY_ENGINE_H_
@@ -140,10 +142,14 @@ bool VerifyQuery(const Dataset& data, const QuerySpec& spec,
 class SkylineEngine {
  public:
   struct Config {
-    /// Max finished results kept in the LRU cache (0 disables caching).
+    /// Max finished results kept in the result cache (0 disables
+    /// caching). Past it the cache evicts the entry whose recorded
+    /// compute time, weighted by its hits and aged by a rising clock, is
+    /// lowest (GreedyDual-Size-Frequency, query/result_cache.h).
     size_t result_cache_capacity = 128;
     /// Byte budget over cached result payloads (QueryResultBytes); 0
-    /// disables the byte cap. Evicts LRU-first once exceeded.
+    /// disables the byte cap. Once exceeded, evicts in the same priority
+    /// order as the entry cap.
     size_t result_cache_bytes = 0;
     /// TTL over cached results in seconds (0 = never expire). Entries
     /// older than this are lazily expired on Get (ttl_evictions
@@ -404,7 +410,7 @@ class SkylineEngine {
   /// Config::max_inflight gauge; cache hits and shed queries never
   /// count).
   std::atomic<int> inflight_{0};
-  LruCache<QueryResult> cache_;
+  ResultCache<QueryResult> cache_;
 };
 
 }  // namespace sky

@@ -1,20 +1,31 @@
 // Copyright (c) SkyBench-NG contributors.
-// Thread-safe LRU cache of finished query results, keyed by the engine's
-// canonical (dataset version | spec) strings. Entries are shared_ptrs so
-// a hit never copies the (possibly large) id vectors under the lock and an
-// eviction never invalidates a result a reader still holds. Eviction is
-// entry-capped and, optionally, byte-capped: a SizeFn prices each value
-// and the cache evicts LRU-first until the byte budget holds again — a
-// value larger than the whole budget is simply not retained. An optional
-// TTL expires entries lazily on Get, for refresh-heavy workloads where a
-// stale-but-cached answer is worse than a recompute.
+// Thread-safe cache of finished query results, keyed by the engine's
+// canonical (dataset version | spec) strings, that evicts by the compute a
+// result saves rather than by recency: GreedyDual-Size-Frequency (Cao &
+// Irani, USITS'97; Cherkasova, HP Labs 1998). Each entry records the wall
+// seconds of the compute that produced it (its cost) and its hit count;
+// its priority is H = clock + cost * max(1, hits), and the cache evicts
+// the lowest H, ties to the least recently used, then raises the clock to
+// the victim's H. A result hit often or expensive to recompute outlives a
+// stream of cheap one-off misses, while one never hit again ages out as
+// the clock rises past it. Priority is not divided by size: the byte
+// budget bounds size on its own.
+//
+// Entries are shared_ptrs so a hit never copies the (possibly large) id
+// vectors under the lock and an eviction never invalidates a result a
+// reader still holds. Eviction is entry-capped and, optionally,
+// byte-capped: a SizeFn prices each value. The fresh entry of a Put is a
+// victim candidate like any other, so a result cheaper than everything
+// resident, or larger than the whole byte budget, is simply not retained.
+// An optional TTL expires entries lazily on Get, for refresh-heavy
+// workloads where a stale-but-cached answer is worse than a recompute.
 #ifndef SKY_QUERY_RESULT_CACHE_H_
 #define SKY_QUERY_RESULT_CACHE_H_
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -24,27 +35,28 @@
 namespace sky {
 
 template <typename V>
-class LruCache {
+class ResultCache {
  public:
   /// Byte price of one cached value (payload estimate, not allocator
   /// truth). nullptr prices everything at zero.
   using SizeFn = size_t (*)(const V&);
 
-  explicit LruCache(size_t capacity) : LruCache(capacity, 0, nullptr) {}
+  explicit ResultCache(size_t capacity) : ResultCache(capacity, 0, nullptr) {}
 
   /// `byte_capacity` == 0 disables the byte budget; `capacity` == 0
   /// disables caching entirely; `ttl_seconds` <= 0 disables expiry.
-  LruCache(size_t capacity, size_t byte_capacity, SizeFn size_fn,
-           double ttl_seconds = 0.0)
+  ResultCache(size_t capacity, size_t byte_capacity, SizeFn size_fn,
+              double ttl_seconds = 0.0)
       : capacity_(capacity),
         byte_capacity_(byte_capacity),
         size_fn_(size_fn),
         ttl_(std::chrono::duration_cast<Clock::duration>(
             std::chrono::duration<double>(std::max(0.0, ttl_seconds)))) {}
 
-  /// Fetch and promote to most-recently-used; nullptr on miss. An entry
-  /// older than the TTL counts as a miss: it is erased here (lazy
-  /// expiry — no reaper thread) and ttl_evictions is incremented.
+  /// Fetch and count a hit, raising the entry's priority; nullptr on
+  /// miss. An entry older than the TTL counts as a miss: it is erased
+  /// here (lazy expiry — no reaper thread) and ttl_evictions is
+  /// incremented.
   std::shared_ptr<const V> Get(const std::string& key) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
@@ -52,19 +64,14 @@ class LruCache {
       ++misses_;
       return nullptr;
     }
-    if (ttl_ != Clock::duration::zero() &&
-        Clock::now() - it->second->inserted > ttl_) {
-      bytes_ -= it->second->bytes;
-      order_.erase(it->second);
-      index_.erase(it);
+    if (Expired(it->second)) {
+      Erase(it);
       ++ttl_evictions_;
       ++evictions_;
       ++misses_;
       return nullptr;
     }
-    order_.splice(order_.begin(), order_, it->second);
-    ++hits_;
-    return it->second->value;
+    return Hit(it->second);
   }
 
   /// Like Get, but a TTL-expired entry is returned anyway — with
@@ -72,7 +79,7 @@ class LruCache {
   /// fallback answers a shed or timed-out query from the expired value,
   /// and a later successful recompute's Put refreshes the entry in
   /// place. An expired return still counts as a miss (a recompute is
-  /// expected) plus a stale_hits tick; only a fresh return promotes.
+  /// expected) plus a stale_hits tick; only a fresh return is a hit.
   std::shared_ptr<const V> GetAllowStale(const std::string& key,
                                          bool* expired) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -82,49 +89,60 @@ class LruCache {
       ++misses_;
       return nullptr;
     }
-    if (ttl_ != Clock::duration::zero() &&
-        Clock::now() - it->second->inserted > ttl_) {
+    if (Expired(it->second)) {
       *expired = true;
       ++stale_hits_;
       ++misses_;
-      return it->second->value;
+      return it->second.value;
     }
-    order_.splice(order_.begin(), order_, it->second);
-    ++hits_;
-    return it->second->value;
+    return Hit(it->second);
   }
 
-  /// Insert (or refresh) a value, evicting least-recently-used entries
-  /// past either cap. A capacity of 0 disables caching entirely.
-  void Put(const std::string& key, std::shared_ptr<const V> value) {
+  /// Insert (or refresh) a value whose compute took `cost_seconds`, then
+  /// evict lowest-priority entries, the fresh one included, past either
+  /// cap. A refresh takes the new cost and keeps the hit count. A
+  /// capacity of 0 disables caching entirely.
+  void Put(const std::string& key, std::shared_ptr<const V> value,
+           double cost_seconds) {
     if (capacity_ == 0) return;
     const size_t entry_bytes = (size_fn_ != nullptr && value != nullptr)
                                    ? size_fn_(*value)
                                    : 0;
+    // Also maps NaN to 0: a priority must order.
+    const double cost = cost_seconds > 0.0 ? cost_seconds : 0.0;
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      bytes_ -= it->second->bytes;
-      it->second->value = std::move(value);
-      it->second->bytes = entry_bytes;
-      it->second->inserted = Clock::now();  // a refresh restarts the TTL
-      bytes_ += entry_bytes;
-      order_.splice(order_.begin(), order_, it->second);
-    } else {
-      order_.push_front(
-          Entry{key, std::move(value), entry_bytes, Clock::now()});
-      index_[key] = order_.begin();
-      bytes_ += entry_bytes;
+    if (byte_capacity_ != 0 && entry_bytes > byte_capacity_) {
+      // It would be its own victim, after every cheaper entry.
+      ++byte_evictions_;
+      ++evictions_;
+      return;
     }
-    // The fresh entry sits at the front, so it is only dropped when it
-    // alone exceeds the byte budget.
+    auto [it, fresh] = index_.try_emplace(key);
+    Entry& e = it->second;
+    bytes_ -= e.bytes;
+    e.value = std::move(value);
+    e.bytes = entry_bytes;
+    e.inserted = Clock::now();  // a refresh restarts the TTL
+    e.cost = cost;
+    bytes_ += entry_bytes;
+    if (fresh) {
+      try {
+        e.pos = order_.emplace(Rank{Priority(e), ++tick_}, &it->first).first;
+      } catch (...) {  // leave no entry without its order_ node
+        bytes_ -= entry_bytes;
+        index_.erase(it);
+        throw;
+      }
+    } else {
+      Rerank(e);
+    }
     while (!order_.empty() &&
-           (order_.size() > capacity_ ||
+           (index_.size() > capacity_ ||
             (byte_capacity_ != 0 && bytes_ > byte_capacity_))) {
-      if (order_.size() <= capacity_) ++byte_evictions_;
-      bytes_ -= order_.back().bytes;
-      index_.erase(order_.back().key);
-      order_.pop_back();
+      if (index_.size() <= capacity_) ++byte_evictions_;
+      const auto victim = order_.begin();
+      clock_ = victim->first.first;
+      Erase(index_.find(*victim->second));
       ++evictions_;
     }
   }
@@ -138,52 +156,42 @@ class LruCache {
 
   /// Drop every entry whose key starts with `prefix`. O(entries); used
   /// when a dataset generation dies (eviction / re-registration) so its
-  /// unreachable results stop pinning memory and LRU slots.
+  /// unreachable results stop pinning memory and cache slots.
   size_t ErasePrefix(const std::string& prefix) {
-    std::lock_guard<std::mutex> lock(mu_);
-    size_t erased = 0;
-    for (auto it = order_.begin(); it != order_.end();) {
-      if (it->key.compare(0, prefix.size(), prefix) == 0) {
-        bytes_ -= it->bytes;
-        index_.erase(it->key);
-        it = order_.erase(it);
-        ++erased;
-      } else {
-        ++it;
-      }
-    }
-    return erased;
+    return EditPrefix(prefix, [](const std::string&,
+                                 const std::shared_ptr<const V>&) {
+      return std::shared_ptr<const V>();
+    });
   }
 
   /// Selective invalidation: visit every entry whose key starts with
   /// `prefix` and let `fn(key, value)` decide its fate — return the
   /// value unchanged to keep it, nullptr to erase it, or a different
-  /// shared_ptr to replace it in place (bytes re-priced, LRU position
-  /// kept). O(entries); the mutation path uses this to keep provably
-  /// unaffected results alive across a minor-version bump instead of
-  /// purging the whole generation. Returns the number erased.
+  /// shared_ptr to replace it in place (bytes re-priced; cost, hit count
+  /// and priority kept). O(entries); the mutation path uses this to keep
+  /// provably unaffected results alive across a minor-version bump
+  /// instead of purging the whole generation. Returns the number erased.
   template <typename Fn>
   size_t EditPrefix(const std::string& prefix, Fn&& fn) {
     std::lock_guard<std::mutex> lock(mu_);
     size_t erased = 0;
-    for (auto it = order_.begin(); it != order_.end();) {
-      if (it->key.compare(0, prefix.size(), prefix) != 0) {
+    for (auto it = index_.begin(); it != index_.end();) {
+      if (it->first.compare(0, prefix.size(), prefix) != 0) {
         ++it;
         continue;
       }
-      std::shared_ptr<const V> next = fn(it->key, it->value);
+      Entry& e = it->second;
+      std::shared_ptr<const V> next = fn(it->first, e.value);
       if (next == nullptr) {
-        bytes_ -= it->bytes;
-        index_.erase(it->key);
-        it = order_.erase(it);
+        it = Erase(it);
         ++erased;
         continue;
       }
-      if (next.get() != it->value.get()) {
-        bytes_ -= it->bytes;
-        it->bytes = size_fn_ != nullptr ? size_fn_(*next) : 0;
-        bytes_ += it->bytes;
-        it->value = std::move(next);
+      if (next.get() != e.value.get()) {
+        bytes_ -= e.bytes;
+        e.bytes = size_fn_ != nullptr ? size_fn_(*next) : 0;
+        bytes_ += e.bytes;
+        e.value = std::move(next);
       }
       ++it;
     }
@@ -197,6 +205,7 @@ class LruCache {
     uint64_t byte_evictions = 0;  ///< evictions forced by the byte budget
     uint64_t ttl_evictions = 0;   ///< entries lazily expired by the TTL
     uint64_t stale_hits = 0;      ///< expired entries GetAllowStale returned
+    double saved_seconds = 0.0;   ///< summed recorded cost of every hit
     size_t entries = 0;
     size_t bytes = 0;             ///< priced bytes currently resident
   };
@@ -210,7 +219,8 @@ class LruCache {
     c.byte_evictions = byte_evictions_;
     c.ttl_evictions = ttl_evictions_;
     c.stale_hits = stale_hits_;
-    c.entries = order_.size();
+    c.saved_seconds = saved_seconds_;
+    c.entries = index_.size();
     c.bytes = bytes_;
     return c;
   }
@@ -220,27 +230,69 @@ class LruCache {
 
  private:
   using Clock = std::chrono::steady_clock;
+  /// (H, last-use tick): the victim order. Ticks are unique, so ranks
+  /// are too, and equal priorities fall back to least recently used.
+  using Rank = std::pair<double, uint64_t>;
+  /// Every entry's rank, front = next victim, mapped to the entry's key
+  /// in index_ (node-based: rehashing moves no key).
+  using Order = std::map<Rank, const std::string*>;
 
   struct Entry {
-    std::string key;
     std::shared_ptr<const V> value;
     size_t bytes = 0;
     Clock::time_point inserted;
+    double cost = 0.0;  ///< wall seconds of the compute that produced it
+    uint64_t hits = 0;
+    typename Order::iterator pos;  ///< this entry's node in order_
   };
+  using Index = std::unordered_map<std::string, Entry>;
+
+  bool Expired(const Entry& e) const {
+    return ttl_ != Clock::duration::zero() && Clock::now() - e.inserted > ttl_;
+  }
+
+  double Priority(const Entry& e) const {
+    return clock_ + e.cost * static_cast<double>(std::max<uint64_t>(1, e.hits));
+  }
+
+  /// Recompute `e`'s priority and mark it most recently used, reusing
+  /// its order_ node.
+  void Rerank(Entry& e) {
+    auto node = order_.extract(e.pos);
+    node.key() = {Priority(e), ++tick_};
+    e.pos = order_.insert(std::move(node)).position;
+  }
+
+  std::shared_ptr<const V> Hit(Entry& e) {
+    ++e.hits;
+    Rerank(e);
+    ++hits_;
+    saved_seconds_ += e.cost;
+    return e.value;
+  }
+
+  typename Index::iterator Erase(typename Index::iterator it) {
+    bytes_ -= it->second.bytes;
+    order_.erase(it->second.pos);
+    return index_.erase(it);
+  }
 
   const size_t capacity_;
   const size_t byte_capacity_;
   const SizeFn size_fn_;
   const Clock::duration ttl_;
   mutable std::mutex mu_;
-  std::list<Entry> order_;  // front = most recently used
-  std::unordered_map<std::string, typename std::list<Entry>::iterator> index_;
+  Index index_;
+  Order order_;
+  double clock_ = 0.0;  ///< H of the last victim (GreedyDual's L)
+  uint64_t tick_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
   uint64_t byte_evictions_ = 0;
   uint64_t ttl_evictions_ = 0;
   uint64_t stale_hits_ = 0;
+  double saved_seconds_ = 0.0;
   size_t bytes_ = 0;
 };
 

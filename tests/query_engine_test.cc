@@ -183,6 +183,10 @@ TEST(SkylineEngineTest, SecondIdenticalQueryIsACacheHit) {
   EXPECT_EQ(CacheMetric(engine, "hits_total"), 1.0);
   EXPECT_EQ(CacheMetric(engine, "misses_total"), 1.0);
   EXPECT_EQ(CacheMetric(engine, "entries"), 1.0);
+  // The hit saved the compute the entry recorded.
+  EXPECT_GT(first.stats.total_seconds, 0.0);
+  EXPECT_EQ(CacheMetric(engine, "saved_seconds_total"),
+            first.stats.total_seconds);
 }
 
 TEST(SkylineEngineTest, EquivalentSpellingsHitTheSameEntry) {
@@ -236,7 +240,10 @@ TEST(SkylineEngineTest, ZeroCapacityDisablesCaching) {
   EXPECT_EQ(CacheMetric(engine, "entries"), 0.0);
 }
 
-TEST(SkylineEngineTest, LruEvictsLeastRecentlyUsed) {
+// Which entry the cache evicts depends on measured compute times, so the
+// engine tests check only what holds under any victim order; the order
+// itself is pinned with explicit costs in result_cache_test.cc.
+TEST(SkylineEngineTest, EntryCapBoundsResidentResults) {
   SkylineEngine engine(SkylineEngine::Config{2});
   engine.RegisterDataset(
       "ds", GenerateSynthetic(Distribution::kIndependent, 100, 3, 5));
@@ -245,12 +252,19 @@ TEST(SkylineEngineTest, LruEvictsLeastRecentlyUsed) {
   QuerySpec band3;
   band3.band_k = 3;
   engine.Execute("ds", QuerySpec{});  // A
-  engine.Execute("ds", band2);       // B — cache {B, A}
-  engine.Execute("ds", QuerySpec{});  // touch A — {A, B}
-  engine.Execute("ds", band3);       // C evicts B — {C, A}
+  engine.Execute("ds", band2);       // B
   EXPECT_TRUE(engine.Execute("ds", QuerySpec{}).cache_hit);
-  EXPECT_FALSE(engine.Execute("ds", band2).cache_hit);  // was evicted
-  EXPECT_EQ(CacheMetric(engine, "evictions_total"), 2.0);  // B, then C
+  engine.Execute("ds", band3);  // C — one of A, B, C is evicted
+  EXPECT_EQ(CacheMetric(engine, "entries"), 2.0);
+  EXPECT_EQ(CacheMetric(engine, "evictions_total"), 1.0);
+  for (const QuerySpec& q : {QuerySpec{}, band2, band3}) {
+    engine.Execute("ds", q);
+    EXPECT_EQ(CacheMetric(engine, "entries"), 2.0);
+  }
+  // Every miss is inserted, so every miss beyond the resident two has
+  // cost exactly one eviction.
+  EXPECT_EQ(CacheMetric(engine, "evictions_total"),
+            CacheMetric(engine, "misses_total") - 2.0);
 }
 
 TEST(SkylineEngineTest, ClearCacheForcesRecompute) {
@@ -265,7 +279,7 @@ Dataset ThreeIncomparable() {
   return MakeDataset({{0.1f, 0.9f}, {0.5f, 0.5f}, {0.9f, 0.1f}});
 }
 
-TEST(SkylineEngineTest, ByteBudgetEvictsLruFirst) {
+TEST(SkylineEngineTest, ByteBudgetBoundsResidentBytes) {
   // Three incomparable points: every band query returns all three rows,
   // so every cached result prices identically and the byte budget holds
   // exactly two of them.
@@ -282,20 +296,23 @@ TEST(SkylineEngineTest, ByteBudgetEvictsLruFirst) {
   QuerySpec band3;
   band3.band_k = 3;
   engine.Execute("ds", QuerySpec{});  // A
-  engine.Execute("ds", band2);        // B — {B, A}, at budget
+  engine.Execute("ds", band2);        // B — at budget
   EXPECT_EQ(CacheMetric(engine, "entries"), 2.0);
   EXPECT_EQ(CacheMetric(engine, "bytes"), static_cast<double>(2 * one));
   EXPECT_EQ(CacheMetric(engine, "byte_evictions_total"), 0.0);
 
-  engine.Execute("ds", band3);  // C — evicts A, the LRU entry
+  engine.Execute("ds", band3);  // C — one of A, B, C is evicted
   EXPECT_EQ(CacheMetric(engine, "entries"), 2.0);
-  EXPECT_LE(CacheMetric(engine, "bytes"),
-            static_cast<double>(config.result_cache_bytes));
+  EXPECT_EQ(CacheMetric(engine, "bytes"), static_cast<double>(2 * one));
   EXPECT_EQ(CacheMetric(engine, "byte_evictions_total"), 1.0);
   EXPECT_EQ(CacheMetric(engine, "evictions_total"), 1.0);
-  EXPECT_TRUE(engine.Execute("ds", band3).cache_hit);
-  EXPECT_TRUE(engine.Execute("ds", band2).cache_hit);
-  EXPECT_FALSE(engine.Execute("ds", QuerySpec{}).cache_hit);  // was evicted
+  for (const QuerySpec& q : {QuerySpec{}, band2, band3}) {
+    engine.Execute("ds", q);
+    EXPECT_LE(CacheMetric(engine, "bytes"),
+              static_cast<double>(config.result_cache_bytes));
+  }
+  EXPECT_EQ(CacheMetric(engine, "byte_evictions_total"),
+            CacheMetric(engine, "misses_total") - 2.0);
 }
 
 TEST(SkylineEngineTest, ResultLargerThanByteBudgetIsNotRetained) {
@@ -309,6 +326,7 @@ TEST(SkylineEngineTest, ResultLargerThanByteBudgetIsNotRetained) {
   engine.Execute("ds", QuerySpec{});
   EXPECT_EQ(CacheMetric(engine, "entries"), 0.0);
   EXPECT_EQ(CacheMetric(engine, "bytes"), 0.0);
+  EXPECT_EQ(CacheMetric(engine, "byte_evictions_total"), 1.0);
   EXPECT_FALSE(engine.Execute("ds", QuerySpec{}).cache_hit);
 }
 
